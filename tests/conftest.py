@@ -7,7 +7,15 @@ import pytest
 
 from resokit import ComplexTrace
 from resokit.mbvd import synthesize_admittance
-from resokit.netparams import series_element_network, write_touchstone, y_to_s
+from resokit.netparams import (
+    device_admittance,
+    parse_touchstone,
+    s_to_y,
+    series_element_network,
+    write_touchstone,
+    y_to_s,
+)
+from resokit.refdata import roundtrip_model, synthesis_grid
 
 
 def noisy_trace(model, grid, noise_db=None, seed=0):
@@ -28,6 +36,14 @@ def golden_text(model, grid, fmt="RI", unit="GHz", noise_db=None, seed=0):
     """Touchstone text for a model embedded as a series two-port element."""
     trace = noisy_trace(model, grid, noise_db=noise_db, seed=seed)
     return write_touchstone(y_to_s(series_element_network(trace)), fmt=fmt, unit=unit)
+
+
+def survey_trace(label, index, noise_db):
+    """Device admittance of survey row `label` read back through Touchstone
+    text, with criterion 2's noise seed (100 + survey index)."""
+    text = golden_text(roundtrip_model(label), synthesis_grid(label),
+                       noise_db=noise_db, seed=100 + index)
+    return device_admittance(s_to_y(parse_touchstone(text)))
 
 
 @pytest.fixture

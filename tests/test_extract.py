@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,9 +18,12 @@ from resokit.extract import (
     q_from_phase_slope,
 )
 from resokit.mbvd import MbvdModel, MotionalBranch, branch_from_metrics, synthesize_admittance
-from resokit.refdata import roundtrip_model, row, synthesis_grid
+from resokit.refdata import SURVEY, roundtrip_model, row, synthesis_grid
 
-from conftest import noisy_trace
+from conftest import noisy_trace, survey_trace
+
+# Written by tests/data/make_detect_resonances.py with the SciPy detector.
+FROZEN_DETECTIONS = Path(__file__).parent / "data" / "detect_resonances.json"
 
 
 def two_branch_model():
@@ -90,6 +95,20 @@ def test_detect_threshold_suppresses_shallow_peak():
     picked = detect_resonances(tr, threshold_db=40.0)
     assert len(picked) == 1
     assert picked[0].fs_est == pytest.approx(3.3e9, rel=1e-3)
+
+
+@pytest.mark.parametrize("noise_db", [-80.0, -40.0, -20.0])
+def test_detect_matches_frozen_survey_candidates(noise_db):
+    frozen = {e["label"]: e["candidates"]
+              for e in json.loads(FROZEN_DETECTIONS.read_text()) if e["noise_db"] == noise_db}
+    assert len(frozen) == len(SURVEY)
+    for i, r in enumerate(SURVEY):
+        got = detect_resonances(survey_trace(r.label, i, noise_db))
+        want = frozen[r.label]
+        assert len(got) == len(want), r.label
+        for c, (fs, fp, prom, span) in zip(got, want):
+            assert (c.fs_est, c.fp_est, c.span) == (fs, fp, tuple(span)), r.label
+            assert c.prominence_db == pytest.approx(prom, rel=1e-12, abs=0.0), r.label
 
 
 def test_detect_requires_enough_points():
