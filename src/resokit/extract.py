@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.signal import find_peaks, peak_widths
 
 from .errors import EstimationError, InductiveBackgroundError, PhaseUnwrapError
 from .mbvd import TWO_PI, MbvdModel, MotionalBranch
@@ -50,6 +49,63 @@ class ResonanceCandidate:
             raise ValueError(f"bad span {self.span!r}")
 
 
+def _higher_peak_starts(peaks: list[int], heights: list[float]) -> list[int]:
+    """For each peak, the position of the nearest strictly higher peak to
+    its left, or 0 when there is none (one monotone-stack pass)."""
+    out, stack = [], []
+    for p, h in zip(peaks, heights):
+        while stack and stack[-1][1] <= h:
+            stack.pop()
+        out.append(stack[-1][0] if stack else 0)
+        stack.append((p, h))
+    return out
+
+
+def _prominent_peaks(x: np.ndarray, min_prominence: float):
+    """Local maxima of x with prominence >= min_prominence.
+
+    Standard topographic prominence with an unbounded window: a plateau
+    counts once at its midpoint, the first and last samples are never
+    peaks, and a peak's prominence is its height above the higher of the
+    two minima between it and the nearest strictly higher sample (or the
+    array end) on either side.  left_ips/right_ips are the linearly
+    interpolated crossings of half the prominence below the peak.
+    Returns (peaks, prominences, left_ips, right_ips).
+    """
+    n = x.size
+    step = np.diff(x)
+    nz = np.flatnonzero(step)
+    rises = step[nz] > 0
+    top = np.flatnonzero(rises[:-1] & ~rises[1:])
+    # plateau from nz[k] + 1 to nz[k + 1], kept at its midpoint
+    peaks = (nz[top] + 1 + nz[top + 1]) // 2
+    if peaks.size == 0:
+        return peaks, np.empty(0), np.empty(0), np.empty(0)
+    heights = x[peaks]
+    left_start = np.array(_higher_peak_starts(peaks.tolist(), heights.tolist()))
+    mirrored = _higher_peak_starts((n - 1 - peaks[::-1]).tolist(), heights[::-1].tolist())
+    right_end = n - 1 - np.array(mirrored[::-1])
+    padded = np.append(x, 0.0)
+    left_min = np.minimum.reduceat(padded, np.ravel([left_start, peaks + 1], order="F"))[::2]
+    right_min = np.minimum.reduceat(padded, np.ravel([peaks, right_end + 1], order="F"))[::2]
+    prominences = heights - np.maximum(left_min, right_min)
+
+    keep = prominences >= min_prominence
+    peaks, prominences = peaks[keep], prominences[keep]
+    left_ips = np.empty(peaks.size)
+    right_ips = np.empty(peaks.size)
+    for k, (p, lo, hi) in enumerate(zip(peaks, left_start[keep], right_end[keep])):
+        # A peak stands strictly above its neighbours, so its prominence is
+        # positive and both minima lie in [lo, hi] below the half height:
+        # the first sample at or below it exists on each side.
+        h = x[p] - prominences[k] * 0.5
+        i = lo + np.flatnonzero(x[lo : p + 1] <= h)[-1]
+        left_ips[k] = i + (h - x[i]) / (x[i + 1] - x[i]) if x[i] < h else i
+        i = p + np.flatnonzero(x[p : hi + 1] <= h)[0]
+        right_ips[k] = i - (h - x[i]) / (x[i - 1] - x[i]) if x[i] < h else i
+    return peaks, prominences, left_ips, right_ips
+
+
 def detect_resonances(trace: ComplexTrace, threshold_db: float = 3.0) -> list[ResonanceCandidate]:
     """Find resonance candidates as prominent maxima of |Y|.
 
@@ -64,15 +120,12 @@ def detect_resonances(trace: ComplexTrace, threshold_db: float = 3.0) -> list[Re
         raise ValueError("threshold_db must be positive")
     mag_db = 20.0 * np.log10(np.maximum(np.abs(trace.values), 1e-300))
 
-    peaks, props = find_peaks(mag_db, prominence=threshold_db)
+    peaks, prominences, left_ips, right_ips = _prominent_peaks(mag_db, threshold_db)
     if peaks.size == 0:
         return []
-    mins, min_props = find_peaks(-mag_db, prominence=threshold_db)
+    mins, _, _, m_right = _prominent_peaks(-mag_db, threshold_db)
 
     n = trace.npoints
-    widths, _, left_ips, right_ips = peak_widths(mag_db, peaks, rel_height=0.5)
-    if mins.size:
-        m_widths, _, m_left, m_right = peak_widths(-mag_db, mins, rel_height=0.5)
 
     out: list[ResonanceCandidate] = []
     for i, p in enumerate(peaks):
@@ -89,7 +142,7 @@ def detect_resonances(trace: ComplexTrace, threshold_db: float = 3.0) -> list[Re
             ResonanceCandidate(
                 fs_est=float(trace.freqs[p]),
                 fp_est=fp_est,
-                prominence_db=float(props["prominences"][i]),
+                prominence_db=float(prominences[i]),
                 span=(max(lo, 0), min(hi, n - 1)),
             )
         )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -411,14 +411,7 @@ def fit_multistart(
     """
     opts = options or FitOptions()
     if opts.bounds is None:
-        opts = FitOptions(
-            max_iter=opts.max_iter,
-            ftol=opts.ftol,
-            xtol=opts.xtol,
-            weighting=opts.weighting,
-            lambda0=opts.lambda0,
-            bounds=default_bounds(seed),
-        )
+        opts = replace(opts, bounds=default_bounds(seed))
     best = fit(trace, seed, opts)
     theta0 = _pack(seed)
     lo = np.log(opts.bounds[:, 0])

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DegenerateCouplingError
 from .netparams import ComplexTrace
@@ -234,13 +233,11 @@ def _fp_search(
     if hi <= lo:
         return None
 
-    def im_y(f: float) -> float:
-        return float(
-            admittance_arrays(np.array([f]), model.c0, model.r0, model.rs, rm, lm, cm).imag[0]
-        )
+    def im_y(f: np.ndarray) -> np.ndarray:
+        return admittance_arrays(f, model.c0, model.r0, model.rs, rm, lm, cm).imag
 
     grid = np.linspace(lo, hi, 4001)
-    vals = admittance_arrays(grid, model.c0, model.r0, model.rs, rm, lm, cm).imag
+    vals = im_y(grid)
     sign = np.sign(vals)
     idx = np.nonzero((sign[:-1] < 0) & (sign[1:] > 0))[0]
     if idx.size == 0:
@@ -250,7 +247,17 @@ def _fp_search(
             return float(grid[zero[0]])
         return None
     a, b = grid[idx[0]], grid[idx[0] + 1]
-    return float(brentq(im_y, a, b, xtol=1e-6, rtol=1e-14, maxiter=200))
+    # Each round shrinks the bracket 100-fold.  Im(Y) is smooth on the
+    # scale of the final bracket (below 1e-9 of the scan window), so the
+    # secant step there lands far inside 1e-12 relative of the root.
+    for _ in range(3):
+        grid = np.linspace(a, b, 101)
+        vals = im_y(grid)
+        i = 1 + int(np.argmax((vals[:-1] < 0) & (vals[1:] >= 0)))
+        if vals[i] == 0.0:
+            return float(grid[i])
+        a, b, va, vb = grid[i - 1], grid[i], vals[i - 1], vals[i]
+    return float(a - va * (b - a) / (vb - va))
 
 
 FP_CROSSCHECK_RTOL = 1e-3

@@ -25,6 +25,13 @@ _REJECTED_TYPES = ("y", "z", "h", "g")
 DET_REL_FLOOR = 1e-12
 
 
+def _check_finite(freqs: np.ndarray, values: np.ndarray) -> None:
+    if not np.isfinite(freqs).all():
+        raise ValueError("frequencies must be finite")
+    if not np.isfinite(values).all():
+        raise ValueError("values must be finite")
+
+
 @dataclass(frozen=True)
 class NetworkRecord:
     """Frequency grid plus per-point 2x2 complex network matrices.
@@ -52,8 +59,9 @@ class NetworkRecord:
         matrices = np.asarray(self.matrices, dtype=complex).reshape(freqs.size, 2, 2)
         if self.kind not in ("S", "Y"):
             raise ValueError(f"kind must be 'S' or 'Y', got {self.kind!r}")
-        if not self.z0 > 0:
-            raise ValueError(f"z0 must be positive, got {self.z0!r}")
+        if not 0 < self.z0 < math.inf:
+            raise ValueError(f"z0 must be positive and finite, got {self.z0!r}")
+        _check_finite(freqs, matrices)
         if freqs.size:
             if freqs[0] <= 0:
                 raise ValueError("frequencies must be positive")
@@ -77,6 +85,7 @@ class ComplexTrace:
     def __post_init__(self):
         freqs = np.asarray(self.freqs, dtype=float).reshape(-1)
         values = np.asarray(self.values, dtype=complex).reshape(freqs.shape)
+        _check_finite(freqs, values)
         if freqs.size:
             if freqs[0] <= 0:
                 raise ValueError("frequencies must be positive")
@@ -131,8 +140,8 @@ def _parse_option_line(text: str, lineno: int) -> _OptionLine:
                 raise TouchstoneError(
                     f"malformed reference impedance {tokens[i + 1]!r}", lineno
                 ) from None
-            if not z0 > 0:
-                raise TouchstoneError("reference impedance must be positive", lineno)
+            if not 0 < z0 < math.inf:
+                raise TouchstoneError("reference impedance must be positive and finite", lineno)
             i += 1
         else:
             raise TouchstoneError(f"unrecognized option token {tokens[i]!r}", lineno)
@@ -197,9 +206,12 @@ def parse_touchstone(source: str | Iterable[str]) -> NetworkRecord:
         values = []
         for tok in tokens:
             try:
-                values.append(float(tok))
+                value = float(tok)
             except ValueError:
                 raise TouchstoneError(f"non-numeric token {tok!r}", lineno) from None
+            if not math.isfinite(value):
+                raise TouchstoneError(f"non-finite value {tok!r}", lineno)
+            values.append(value)
         line_token_counts.append((lineno, len(values)))
         if not buffer:
             buffer_line = lineno
@@ -243,6 +255,8 @@ def parse_touchstone(source: str | Iterable[str]) -> NetworkRecord:
     prev = -math.inf
     for i, (lineno, row) in enumerate(rows):
         f = row[0] * option.scale
+        if not math.isfinite(f):
+            raise TouchstoneError(f"frequency {row[0]!r} overflows in Hz", lineno)
         if f <= prev:
             raise TouchstoneError(
                 f"frequency {f:.6g} Hz is not above the previous point", lineno
@@ -250,10 +264,13 @@ def parse_touchstone(source: str | Iterable[str]) -> NetworkRecord:
         prev = f
         freqs[i] = f
         # v1.0 two-port column order: S11 S21 S12 S22
-        s11 = _pair_to_complex(option.fmt, row[1], row[2])
-        s21 = _pair_to_complex(option.fmt, row[3], row[4])
-        s12 = _pair_to_complex(option.fmt, row[5], row[6])
-        s22 = _pair_to_complex(option.fmt, row[7], row[8])
+        try:
+            s11 = _pair_to_complex(option.fmt, row[1], row[2])
+            s21 = _pair_to_complex(option.fmt, row[3], row[4])
+            s12 = _pair_to_complex(option.fmt, row[5], row[6])
+            s22 = _pair_to_complex(option.fmt, row[7], row[8])
+        except OverflowError:
+            raise TouchstoneError("dB magnitude overflows a float", lineno) from None
         mats[i, 0, 0] = s11
         mats[i, 0, 1] = s12
         mats[i, 1, 0] = s21
@@ -387,23 +404,3 @@ def series_element_network(trace: ComplexTrace, z0: float = 50.0) -> NetworkReco
     mats[:, 0, 1] = -y
     mats[:, 1, 0] = -y
     return NetworkRecord(freqs=trace.freqs, matrices=mats, kind="Y", z0=z0)
-
-
-def to_canonical_dict(net: NetworkRecord) -> dict:
-    """Serialize a record to the canonical JSON-ready dict (Hz, re/im pairs)."""
-    return {
-        "kind": net.kind,
-        "z0_ohm": net.z0,
-        "freqs_hz": [float(f) for f in net.freqs],
-        "matrices": [
-            [[[float(v.real), float(v.imag)] for v in row] for row in m]
-            for m in net.matrices
-        ],
-    }
-
-
-def from_canonical_dict(d: dict) -> NetworkRecord:
-    freqs = np.asarray(d["freqs_hz"], dtype=float)
-    raw = np.asarray(d["matrices"], dtype=float)
-    mats = raw[..., 0] + 1j * raw[..., 1]
-    return NetworkRecord(freqs=freqs, matrices=mats, kind=d["kind"], z0=float(d["z0_ohm"]))

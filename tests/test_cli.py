@@ -333,3 +333,14 @@ def test_cli_is_deterministic(tmp_path):
             blob.update(p.read_bytes())
         digests.append(blob.hexdigest())
     assert digests[0] == digests[1]
+
+
+def test_cli_import_loads_no_scipy():
+    # SciPy's import alone used to cost about a second of every CLI process
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import resokit.cli, sys; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

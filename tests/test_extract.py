@@ -12,6 +12,7 @@ import pytest
 from resokit import ComplexTrace
 from resokit.errors import EstimationError, InductiveBackgroundError, PhaseUnwrapError
 from resokit.extract import (
+    _prominent_peaks,
     c0_from_offresonance,
     detect_resonances,
     initial_guess,
@@ -109,6 +110,34 @@ def test_detect_matches_frozen_survey_candidates(noise_db):
         for c, (fs, fp, prom, span) in zip(got, want):
             assert (c.fs_est, c.fp_est, c.span) == (fs, fp, tuple(span)), r.label
             assert c.prominence_db == pytest.approx(prom, rel=1e-12, abs=0.0), r.label
+
+
+def _noisy_db_trace():
+    tr = noisy_trace(roundtrip_model("A"), synthesis_grid("A"), noise_db=-20.0, seed=100)
+    return 20.0 * np.log10(np.abs(tr.values))
+
+
+@pytest.mark.parametrize("x, threshold", [
+    ([0, 1, 4, 4, 4, 1, 0, 2, 0], 0.5),  # odd plateau
+    ([0, 1, 4, 4, 4, 4, 1, 0, 2, 0], 0.5),  # even plateau
+    ([0, 3, 1, 3, 0, 3, 2, 3, 0], 0.5),  # equal-height neighbours
+    ([5, 1, 3, 1, 2, 6], 0.5),  # maxima on the first and last samples
+    ([0, 1, 3, 3, 3], 0.5),  # plateau running into the last sample
+    (np.full(32, 2.5), 0.5),  # constant
+    (np.linspace(-3.0, 7.0, 32), 0.5),  # monotone
+    (_noisy_db_trace(), 3.0),  # 2001 points at -20 dB
+], ids=["odd-plateau", "even-plateau", "equal-neighbours", "edge-maxima",
+        "edge-plateau", "constant", "monotone", "noisy-2001"])
+def test_prominent_peaks_match_scipy_oracle(x, threshold):
+    signal = pytest.importorskip("scipy.signal")
+    for arr in (np.asarray(x, dtype=float), -np.asarray(x, dtype=float)):
+        want, props = signal.find_peaks(arr, prominence=threshold)
+        _, _, want_left, want_right = signal.peak_widths(arr, want, rel_height=0.5)
+        peaks, prominences, left_ips, right_ips = _prominent_peaks(arr, threshold)
+        np.testing.assert_array_equal(peaks, want)
+        np.testing.assert_array_equal(prominences, props["prominences"])
+        np.testing.assert_allclose(left_ips, want_left, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(right_ips, want_right, rtol=1e-12, atol=0.0)
 
 
 def test_detect_requires_enough_points():

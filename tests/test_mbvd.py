@@ -10,6 +10,7 @@ import pytest
 from resokit.errors import DegenerateCouplingError
 from resokit.mbvd import (
     KT2_PREFACTOR,
+    _fp_search,
     Kt2Convention,
     MbvdModel,
     MotionalBranch,
@@ -21,7 +22,7 @@ from resokit.mbvd import (
     resonance_frequencies,
     synthesize_admittance,
 )
-from resokit.refdata import roundtrip_model, synthesis_grid
+from resokit.refdata import SURVEY, roundtrip_model, synthesis_grid
 
 
 def single_branch_model(fs, qm, kt2, c0):
@@ -266,6 +267,16 @@ def test_metrics_low_q_flags_crosscheck():
     assert "fp-crosscheck" in met.flags
     fs, fp_closed = resonance_frequencies(m)[0]
     assert met.fp == pytest.approx(fp_closed, rel=1e-12)
+
+
+def test_fp_search_brackets_root_to_1e12():
+    # Im(Y) changes sign within 1e-12 relative of the refined crossing,
+    # including the low-Q row J where it sits off the closed form.
+    for r in SURVEY:
+        m = roundtrip_model(r.label)
+        fp = _fp_search(m, 0, [b.fs for b in m.branches])
+        im_y = synthesize_admittance(m, fp * np.array([1 - 1e-12, 1 + 1e-12])).values.imag
+        assert im_y[0] < 0.0 < im_y[1], r.label
 
 
 def test_metrics_narrow_grid_flags_unbracketed():

@@ -121,6 +121,41 @@ def test_parse_rejects_non_monotonic_frequency():
         parse_touchstone(text)
 
 
+ROW = "0 0 0 0 0 0 0 0"
+
+
+@pytest.mark.parametrize("text, where, what", [
+    (f"# GHZ S RI R 50\n1.0 {ROW}\nnan {ROW}\n3.0 {ROW}\n", "line 3", "non-finite"),
+    (f"# GHZ S RI R 50\n1.0 0 0 0 inf 0 0 0 0\n", "line 2", "non-finite"),
+    (f"# GHZ S MA R 50\n1.0 0 0 0 0 0 0 0 -Infinity\n", "line 2", "non-finite"),
+    (f"# GHZ S RI R inf\n1.0 {ROW}\n", "line 1", "finite"),
+    (f"# GHZ S RI R 50\n1e300 {ROW}\n", "line 2", "overflows"),
+    (f"# GHZ S DB R 50\n1.0 9000 0 0 0 0 0 0 0\n", "line 2", "overflows"),
+], ids=["nan-frequency", "inf-sample", "minus-infinity-angle", "inf-z0",
+        "frequency-overflow", "db-overflow"])
+def test_parse_rejects_non_finite_samples(text, where, what):
+    with pytest.raises(TouchstoneError, match=f"{where}.*{what}"):
+        parse_touchstone(text)
+
+
+@pytest.mark.parametrize("freqs, values", [
+    ([1e9, np.nan, 3e9], [1, 1, 1]),
+    ([1e9, 2e9, np.inf], [1, 1, 1]),
+    ([1e9, 2e9, 3e9], [1, complex(0, np.nan), 1]),
+    ([1e9, 2e9, 3e9], [1, np.inf, 1]),
+], ids=["nan-freq", "inf-freq", "nan-value", "inf-value"])
+def test_records_reject_non_finite(freqs, values):
+    with pytest.raises(ValueError, match="finite"):
+        ComplexTrace(freqs=freqs, values=values)
+    with pytest.raises(ValueError, match="finite"):
+        make_net(freqs, np.repeat(np.asarray(values, dtype=complex), 4))
+
+
+def test_network_record_rejects_infinite_z0():
+    with pytest.raises(ValueError, match="finite"):
+        make_net([1e9], np.zeros((1, 2, 2)), z0=np.inf)
+
+
 def test_parse_rejects_empty_body():
     with pytest.raises(TouchstoneError):
         parse_touchstone("# GHZ S RI R 50\n")
