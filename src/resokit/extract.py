@@ -94,15 +94,20 @@ def _prominent_peaks(x: np.ndarray, min_prominence: float):
     peaks, prominences = peaks[keep], prominences[keep]
     left_ips = np.empty(peaks.size)
     right_ips = np.empty(peaks.size)
-    for k, (p, lo, hi) in enumerate(zip(peaks, left_start[keep], right_end[keep])):
+    xs = x.tolist()
+    for k, p in enumerate(peaks.tolist()):
         # A peak stands strictly above its neighbours, so its prominence is
-        # positive and both minima lie in [lo, hi] below the half height:
-        # the first sample at or below it exists on each side.
-        h = x[p] - prominences[k] * 0.5
-        i = lo + np.flatnonzero(x[lo : p + 1] <= h)[-1]
-        left_ips[k] = i + (h - x[i]) / (x[i + 1] - x[i]) if x[i] < h else i
-        i = p + np.flatnonzero(x[p : hi + 1] <= h)[0]
-        right_ips[k] = i - (h - x[i]) / (x[i - 1] - x[i]) if x[i] < h else i
+        # positive and both segment minima lie below the half height: each
+        # walk stops inside the peak's segment.
+        h = xs[p] - prominences[k] * 0.5
+        i = p
+        while xs[i] > h:
+            i -= 1
+        left_ips[k] = i + (h - xs[i]) / (xs[i + 1] - xs[i]) if xs[i] < h else i
+        i = p
+        while xs[i] > h:
+            i += 1
+        right_ips[k] = i - (h - xs[i]) / (xs[i - 1] - xs[i]) if xs[i] < h else i
     return peaks, prominences, left_ips, right_ips
 
 
@@ -126,16 +131,15 @@ def detect_resonances(trace: ComplexTrace, threshold_db: float = 3.0) -> list[Re
     mins, _, _, m_right = _prominent_peaks(-mag_db, threshold_db)
 
     n = trace.npoints
-
     out: list[ResonanceCandidate] = []
     for i, p in enumerate(peaks):
         lo = int(math.floor(p - _SPAN_WIDEN * max(p - left_ips[i], 1.0)))
         hi = int(math.ceil(p + _SPAN_WIDEN * max(right_ips[i] - p, 1.0)))
         fp_est = None
-        following = mins[mins > p] if mins.size else np.array([], dtype=int)
+        following = np.flatnonzero(mins > p)
         if following.size:
-            m_idx = int(following[0])
-            j = int(np.nonzero(mins == m_idx)[0][0])
+            j = int(following[0])
+            m_idx = int(mins[j])
             fp_est = float(trace.freqs[m_idx])
             hi = max(hi, int(math.ceil(m_idx + _SPAN_WIDEN * max(m_right[j] - m_idx, 1.0))))
         out.append(
