@@ -85,6 +85,8 @@ def _prominent_peaks(x: np.ndarray, min_prominence: float):
     left_start = np.array(_higher_peak_starts(peaks.tolist(), heights.tolist()))
     mirrored = _higher_peak_starts((n - 1 - peaks[::-1]).tolist(), heights[::-1].tolist())
     right_end = n - 1 - np.array(mirrored[::-1])
+    # reduceat reduces x[idx[2k]:idx[2k + 1]]; the spare sample makes an
+    # end index of n valid and is never part of a kept range.
     padded = np.append(x, 0.0)
     left_min = np.minimum.reduceat(padded, np.ravel([left_start, peaks + 1], order="F"))[::2]
     right_min = np.minimum.reduceat(padded, np.ravel([peaks, right_end + 1], order="F"))[::2]
