@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -131,11 +133,26 @@ ROW = "0 0 0 0 0 0 0 0"
     (f"# GHZ S RI R inf\n1.0 {ROW}\n", "line 1", "finite"),
     (f"# GHZ S RI R 50\n1e300 {ROW}\n", "line 2", "overflows"),
     (f"# GHZ S DB R 50\n1.0 9000 0 0 0 0 0 0 0\n", "line 2", "overflows"),
+    # two faults each: the one met first in the file is reported
+    (f"# GHZ S RI R 50\n1.0 x 0 0 0 0 0 0 0\n2.0 {ROW} 0\n", "line 2", "non-numeric"),
+    (f"# GHZ S RI R 50\n2.0 {ROW} 0\n1.0 x 0 0 0 0 0 0 0\n", "line 2", "10 columns"),
+    (f"# GHZ S RI R 50\n1.0 nan {ROW[2:]}\n# GHZ S RI R 50\n", "line 2", "non-finite"),
+    (f"# GHZ S DB R 50\n2.0 {ROW}\n1.0 {ROW}\n3.0 9000 {ROW[2:]}\n", "line 3", "not above"),
+    (f"# GHZ S DB R 50\n1.0 {ROW}\n2.0 9000 {ROW[2:]}\n1.5 {ROW}\n", "line 3", "overflows"),
+    (f"# GHZ S RI R 50\n1.0 {ROW} x\n", "line 2", "non-numeric"),
+    (f"# GHZ S RI R 50\n1.0 0 0 0 0\n0 0 0 0 0 x\n", "line 3", "non-numeric"),
 ], ids=["nan-frequency", "inf-sample", "minus-infinity-angle", "inf-z0",
-        "frequency-overflow", "db-overflow"])
+        "frequency-overflow", "db-overflow",
+        "bad-token-before-wide-row", "wide-row-before-bad-token",
+        "non-finite-before-late-option-line", "unordered-frequency-before-db-overflow",
+        "db-overflow-before-unordered-frequency", "bad-token-in-wide-row",
+        "bad-token-in-wrapped-overflow"])
 def test_parse_rejects_non_finite_samples(text, where, what):
-    with pytest.raises(TouchstoneError, match=f"{where}.*{what}"):
-        parse_touchstone(text)
+    # overflow must surface as the located error, never as a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TouchstoneError, match=f"{where}.*{what}"):
+            parse_touchstone(text)
 
 
 @pytest.mark.parametrize("freqs, values", [
