@@ -73,7 +73,7 @@ class OutputWriter:
     def write_text(self, name: str, text: str) -> Path:
         self.outdir.mkdir(parents=True, exist_ok=True)
         path = self.outdir / name
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8", newline="\n")
         self.written.append(name)
         return path
 
@@ -102,8 +102,10 @@ def _write_manifest(command: str, inputs: Sequence[str], args: argparse.Namespac
 
 
 def _read_text(path: Path) -> str:
+    # never the locale's codec; a byte that is not UTF-8 becomes U+FFFD, which
+    # the Touchstone parser reports as a located non-numeric token
     try:
-        return path.read_text()
+        return path.read_text(encoding="utf-8", errors="replace")
     except OSError as exc:
         raise ToolkitError(f"cannot read {path}: {exc}") from exc
 
@@ -156,19 +158,17 @@ def _db20(values: np.ndarray) -> np.ndarray:
 
 def _admittance_csv(freqs: np.ndarray, measured: np.ndarray | None,
                     fitted: np.ndarray | None) -> str:
-    cols = ["freq_Hz"]
+    names = ["freq_Hz"]
+    cols = [freqs]
     if measured is not None:
-        cols += ["ReY_S", "ImY_S"]
+        names += ["ReY_S", "ImY_S"]
+        cols += [measured.real, measured.imag]
     if fitted is not None:
-        cols += ["ReYfit_S", "ImYfit_S"]
-    lines = [",".join(cols)]
-    for i, f in enumerate(freqs):
-        cells = [repr(float(f))]
-        if measured is not None:
-            cells += [repr(float(measured[i].real)), repr(float(measured[i].imag))]
-        if fitted is not None:
-            cells += [repr(float(fitted[i].real)), repr(float(fitted[i].imag))]
-        lines.append(",".join(cells))
+        names += ["ReYfit_S", "ImYfit_S"]
+        cols += [fitted.real, fitted.imag]
+    row = ",".join(["%r"] * len(cols))
+    lines = [",".join(names)]
+    lines += [row % tuple(cells) for cells in np.column_stack(cols).tolist()]
     return "\n".join(lines) + "\n"
 
 

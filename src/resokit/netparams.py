@@ -8,6 +8,7 @@ All matrices are numpy arrays of shape (npoints, 2, 2); frequencies are Hz.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -153,14 +154,64 @@ def _parse_option_line(text: str, lineno: int) -> _OptionLine:
     )
 
 
-def _pair_to_complex(fmt: str, a: float, b: float) -> complex:
+def _polar(mag: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+    """``mag * complex(cos(rad), sin(rad))`` as CPython computes it, elementwise.
+
+    math.radians is x * (pi / 180); cos and sin stay on libm, whose last
+    bit numpy's vector loops do not always reproduce.  The product is
+    CPython's (mag + 0j) * (c + sj) term by term: numpy's complex multiply
+    can differ from it in the sign of an underflowed zero.
+    """
+    radians = (degrees * (math.pi / 180.0)).tolist()
+    c = np.array(list(map(math.cos, radians)))
+    s = np.array(list(map(math.sin, radians)))
+    out = np.empty(mag.size, dtype=complex)
+    out.real = mag * c - 0.0 * s
+    out.imag = mag * s + 0.0 * c
+    return out
+
+
+def _pairs_to_complex(fmt: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Complex values of 1-D column pairs; OverflowError on a dB overflow."""
     if fmt == "ri":
-        return complex(a, b)
+        # set the parts separately: a + 1j * b would lose signed zeros
+        out = np.empty(a.size, dtype=complex)
+        out.real = a
+        out.imag = b
+        return out
     if fmt == "ma":
-        return a * complex(math.cos(math.radians(b)), math.sin(math.radians(b)))
-    # db: magnitude in dB20, angle in degrees
-    mag = 10.0 ** (a / 20.0)
-    return mag * complex(math.cos(math.radians(b)), math.sin(math.radians(b)))
+        return _polar(a, b)
+    # db: magnitude in dB20
+    return _polar(np.array([10.0 ** x for x in (a / 20.0).tolist()]), b)
+
+
+def _first_db_overflow(db: np.ndarray) -> int:
+    for i, x in enumerate((db / 20.0).tolist()):
+        try:
+            10.0 ** x
+        except OverflowError:
+            return i
+    raise AssertionError("no dB value overflows")
+
+
+def _convert_tokens(tokens: list[str], data_lines: list[int], counts: list[int]) -> np.ndarray:
+    """All tokens as floats, or TouchstoneError at the first bad one."""
+    try:
+        values = np.array(list(map(float, tokens)), dtype=float)
+        if np.isfinite(values).all():
+            return values
+    except ValueError:
+        pass
+    it = iter(tokens)
+    for lineno, n in zip(data_lines, counts):
+        for tok in itertools.islice(it, n):
+            try:
+                value = float(tok)
+            except ValueError:
+                raise TouchstoneError(f"non-numeric token {tok!r}", lineno) from None
+            if not math.isfinite(value):
+                raise TouchstoneError(f"non-finite value {tok!r}", lineno) from None
+    raise AssertionError("no bad token found")
 
 
 def parse_touchstone(source: str | Iterable[str]) -> NetworkRecord:
@@ -170,7 +221,8 @@ def parse_touchstone(source: str | Iterable[str]) -> NetworkRecord:
     R z0), ``!`` comments, blank lines, and rows wrapped across physical
     lines.  A missing option line means ``# GHZ S MA R 50``.  Anything
     that is not a well-formed two-port file raises TouchstoneError with
-    the offending line number.
+    the offending line number; of several faults, the first in the file
+    is reported.
 
     Parameters
     ----------
@@ -183,108 +235,98 @@ def parse_touchstone(source: str | Iterable[str]) -> NetworkRecord:
         lines = [str(s) for s in source]
 
     option: _OptionLine | None = None
-    rows: list[tuple[int, list[float]]] = []
-    buffer: list[float] = []
-    buffer_line = 0
-    line_token_counts: list[tuple[int, int]] = []
-
-    for lineno, raw in enumerate(lines, start=1):
-        bang = raw.find("!")
-        if bang >= 0:
-            raw = raw[:bang]
-        text = raw.strip()
-        if not text:
-            continue
-        if text.startswith("#"):
-            if rows or buffer:
-                raise TouchstoneError("option line after data", lineno)
-            if option is not None:
-                raise TouchstoneError("duplicate option line", lineno)
-            option = _parse_option_line(text, lineno)
-            continue
-        tokens = text.split()
-        values = []
-        for tok in tokens:
-            try:
-                value = float(tok)
-            except ValueError:
-                raise TouchstoneError(f"non-numeric token {tok!r}", lineno) from None
-            if not math.isfinite(value):
-                raise TouchstoneError(f"non-finite value {tok!r}", lineno)
-            values.append(value)
-        line_token_counts.append((lineno, len(values)))
-        if not buffer:
-            buffer_line = lineno
-            if len(values) > 9:
+    tokens: list[str] = []
+    data_lines: list[int] = []  # line number of each data line
+    counts: list[int] = []  # tokens on each data line
+    row_lines: list[int] = []  # line on which each row starts
+    pending = 0  # columns read of the row not yet complete
+    try:
+        for lineno, raw in enumerate(lines, start=1):
+            bang = raw.find("!")
+            if bang >= 0:
+                raw = raw[:bang]
+            text = raw.strip()
+            if not text:
+                continue
+            if text.startswith("#"):
+                if counts:
+                    raise TouchstoneError("option line after data", lineno)
+                if option is not None:
+                    raise TouchstoneError("duplicate option line", lineno)
+                option = _parse_option_line(text, lineno)
+                continue
+            line_tokens = text.split()
+            n = len(line_tokens)
+            tokens += line_tokens
+            data_lines.append(lineno)
+            counts.append(n)
+            if not pending:
+                row_lines.append(lineno)
+                if n > 9:
+                    raise TouchstoneError(
+                        f"{n} columns in one row; only 2-port data (9 columns) supported",
+                        lineno,
+                    )
+            pending += n
+            if pending == 9:
+                pending = 0
+            elif pending > 9:
                 raise TouchstoneError(
-                    f"{len(values)} columns in one row; only 2-port data (9 columns) supported",
-                    lineno,
+                    f"row starting here accumulates {pending} columns, expected 9",
+                    row_lines[-1],
                 )
-        buffer.extend(values)
-        if len(buffer) == 9:
-            rows.append((buffer_line, buffer.copy()))
-            buffer.clear()
-        elif len(buffer) > 9:
-            raise TouchstoneError(
-                f"row starting here accumulates {len(buffer)} columns, expected 9", buffer_line
-            )
+    except TouchstoneError:
+        # a bad token on this line or an earlier one comes first in the file
+        _convert_tokens(tokens, data_lines, counts)
+        raise
+    values = _convert_tokens(tokens, data_lines, counts)
 
-    all_three = len(line_token_counts) >= 2 and all(c == 3 for _, c in line_token_counts)
-    if buffer:
-        if all(c == 3 for _, c in line_token_counts):
-            raise TouchstoneError(
-                "rows have 3 columns (1-port data); only 2-port supported",
-                line_token_counts[0][0],
-            )
+    if counts and counts.count(3) == len(counts):
         raise TouchstoneError(
-            f"incomplete final row ({len(buffer)} of 9 columns)", buffer_line
+            "rows have 3 columns (1-port data); only 2-port supported", data_lines[0]
         )
-    if all_three:
-        raise TouchstoneError(
-            "rows have 3 columns (1-port data); only 2-port supported",
-            line_token_counts[0][0],
-        )
-    if not rows:
+    if pending:
+        raise TouchstoneError(f"incomplete final row ({pending} of 9 columns)", row_lines[-1])
+    if not row_lines:
         raise TouchstoneError("no data rows found")
 
     if option is None:
         option = _OptionLine()
 
-    freqs = np.empty(len(rows))
-    mats = np.empty((len(rows), 2, 2), dtype=complex)
-    prev = -math.inf
-    for i, (lineno, row) in enumerate(rows):
-        f = row[0] * option.scale
+    table = values.reshape(-1, 9)
+    with np.errstate(over="ignore"):  # reported below as a located error
+        freqs = table[:, 0] * option.scale
+    bad = ~np.isfinite(freqs)
+    bad[1:] |= freqs[1:] <= freqs[:-1]
+    # rows before the first bad frequency; a dB overflow among them comes first
+    good = int(bad.argmax()) if bad.any() else len(freqs)
+    # v1.0 two-port column order: S11 S21 S12 S22
+    a = table[:good, 1::2].ravel()
+    try:
+        s = _pairs_to_complex(option.fmt, a, table[:good, 2::2].ravel())
+    except OverflowError:
+        raise TouchstoneError(
+            "dB magnitude overflows a float", row_lines[_first_db_overflow(a) // 4]
+        ) from None
+    if good < len(freqs):
+        f = float(freqs[good])
         if not math.isfinite(f):
-            raise TouchstoneError(f"frequency {row[0]!r} overflows in Hz", lineno)
-        if f <= prev:
             raise TouchstoneError(
-                f"frequency {f:.6g} Hz is not above the previous point", lineno
+                f"frequency {float(table[good, 0])!r} overflows in Hz", row_lines[good]
             )
-        prev = f
-        freqs[i] = f
-        # v1.0 two-port column order: S11 S21 S12 S22
-        try:
-            s11 = _pair_to_complex(option.fmt, row[1], row[2])
-            s21 = _pair_to_complex(option.fmt, row[3], row[4])
-            s12 = _pair_to_complex(option.fmt, row[5], row[6])
-            s22 = _pair_to_complex(option.fmt, row[7], row[8])
-        except OverflowError:
-            raise TouchstoneError("dB magnitude overflows a float", lineno) from None
-        mats[i, 0, 0] = s11
-        mats[i, 0, 1] = s12
-        mats[i, 1, 0] = s21
-        mats[i, 1, 1] = s22
-
+        raise TouchstoneError(
+            f"frequency {f:.6g} Hz is not above the previous point", row_lines[good]
+        )
+    mats = np.ascontiguousarray(s.reshape(-1, 2, 2).transpose(0, 2, 1))
     return NetworkRecord(freqs=freqs, matrices=mats, kind="S", z0=option.z0)
 
 
 def write_touchstone(net: NetworkRecord, fmt: str = "RI", unit: str = "GHz") -> str:
     """Render an S-kind NetworkRecord as Touchstone v1.0 two-port text.
 
-    Values are printed with 17 significant digits so a parse round trip
-    reproduces the matrices to floating-point precision (RI) or within
-    1e-12 relative (MA/DB).
+    Values are printed as ``%.17e`` (18 significant digits) so a parse
+    round trip reproduces the matrices to floating-point precision (RI) or
+    within 1e-12 relative (MA/DB).
     """
     if net.kind != "S":
         raise ValueError("write_touchstone requires an S-kind record; convert first")
@@ -296,23 +338,28 @@ def write_touchstone(net: NetworkRecord, fmt: str = "RI", unit: str = "GHz") -> 
         raise ValueError(f"unit must be one of Hz/kHz/MHz/GHz, got {unit!r}")
     scale = _UNIT_SCALE[unit_l]
 
-    def pair(v: complex) -> tuple[float, float]:
-        if fmt_l == "ri":
-            return v.real, v.imag
-        mag = abs(v)
-        ang = math.degrees(math.atan2(v.imag, v.real))
-        if fmt_l == "ma":
-            return mag, ang
-        return 20.0 * math.log10(max(mag, 1e-300)), ang
+    n = net.npoints
+    # v1.0 two-port column order: S11 S21 S12 S22
+    s = net.matrices.transpose(0, 2, 1).reshape(n * 4)
+    cells = np.empty((n, 9))
+    cells[:, 0] = net.freqs / scale
+    if fmt_l == "ri":
+        first, second = s.real, s.imag
+    else:
+        # abs(complex), atan2 and log10 stay on the builtins and libm;
+        # math.degrees is x * (180 / pi)
+        first = np.array(list(map(abs, s.tolist())))
+        second = np.array(list(map(math.atan2, s.imag.tolist(), s.real.tolist())))
+        second *= 180.0 / math.pi
+        if fmt_l == "db":
+            first = 20.0 * np.array(list(map(math.log10, np.maximum(first, 1e-300).tolist())))
+    cells[:, 1::2] = first.reshape(n, 4)
+    cells[:, 2::2] = second.reshape(n, 4)
 
+    row = " ".join(["%.17e"] * 9)
     out = [f"! 2-port S-parameters, {fmt_l.upper()} format",
            f"# {unit_l.upper()} S {fmt_l.upper()} R {net.z0:.17g}"]
-    for i in range(net.npoints):
-        m = net.matrices[i]
-        cells = [net.freqs[i] / scale]
-        for v in (m[0, 0], m[1, 0], m[0, 1], m[1, 1]):
-            cells.extend(pair(v))
-        out.append(" ".join(f"{c:.17e}" for c in cells))
+    out += [row % tuple(cells_i) for cells_i in cells.tolist()]
     return "\n".join(out) + "\n"
 
 

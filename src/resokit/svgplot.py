@@ -84,6 +84,15 @@ def _fmt_coord(v: float) -> str:
     return f"{v:.2f}"
 
 
+_FMT_POINT = "%.2f,%.2f"  # two _fmt_coord values
+
+
+def _to_pixels(values, lo: float, hi: float, p0: float, p1: float, log: bool) -> list[float]:
+    # log10 stays on libm; the affine map keeps the scalar operation order
+    t = np.array(list(map(math.log10, values))) if log else np.asarray(values, dtype=float)
+    return (p0 + (t - lo) / (hi - lo) * (p1 - p0)).tolist()
+
+
 def line_plot(
     series: list[Series],
     xlabel: str,
@@ -112,13 +121,11 @@ def line_plot(
     px0, px1 = _MARGIN_L, width - _MARGIN_R
     py0, py1 = height - _MARGIN_B, _MARGIN_T
 
-    def sx(v: float) -> float:
-        t = math.log10(v) if logx else v
-        return px0 + (t - xlo) / (xhi - xlo) * (px1 - px0)
+    def sx(values) -> list[float]:
+        return _to_pixels(values, xlo, xhi, px0, px1, logx)
 
-    def sy(v: float) -> float:
-        t = math.log10(v) if logy else v
-        return py0 + (t - ylo) / (yhi - ylo) * (py1 - py0)
+    def sy(values) -> list[float]:
+        return _to_pixels(values, ylo, yhi, py0, py1, logy)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:g}" height="{height:g}" '
@@ -131,14 +138,12 @@ def line_plot(
 
     xticks = _decade_ticks(10.0 ** xlo, 10.0 ** xhi) if logx else _nice_ticks(xlo, xhi)
     yticks = _decade_ticks(10.0 ** ylo, 10.0 ** yhi) if logy else _nice_ticks(ylo, yhi)
-    for t in xticks:
-        px = sx(t)
+    for t, px in zip(xticks, sx(xticks)):
         parts.append(f'<line x1="{_fmt_coord(px)}" y1="{py0:g}" x2="{_fmt_coord(px)}" '
                      f'y2="{py1:g}" stroke="#dddddd" stroke-width="1"/>')
         parts.append(f'<text x="{_fmt_coord(px)}" y="{py0 + 16:g}" '
                      f'text-anchor="middle">{escape(_fmt_tick(t))}</text>')
-    for t in yticks:
-        py = sy(t)
+    for t, py in zip(yticks, sy(yticks)):
         parts.append(f'<line x1="{px0:g}" y1="{_fmt_coord(py)}" x2="{px1:g}" '
                      f'y2="{_fmt_coord(py)}" stroke="#dddddd" stroke-width="1"/>')
         parts.append(f'<text x="{px0 - 6:g}" y="{_fmt_coord(py + 4)}" '
@@ -158,14 +163,12 @@ def line_plot(
             ok &= s.x > 0.0
         if logy:
             ok &= s.y > 0.0
-        segments: list[list[str]] = [[]]
-        for keep, xv, yv in zip(ok, s.x, s.y):
-            if not keep:
-                if segments[-1]:
-                    segments.append([])
-                continue
-            segments[-1].append(f"{_fmt_coord(sx(xv))},{_fmt_coord(sy(yv))}")
-        for seg in segments:
+        points = list(map(_FMT_POINT.__mod__, zip(sx(s.x[ok]), sy(s.y[ok]))))
+        # runs of consecutive plottable samples
+        idx = np.flatnonzero(ok)
+        cuts = (np.flatnonzero(np.diff(idx) > 1) + 1).tolist()
+        for start, stop in zip([0] + cuts, cuts + [len(points)]):
+            seg = points[start:stop]
             if len(seg) == 1:
                 # lone point: render as a small circle so it stays visible
                 cx, cy = seg[0].split(",")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -333,6 +334,27 @@ def test_cli_is_deterministic(tmp_path):
             blob.update(p.read_bytes())
         digests.append(blob.hexdigest())
     assert digests[0] == digests[1]
+
+
+def test_cli_reads_and_writes_utf8_under_ascii_locale(tmp_path):
+    # an ASCII locale must not decide how input is decoded or output encoded
+    env = dict(os.environ, PYTHONUTF8="0", LC_ALL="C")
+    text = "! résonateur\n" + golden_text(roundtrip_model("L"), synthesis_grid("L"),
+                                           noise_db=-80.0, seed=3)
+    good = tmp_path / "good.s2p"
+    good.write_bytes(text.encode("utf-8"))
+    lines = text.encode("utf-8").split(b"\n")
+    lines[4] = lines[4].replace(b" ", b" 0\xff", 1)  # a byte that is not UTF-8
+    bad = tmp_path / "bad.s2p"
+    bad.write_bytes(b"\n".join(lines))
+    for src, code, message in ((good, 0, ""), (bad, 2, "error: line 5: non-numeric token")):
+        proc = subprocess.run(
+            [sys.executable, "-m", "resokit", "fit", str(src), "--outdir", str(tmp_path / "out")],
+            capture_output=True, env=env)
+        assert proc.returncode == code, proc.stderr
+        assert proc.stderr.decode("ascii", "backslashreplace").startswith(message)
+    csv = (tmp_path / "out" / "good_fit.csv").read_bytes()
+    assert csv.startswith(b"freq_Hz,") and b"\r" not in csv
 
 
 def test_cli_import_loads_no_scipy():

@@ -43,6 +43,8 @@ def assert_parse_matches(text: str) -> NetworkRecord:
     got, want = parse_touchstone(text), ref.parse_touchstone(text)
     assert_bits_equal(got.freqs, want.freqs)
     assert_bits_equal(got.matrices, want.matrices)
+    # layout too: reductions downstream may sum in memory order
+    assert got.matrices.flags.c_contiguous and got.freqs.flags.c_contiguous
     assert got.z0 == want.z0 and got.kind == want.kind
     return got
 

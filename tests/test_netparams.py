@@ -184,7 +184,7 @@ def test_write_parse_roundtrip_is_exact():
     rng = np.random.default_rng(7)
     net = random_passive_net(rng)
     back = parse_touchstone(write_touchstone(net, fmt="RI"))
-    # 17 significant digits reproduce doubles exactly
+    # %.17e (18 significant digits) reproduces doubles exactly
     assert np.array_equal(back.freqs, net.freqs)
     np.testing.assert_allclose(back.matrices, net.matrices, rtol=0, atol=1e-300)
 
