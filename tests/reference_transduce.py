@@ -1,0 +1,101 @@
+"""Per-gap reference implementations of the electrode-overlap kernel.
+
+``strain_overlaps`` here is the loop over field gaps that the mode-blocked
+kernel in ``resokit.transduce`` replaced, and ``mode_couplings`` builds each
+``ModeCoupling`` from numpy scalars one mode at a time.  Tests require the
+library to match them bit for bit, so keep them unchanged when the library
+changes.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
+
+from resokit.errors import DegenerateCouplingError
+from resokit.transduce import (
+    FIELD_MODELS,
+    PRUNE_REL,
+    ElectrodeLayout,
+    ModeCoupling,
+    ModeSpectrum,
+    _indices_array,
+)
+
+
+@dataclass(frozen=True)
+class FieldGap:
+    """Lateral-field region between two adjacent fingers.
+
+    ``sign`` follows the polarity of the finger on the left: the in-plane
+    field points from the positive finger to the negative one.
+    """
+
+    left: float
+    right: float
+    sign: int
+
+    @property
+    def width(self) -> float:
+        return self.right - self.left
+
+    @property
+    def center(self) -> float:
+        return 0.5 * (self.left + self.right)
+
+
+def field_gaps(layout: ElectrodeLayout) -> tuple[FieldGap, ...]:
+    gaps = []
+    for a, b in zip(layout.electrodes, layout.electrodes[1:]):
+        gaps.append(FieldGap(left=a.right, right=b.left, sign=a.polarity))
+    return tuple(gaps)
+
+
+def strain_overlaps(
+    layout: ElectrodeLayout,
+    indices: Sequence[int],
+    field_model: str = "tophat",
+) -> np.ndarray:
+    if field_model not in FIELD_MODELS:
+        raise ValueError(f"field_model must be one of {FIELD_MODELS}")
+    idx = _indices_array(indices)
+    w = layout.plate_width
+    out = np.zeros(idx.size)
+    for gap in field_gaps(layout):
+        if field_model == "tophat":
+            contrib = np.cos(idx * np.pi * gap.right / w) - np.cos(idx * np.pi * gap.left / w)
+        else:
+            contrib = -gap.width * (idx * np.pi / w) * np.sin(idx * np.pi * gap.center / w)
+        out += gap.sign * contrib
+    return out
+
+
+def mode_couplings(
+    layout: ElectrodeLayout,
+    v_p: float,
+    n_max: int,
+    field_model: str = "tophat",
+) -> ModeSpectrum:
+    if v_p <= 0.0:
+        raise ValueError("phase velocity must be positive")
+    if n_max < 2 * layout.design_index:
+        raise ValueError(
+            f"n_max={n_max} too small; need at least twice the design index "
+            f"({layout.design_index}) to capture the coupled neighbourhood")
+    idx = np.arange(1, n_max + 1)
+    s = strain_overlaps(layout, idx, field_model)
+    raw = s * s
+    total = raw.sum()
+    if total <= 0.0:
+        raise DegenerateCouplingError("no plate mode couples to this electrode configuration")
+    eta = raw / total
+    keep = eta >= PRUNE_REL * eta.max()
+    eta_kept = eta[keep] / eta[keep].sum()
+    w = layout.plate_width
+    modes = tuple(
+        ModeCoupling(n=int(n), k_x=float(n * np.pi / w),
+                     f_n=float(0.5 * n * v_p / w), eta=float(e), nodes=int(n))
+        for n, e in zip(idx[keep], eta_kept))
+    return ModeSpectrum(modes=modes)
