@@ -32,6 +32,8 @@ PRUNE_REL = 1e-12
 FIELD_MODELS = ("tophat", "delta")
 
 _OVERLAP_TOL = 1e-12
+# strain_overlaps works on (gap x mode) blocks of about this many floats
+_BLOCK_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -55,27 +57,6 @@ class Electrode:
     @property
     def right(self) -> float:
         return self.center + 0.5 * self.width
-
-
-@dataclass(frozen=True)
-class FieldGap:
-    """Lateral-field region between two adjacent fingers.
-
-    ``sign`` follows the polarity of the finger on the left: the in-plane
-    field points from the positive finger to the negative one.
-    """
-
-    left: float
-    right: float
-    sign: int
-
-    @property
-    def width(self) -> float:
-        return self.right - self.left
-
-    @property
-    def center(self) -> float:
-        return 0.5 * (self.left + self.right)
 
 
 @dataclass(frozen=True)
@@ -112,12 +93,6 @@ class ElectrodeLayout:
         """Mode index whose wavelength matches the finger pitch."""
         n = self.n_electrodes
         return n - 1 if self.topology == "lvr" else n
-
-    def field_gaps(self) -> tuple[FieldGap, ...]:
-        gaps = []
-        for a, b in zip(self.electrodes, self.electrodes[1:]):
-            gaps.append(FieldGap(left=a.right, right=b.left, sign=a.polarity))
-        return tuple(gaps)
 
 
 def build_layout(geom: DeviceGeometry) -> ElectrodeLayout:
@@ -167,6 +142,16 @@ def _indices_array(indices: Sequence[int]) -> np.ndarray:
     return idx
 
 
+def _gap_edges(layout: ElectrodeLayout) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Left edge, right edge and field sign of every gap between adjacent
+    fingers. The sign follows the polarity of the finger on the left: the
+    in-plane field points from the positive finger to the negative one."""
+    center = np.array([e.center for e in layout.electrodes])
+    width = np.array([e.width for e in layout.electrodes])
+    polarity = np.array([e.polarity for e in layout.electrodes])
+    return center[:-1] + 0.5 * width[:-1], center[1:] - 0.5 * width[1:], polarity[:-1]
+
+
 def strain_overlaps(
     layout: ElectrodeLayout,
     indices: Sequence[int],
@@ -183,13 +168,21 @@ def strain_overlaps(
         raise ValueError(f"field_model must be one of {FIELD_MODELS}")
     idx = _indices_array(indices)
     w = layout.plate_width
-    out = np.zeros(idx.size)
-    for gap in layout.field_gaps():
+    left, right, sign = (a[:, None] for a in _gap_edges(layout))
+    width = right - left
+    center = 0.5 * (left + right)
+    out = np.empty(idx.size)
+    block = max(1, _BLOCK_ELEMENTS // sign.size)
+    for start in range(0, idx.size, block):
+        k = idx[start:start + block] * np.pi
         if field_model == "tophat":
-            contrib = np.cos(idx * np.pi * gap.right / w) - np.cos(idx * np.pi * gap.left / w)
+            contrib = np.cos(k * right / w) - np.cos(k * left / w)
         else:
-            contrib = -gap.width * (idx * np.pi / w) * np.sin(idx * np.pi * gap.center / w)
-        out += gap.sign * contrib
+            contrib = -width * (k / w) * np.sin(k * center / w)
+        # an accumulate adds one gap at a time in layout order (a reduce may
+        # sum pairwise); + 0.0 turns a leading -0.0 into the 0.0 a sum from
+        # zero gives
+        out[start:start + block] = np.cumsum(sign * contrib, axis=0)[-1] + 0.0
     return out
 
 
@@ -205,11 +198,11 @@ def strain_overlaps_numeric(
     idx = _indices_array(indices)
     w = layout.plate_width
     out = np.zeros(idx.size)
-    for gap in layout.field_gaps():
-        x = np.linspace(gap.left, gap.right, points_per_gap)
+    for left, right, sign in zip(*(a.tolist() for a in _gap_edges(layout))):
+        x = np.linspace(left, right, points_per_gap)
         # du_n/dx = -(n pi / W) sin(n pi x / W), one row per mode index
         integrand = -(idx[:, None] * np.pi / w) * np.sin(idx[:, None] * np.pi * x[None, :] / w)
-        out += gap.sign * np.sum(np.diff(x) * (integrand[:, 1:] + integrand[:, :-1]) / 2.0, axis=1)
+        out += sign * np.sum(np.diff(x) * (integrand[:, 1:] + integrand[:, :-1]) / 2.0, axis=1)
     return out
 
 
@@ -282,10 +275,11 @@ def mode_couplings(
     keep = eta >= PRUNE_REL * eta.max()
     eta_kept = eta[keep] / eta[keep].sum()
     w = layout.plate_width
+    n = idx[keep]
     modes = tuple(
-        ModeCoupling(n=int(n), k_x=float(n * np.pi / w),
-                     f_n=float(0.5 * n * v_p / w), eta=float(e), nodes=int(n))
-        for n, e in zip(idx[keep], eta_kept))
+        ModeCoupling(n=i, k_x=k, f_n=f, eta=e, nodes=i)
+        for i, k, f, e in zip(n.tolist(), (n * np.pi / w).tolist(),
+                              (0.5 * n * v_p / w).tolist(), eta_kept.tolist()))
     return ModeSpectrum(modes=modes)
 
 

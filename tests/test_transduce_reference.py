@@ -16,7 +16,14 @@ import pytest
 import reference_transduce as ref
 from resokit import transduce
 from resokit.designkit import DeviceGeometry
-from resokit.transduce import build_layout, mode_couplings, split_study, strain_overlaps
+from resokit.transduce import (
+    Electrode,
+    ElectrodeLayout,
+    build_layout,
+    mode_couplings,
+    split_study,
+    strain_overlaps,
+)
 
 LAM = 1.8e-6
 V_P = 3426.0
@@ -79,3 +86,15 @@ def test_mode_couplings_and_split_study_match_reference(topology, field, monkeyp
         runs.append((spectra, [repr(rec.as_dict()) for rec in records]))
     assert len(runs[0][0]) == len(geoms)
     assert runs[0] == runs[1]
+
+
+def test_strain_overlaps_zero_sum_is_positive_zero():
+    # one gap symmetric about the plate centre: even modes cancel exactly, and
+    # a negative first finger turns that 0.0 into -0.0 before the sum
+    layout = ElectrodeLayout(
+        topology="lvr", wavelength=1.0, coverage=0.5, plate_width=1.0,
+        electrodes=(Electrode(0.2, 0.2, -1), Electrode(0.8, 0.2, 1)))
+    idx = np.arange(1, 201)
+    want = ref.strain_overlaps(layout, idx)
+    assert np.count_nonzero(want == 0.0) > 2
+    assert_bits_equal(strain_overlaps(layout, idx), want)
