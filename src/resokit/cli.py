@@ -254,14 +254,27 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
 def _parse_grid(spec: str) -> np.ndarray:
     parts = spec.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"grid must be lo:hi:n, got {spec!r}")
-    lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        if len(parts) != 3:
+            raise ValueError
+        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError:
+        raise ValueError(f"--grid lo:hi:n wants two numbers and an integer, got {spec!r}") from None
     if not 0.0 < lo < hi:
-        raise ValueError("grid needs 0 < lo < hi")
+        raise ValueError(f"--grid lo:hi:n needs 0 < lo < hi, got {spec!r}")
     if n < 2:
-        raise ValueError("grid needs at least 2 points")
+        raise ValueError(f"--grid lo:hi:n needs at least 2 points, got {spec!r}")
     return np.linspace(lo, hi, n)
+
+
+def _parse_sweep(spec: str) -> range:
+    try:
+        a, b, step = (int(p) for p in spec.split(":"))
+    except ValueError:
+        raise ValueError(f"--sweep-n A:B:STEP wants three integers, got {spec!r}") from None
+    if a < 2 or step < 1 or b < a:
+        raise ValueError(f"--sweep-n A:B:STEP needs 2 <= A <= B and STEP >= 1, got {spec!r}")
+    return range(a, b + 1, step)
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
@@ -289,6 +302,7 @@ def _spectrum_csv(n_elements: int, spectrum, extra: dict | None = None) -> list[
 
 
 def _cmd_modes(args: argparse.Namespace) -> int:
+    sweep = _parse_sweep(args.sweep_n) if args.sweep_n else None
     geom = DeviceGeometry(
         wavelength=args.wavelength, topology=args.topology,
         n_elements=args.n, coverage=args.coverage)
@@ -319,13 +333,10 @@ def _cmd_modes(args: argparse.Namespace) -> int:
         xlabel="frequency [Hz]", ylabel="|Y| [dB S]",
         title=f"{geom.topology} N={geom.n_elements}"))
 
-    if args.sweep_n:
-        a, b, step = (int(p) for p in args.sweep_n.split(":"))
-        if a < 2 or step < 1 or b < a:
-            raise ValueError(f"bad sweep {args.sweep_n!r}; want a:b:step with a >= 2")
+    if sweep is not None:
         geoms = [DeviceGeometry(wavelength=geom.wavelength, topology=geom.topology,
                                 n_elements=n, coverage=geom.coverage)
-                 for n in range(a, b + 1, step)]
+                 for n in sweep]
         records = split_study(geoms, args.vp, n_max=args.n_max, field_model=field_model)
         header = "N,n,f_n_Hz,eta_n,nodes,f_design_Hz,offset"
         lines = [header]

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -20,6 +19,12 @@ _MARGIN_L = 64.0
 _MARGIN_R = 16.0
 _MARGIN_T = 28.0
 _MARGIN_B = 46.0
+
+
+def _escape(text: str) -> str:
+    """Escape &, < and > for SVG text, as ``xml.sax.saxutils.escape`` does
+    (that module's import pulls in urllib, http, email and ssl)."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 @dataclass(frozen=True)
@@ -134,7 +139,7 @@ def line_plot(
     ]
     if title:
         parts.append(f'<text x="{width / 2:g}" y="18" text-anchor="middle" '
-                     f'font-size="14">{escape(title)}</text>')
+                     f'font-size="14">{_escape(title)}</text>')
 
     xticks = _decade_ticks(10.0 ** xlo, 10.0 ** xhi) if logx else _nice_ticks(xlo, xhi)
     yticks = _decade_ticks(10.0 ** ylo, 10.0 ** yhi) if logy else _nice_ticks(ylo, yhi)
@@ -142,19 +147,19 @@ def line_plot(
         parts.append(f'<line x1="{_fmt_coord(px)}" y1="{py0:g}" x2="{_fmt_coord(px)}" '
                      f'y2="{py1:g}" stroke="#dddddd" stroke-width="1"/>')
         parts.append(f'<text x="{_fmt_coord(px)}" y="{py0 + 16:g}" '
-                     f'text-anchor="middle">{escape(_fmt_tick(t))}</text>')
+                     f'text-anchor="middle">{_escape(_fmt_tick(t))}</text>')
     for t, py in zip(yticks, sy(yticks)):
         parts.append(f'<line x1="{px0:g}" y1="{_fmt_coord(py)}" x2="{px1:g}" '
                      f'y2="{_fmt_coord(py)}" stroke="#dddddd" stroke-width="1"/>')
         parts.append(f'<text x="{px0 - 6:g}" y="{_fmt_coord(py + 4)}" '
-                     f'text-anchor="end">{escape(_fmt_tick(t))}</text>')
+                     f'text-anchor="end">{_escape(_fmt_tick(t))}</text>')
 
     parts.append(f'<rect x="{px0:g}" y="{py1:g}" width="{px1 - px0:g}" '
                  f'height="{py0 - py1:g}" fill="none" stroke="#333333"/>')
     parts.append(f'<text x="{(px0 + px1) / 2:g}" y="{height - 10:g}" '
-                 f'text-anchor="middle">{escape(xlabel)}</text>')
+                 f'text-anchor="middle">{_escape(xlabel)}</text>')
     parts.append(f'<text x="16" y="{(py0 + py1) / 2:g}" text-anchor="middle" '
-                 f'transform="rotate(-90 16 {(py0 + py1) / 2:g})">{escape(ylabel)}</text>')
+                 f'transform="rotate(-90 16 {(py0 + py1) / 2:g})">{_escape(ylabel)}</text>')
 
     for i, s in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
@@ -180,7 +185,7 @@ def line_plot(
             ly = py1 + 16 + 16 * i
             parts.append(f'<line x1="{px1 - 150:g}" y1="{ly - 4:g}" x2="{px1 - 126:g}" '
                          f'y2="{ly - 4:g}" stroke="{color}" stroke-width="2"/>')
-            parts.append(f'<text x="{px1 - 120:g}" y="{ly:g}">{escape(s.label)}</text>')
+            parts.append(f'<text x="{px1 - 120:g}" y="{ly:g}">{_escape(s.label)}</text>')
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -172,11 +172,14 @@ def test_synth_writes_touchstone(tmp_path):
     assert np.max(np.abs(y.values - ref.values)) < 1e-9 * np.max(np.abs(ref.values))
 
 
-def test_synth_bad_grid(tmp_path):
+def test_synth_bad_grid(tmp_path, capsys):
     mj = tmp_path / "m.json"
     mj.write_text(json.dumps(model_to_dict(display_model("L"))))
-    assert cli.run(["synth", str(mj), "--grid", "2e9:1e9:100"]) == 2
-    assert cli.run(["synth", str(mj), "--grid", "1e9:2e9"]) == 2
+    for spec in ("2e9:1e9:100", "1e9:2e9", "1e9:abc:11", "1e9:2e9:1.5", "1e9:2e9:1"):
+        assert cli.run(["synth", str(mj), "--outdir", str(tmp_path / "o"), "--grid", spec]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --grid lo:hi:n ") and repr(spec) in err
+    assert not (tmp_path / "o").exists()
 
 
 # --------------------------------------------------------------------- modes
@@ -222,11 +225,17 @@ def test_modes_sweep(tmp_path):
     assert (outdir / "modes_dlvr_n5_sweep.svg").exists()
 
 
-def test_modes_bad_sweep_spec(tmp_path):
-    rc = cli.run(["modes", "--outdir", str(tmp_path), "--topology", "dlvr",
-                  "--n", "5", "--lambda", "1.8e-6", "--vp", "3426",
-                  "--sweep-n", "1:20:5"])
-    assert rc == 2
+def test_modes_bad_sweep_spec(tmp_path, capsys):
+    outdir = tmp_path / "o"
+    for spec in ("1:20:5", "5:400", "5:x:5", "5:400:0", "20:5:5", "5:10:5:1"):
+        rc = cli.run(["modes", "--outdir", str(outdir), "--topology", "dlvr",
+                      "--n", "5", "--lambda", "1.8e-6", "--vp", "3426",
+                      "--sweep-n", spec])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --sweep-n A:B:STEP ") and repr(spec) in err
+    # the spec is checked before any output is written
+    assert not outdir.exists()
 
 
 def test_modes_bad_geometry(tmp_path):
@@ -358,11 +367,15 @@ def test_cli_reads_and_writes_utf8_under_ascii_locale(tmp_path):
 
 
 def test_cli_import_loads_no_scipy():
-    # SciPy's import alone used to cost about a second of every CLI process
+    # SciPy's import alone used to cost about a second of every CLI process;
+    # xml.sax.saxutils pulled in urllib.request, http, email, ssl and socket.
+    # urllib.parse is left out: the interpreter loads it at startup anyway.
     proc = subprocess.run(
         [sys.executable, "-c",
          "import resokit.cli, sys; "
-         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+         "heavy = ('scipy', 'xml', 'http', 'email', 'ssl', 'socket'); "
+         "print(sorted(m for m in sys.modules "
+         "if m.split('.')[0] in heavy or m.startswith('urllib.request')))"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

@@ -209,9 +209,10 @@ def svg_cases():
     yield [stem_series("eta_n", np.array([1e9, 2e9, 3e9]), np.array([0.2, 0.9, 0.0]))], {}
     yield [Series("flat", x, np.full(x.size, 3.0))], {"width": 300.0, "height": 200.0}
     yield [Series("single", [1.0], [2.0]), Series("zeros", np.arange(6.0), negzero)], {}
+    yield [Series("a&<b>\"c'", x, y)], {"title": "&amp; <&>\"'"}
 
 
-@pytest.mark.parametrize("series, kwargs", list(svg_cases()), ids=range(7))
+@pytest.mark.parametrize("series, kwargs", list(svg_cases()), ids=range(8))
 def test_line_plot_matches_reference(series, kwargs):
     assert (line_plot(series, "x <label>", "y & label", **kwargs)
             == ref.line_plot(series, "x <label>", "y & label", **kwargs))
