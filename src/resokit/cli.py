@@ -253,11 +253,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
 
 def _parse_grid(spec: str) -> np.ndarray:
-    parts = spec.split(":")
     try:
-        if len(parts) != 3:
-            raise ValueError
-        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+        lo, hi, n = spec.split(":")
+        lo, hi, n = float(lo), float(hi), int(n)
     except ValueError:
         raise ValueError(f"--grid lo:hi:n wants two numbers and an integer, got {spec!r}") from None
     if not 0.0 < lo < hi:
