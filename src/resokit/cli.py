@@ -258,8 +258,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         lo, hi, n = float(lo), float(hi), int(n)
     except ValueError:
         raise ValueError(f"--grid lo:hi:n wants two numbers and an integer, got {spec!r}") from None
-    if not 0.0 < lo < hi:
-        raise ValueError(f"--grid lo:hi:n needs 0 < lo < hi, got {spec!r}")
+    if not 0.0 < lo < hi < np.inf:
+        raise ValueError(f"--grid lo:hi:n needs 0 < lo < hi < inf, got {spec!r}")
     if n < 2:
         raise ValueError(f"--grid lo:hi:n needs at least 2 points, got {spec!r}")
     return np.linspace(lo, hi, n)

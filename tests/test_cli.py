@@ -175,7 +175,7 @@ def test_synth_writes_touchstone(tmp_path):
 def test_synth_bad_grid(tmp_path, capsys):
     mj = tmp_path / "m.json"
     mj.write_text(json.dumps(model_to_dict(display_model("L"))))
-    for spec in ("2e9:1e9:100", "1e9:2e9", "1e9:abc:11", "1e9:2e9:1.5", "1e9:2e9:1"):
+    for spec in ("2e9:1e9:100", "1e9:2e9", "1e9:abc:11", "1e9:2e9:1.5", "1e9:2e9:1", "1e9:inf:11"):
         assert cli.run(["synth", str(mj), "--outdir", str(tmp_path / "o"), "--grid", spec]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: --grid lo:hi:n ") and repr(spec) in err
