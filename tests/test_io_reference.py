@@ -9,6 +9,9 @@ input must fail with the same message on the same line.
 from __future__ import annotations
 
 import itertools
+import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -103,10 +106,86 @@ def test_survey_corpus_text_paths_match_reference(noise_db):
 
 # --------------------------------------------------------------- Touchstone
 
+def mixed_net() -> NetworkRecord:
+    """Rows that mix ordinary values with zeros, tiny, subnormal and huge
+    ones, between rows of ordinary values only; magnitudes sit on both sides
+    of 1e-5 and 1e18."""
+    below_1e18 = np.nextafter(1e18, 0.0)
+    below_1e5 = np.nextafter(1e-5, 0.0)
+    values = [
+        complex(0.5, -0.25), complex(-0.75, 0.125), complex(1e-3, 2.0), complex(-3.0, 4e-4),
+        complex(0.0, 0.5), complex(-0.25, 0.0), complex(0.125, -0.0), complex(-0.0, 0.75),
+        complex(3e-7, 0.5), complex(-3e-7, 0.25), complex(0.5, 3e-7), complex(0.25, -3e-7),
+        complex(5e-324, 0.5), complex(0.5, -5e-324), complex(0.375, 0.625), complex(0.875, 0.5),
+        complex(1e-5, -1e-5), complex(below_1e5, 0.5), complex(0.5, -below_1e5), complex(2e-5, 0.5),
+        complex(1e18, 0.5), complex(below_1e18, -below_1e18), complex(0.5, -1e18), complex(9e17, 1.0),
+        complex(0.9, -0.1), complex(0.2, 0.3), complex(-0.4, 0.5), complex(0.6, -0.7),
+        complex(1e300, 0.5), complex(0.5, -2.2e-308), complex(0.5, 1e19), complex(0.5, 0.5),
+        complex(0.1, 0.2), complex(0.3, 0.4), complex(0.5, 0.6), complex(0.7, 0.8),
+    ]
+    mats = np.array(values, dtype=complex).reshape(-1, 2, 2)
+    freqs = np.array([1e-6, below_1e5, 1e-5, 1.0, 1e3, 2.5e9, below_1e18, 1e18, 1e19])
+    return NetworkRecord(freqs=freqs, matrices=mats, kind="S", z0=50.0)
+
+
 @pytest.mark.parametrize("fmt, unit", list(itertools.product(FORMATS, UNITS)))
 def test_write_and_parse_match_reference_for_every_format_and_unit(fmt, unit):
-    for net in (special_net(), random_net(3)):
+    for net in (special_net(), random_net(3), mixed_net()):
         assert_parse_matches(assert_write_matches(net, fmt, unit))
+
+
+def percent_e_values(rng: np.random.Generator) -> np.ndarray:
+    """About 10**6 finite doubles in random order: raw bit patterns over the
+    whole range (subnormals up to 1.8e308), bit patterns between 1e-6 and
+    1e19 of either sign, powers of ten from 1e-6 to 1e19 with both
+    neighbours, exact decimal ties of 18 significant digits, and specials."""
+    raw = rng.integers(0, 2**64, size=450_000, dtype=np.uint64, endpoint=False).view(np.float64)
+    lo, hi = np.array([1e-6, 1e19]).view(np.int64)
+    band = rng.integers(lo, hi, size=520_000).view(np.float64)
+    band *= rng.choice([-1.0, 1.0], size=band.size)
+    powers = np.array([float(f"1e{e}") for e in range(-6, 20)])
+    around = np.concatenate([np.nextafter(powers, 0.0), powers, np.nextafter(powers, np.inf)])
+    # x = m / 2**(18 - e) with m odd and 10**e <= x < 10**(e+1): then
+    # x * 10**(17 - e) = m * 5**(17 - e) / 2, a tie halfway between two
+    # 18-digit strings.  m must stay below 2**53, which bounds e at 15.
+    ties = []
+    for e in range(-5, 16):
+        m_lo = math.ceil(Fraction(10) ** e * 2 ** (18 - e))
+        m_hi = min(math.ceil(Fraction(10) ** (e + 1) * 2 ** (18 - e)), 2**53)
+        m = 2 * rng.integers(m_lo // 2, (m_hi - 2) // 2, size=2000, endpoint=True) + 1
+        ties.append(m.astype(np.float64) * 2.0 ** (e - 18))
+    ties = np.concatenate(ties)
+    ties *= rng.choice([-1.0, 1.0], size=ties.size)
+    specials = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300,
+                         1.7976931348623157e308, -1.7976931348623157e308, 1e300, 123.456])
+    values = np.concatenate([raw[np.isfinite(raw)], band, around, -around, ties, specials])
+    values = values[rng.permutation(values.size)]
+    return np.concatenate([values, band[: -values.size % 8]])
+
+
+def test_write_touchstone_prints_each_value_as_percent_17e():
+    rng = np.random.default_rng(17)
+    values = percent_e_values(rng)
+    assert values.size >= 10**6
+    rows = 16384
+    for chunk in np.split(values, np.arange(8 * rows, values.size, 8 * rows)):
+        n = chunk.size // 8
+        cells = chunk.reshape(n, 8)
+        # strictly increasing positive frequencies, also from raw bit patterns
+        pool = rng.integers(1, 0x7FF0000000000000, size=2 * n).view(np.float64)
+        freqs = np.sort(rng.choice(np.unique(pool), size=n, replace=False))
+        # row cells in file order: f, S11, S21, S12, S22, each (re, im)
+        s = np.empty((n, 4), dtype=complex)
+        s.real = cells[:, 0::2]
+        s.imag = cells[:, 1::2]
+        net = NetworkRecord(freqs=freqs, matrices=s.reshape(n, 2, 2).transpose(0, 2, 1), kind="S")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = write_touchstone(net, fmt="RI", unit="Hz").split("\n")[2:-1]
+        want = [" ".join(["%.17e" % v for v in [f, *row]])
+                for f, row in zip(freqs.tolist(), cells.tolist())]
+        bad = [(g, w) for g, w in zip(got, want) if g != w]
+        assert len(got) == n and not bad, bad[:5]
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
