@@ -321,6 +321,92 @@ def parse_touchstone(source: str | Iterable[str]) -> NetworkRecord:
     return NetworkRecord(freqs=freqs, matrices=mats, kind="S", z0=option.z0)
 
 
+# 10**k for k = 0..22, all exact in float64, and their Veltkamp halves
+_POW10 = np.array([float(10**k) for k in range(23)])
+
+
+def _veltkamp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split a into hi + lo, each of at most 26 significant bits."""
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _veltkamp(_POW10)
+# one field per value: "-d.ddddddddddddddddde+xx" and a separator
+_FIELD = 25
+
+
+def _decimal_digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 18 digits (as an (n, 18) array of ASCII codes) and decimal exponents of
+    ``"%.17e" % x`` for 1e-5 <= a < 1e18, correctly rounded, ties to even.
+
+    The exponent e is the one with 10**17 <= a * 10**(17 - e) < 10**18,
+    exactly; a 10**k with k = 17 - e in [0, 22] is exact in float64, and
+    Dekker's TwoProduct gives the product exactly as p + err.  log10 only
+    supplies the first guess for e.
+    """
+    e = np.clip(np.floor(np.log10(a)), -5, 17).astype(np.intp)
+    a_hi, a_lo = _veltkamp(a)
+    while True:
+        k = 17 - e
+        b_hi, b_lo = _POW10_HI[k], _POW10_LO[k]
+        p = a * _POW10[k]
+        err = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+        # rounding is monotonic, so p alone decides unless it lands on the bound
+        low = (p < 1e17) | ((p == 1e17) & (err < 0.0))
+        high = (p > 1e18) | ((p == 1e18) & (err >= 0.0))
+        if not (low.any() or high.any()):
+            break
+        e += high
+        e -= low
+    # p >= 1e17 > 2**56, where the float64 spacing is 16 or more: p is an
+    # even integer and |err| <= 8, so rounding p + err half-to-even is
+    # rounding err alone.  It never rounds up to 10**18: no double in
+    # [1e-5, 1e18) lies within 5e-19 (relative) below a power of ten.
+    d = p.astype(np.int64) + np.rint(err).astype(np.int64)
+    digits = np.empty((18, a.size), dtype=np.uint8)
+    for j in range(17, -1, -1):
+        q = d // 10
+        digits[j] = 48 + (d - 10 * q)  # "0" + digit
+        d = q
+    return digits.T, e
+
+
+def _format_cells(cells: np.ndarray) -> str:
+    """Each row of ``cells`` as ``"%.17e"`` fields joined by spaces, one
+    newline-terminated line per row.
+
+    Rows whose values all satisfy 1e-5 <= |x| < 1e18 are rendered from
+    their exact decimal digits into one byte matrix, with NUL padding where
+    a value has no minus sign; any other row is formatted by ``%``.
+    """
+    n, ncols = cells.shape
+    mag = np.abs(cells)
+    fast = ((mag >= 1e-5) & (mag < 1e18)).all(axis=1)
+    x = cells[fast].ravel()
+    digits, e = _decimal_digits(np.abs(x))
+    buf = np.zeros((x.size, _FIELD), dtype=np.uint8)
+    buf[:, 0] = np.where(x < 0.0, ord("-"), 0)
+    buf[:, 1] = digits[:, 0]
+    buf[:, 2] = ord(".")
+    buf[:, 3:20] = digits[:, 1:]
+    buf[:, 20] = ord("e")
+    buf[:, 21] = np.where(e < 0, ord("-"), ord("+"))
+    e = np.abs(e)
+    buf[:, 22] = 48 + e // 10
+    buf[:, 23] = 48 + e % 10
+    buf[:, 24] = ord(" ")
+    buf.reshape(-1, ncols, _FIELD)[:, -1, -1] = ord("\n")
+    text = buf.tobytes().replace(b"\0", b"").decode("ascii")
+    if fast.all():
+        return text
+    row = " ".join(["%.17e"] * ncols) + "\n"
+    lines = iter(text.splitlines(keepends=True))
+    return "".join(next(lines) if ok else row % tuple(c)
+                   for ok, c in zip(fast.tolist(), cells.tolist()))
+
+
 def write_touchstone(net: NetworkRecord, fmt: str = "RI", unit: str = "GHz") -> str:
     """Render an S-kind NetworkRecord as Touchstone v1.0 two-port text.
 
@@ -356,11 +442,9 @@ def write_touchstone(net: NetworkRecord, fmt: str = "RI", unit: str = "GHz") -> 
     cells[:, 1::2] = first.reshape(n, 4)
     cells[:, 2::2] = second.reshape(n, 4)
 
-    row = " ".join(["%.17e"] * 9)
-    out = [f"! 2-port S-parameters, {fmt_l.upper()} format",
-           f"# {unit_l.upper()} S {fmt_l.upper()} R {net.z0:.17g}"]
-    out += [row % tuple(cells_i) for cells_i in cells.tolist()]
-    return "\n".join(out) + "\n"
+    return (f"! 2-port S-parameters, {fmt_l.upper()} format\n"
+            f"# {unit_l.upper()} S {fmt_l.upper()} R {net.z0:.17g}\n"
+            + _format_cells(cells))
 
 
 def _det_and_rel(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
