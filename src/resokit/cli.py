@@ -13,8 +13,8 @@ rendered tables. Identical inputs and flags produce byte-identical outputs
 (no timestamps, stable float formatting, sorted JSON keys). Every command
 writes a ``*_manifest.json`` recording inputs, options and outputs.
 
-Exit codes: 0 success, 1 partial batch/plan failure, 2 input error,
-3 fit non-convergence.
+Exit codes: 0 success, 1 partial batch/plan failure, 2 input error
+(including an input too large to hold in memory), 3 fit non-convergence.
 """
 
 from __future__ import annotations
@@ -262,7 +262,15 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise ValueError(f"--grid lo:hi:n needs 0 < lo < hi < inf, got {spec!r}")
     if n < 2:
         raise ValueError(f"--grid lo:hi:n needs at least 2 points, got {spec!r}")
-    return np.linspace(lo, hi, n)
+    return _linspace(lo, hi, n, f"--grid {spec!r}")
+
+
+def _linspace(lo: float, hi: float, n: int, flag: str) -> np.ndarray:
+    """np.linspace(lo, hi, n); a grid too large to allocate is an input error."""
+    try:
+        return np.linspace(lo, hi, n)
+    except MemoryError:
+        raise ValueError(f"{flag}: {n} grid points do not fit in memory") from None
 
 
 def _parse_sweep(spec: str) -> range:
@@ -301,6 +309,8 @@ def _spectrum_csv(n_elements: int, spectrum, extra: dict | None = None) -> list[
 
 def _cmd_modes(args: argparse.Namespace) -> int:
     sweep = _parse_sweep(args.sweep_n) if args.sweep_n else None
+    if args.grid_points < 2:
+        raise ValueError(f"--grid-points needs at least 2 points, got {args.grid_points}")
     geom = DeviceGeometry(
         wavelength=args.wavelength, topology=args.topology,
         n_elements=args.n, coverage=args.coverage)
@@ -308,6 +318,12 @@ def _cmd_modes(args: argparse.Namespace) -> int:
     field_model = "delta" if args.delta_electrodes else "tophat"
     n_max = args.n_max if args.n_max is not None else 2 * layout.design_index
     spectrum = mode_couplings(layout, args.vp, n_max, field_model)
+    model = spectrum_to_mbvd(spectrum, c0=args.c0, kt2_total=args.kt2, q_assumed=args.q)
+    dominant = spectrum.dominant_modes(2)
+    lo = 0.80 * min(m.f_n for m in dominant)
+    hi = 1.25 * max(m.f_n for m in dominant)
+    grid = _linspace(lo, hi, args.grid_points, "--grid-points")
+    ytrace = synthesize_admittance(model, grid)
     prefix = args.prefix or f"modes_{geom.topology}_n{geom.n_elements}"
     out = OutputWriter(args.outdir)
 
@@ -318,13 +334,6 @@ def _cmd_modes(args: argparse.Namespace) -> int:
         [stem_series("eta_n", spectrum.frequencies, spectrum.weights)],
         xlabel="frequency [Hz]", ylabel="coupling weight",
         title=f"{geom.topology} N={geom.n_elements}"))
-
-    model = spectrum_to_mbvd(spectrum, c0=args.c0, kt2_total=args.kt2, q_assumed=args.q)
-    dominant = spectrum.dominant_modes(2)
-    lo = 0.80 * min(m.f_n for m in dominant)
-    hi = 1.25 * max(m.f_n for m in dominant)
-    grid = np.linspace(lo, hi, args.grid_points)
-    ytrace = synthesize_admittance(model, grid)
     out.write_text(f"{prefix}_admittance.csv", _admittance_csv(grid, ytrace.values, None))
     out.write_text(f"{prefix}_admittance.svg", line_plot(
         [Series("model |Y|", grid, _db20(ytrace.values))],
@@ -537,6 +546,10 @@ def run(argv: Sequence[str] | None = None) -> int:
         return EXIT_NOCONV
     except (ToolkitError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:
+        # numpy's error says how much it could not allocate; a bare one says nothing
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return EXIT_INPUT
 
 

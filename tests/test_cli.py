@@ -182,6 +182,44 @@ def test_synth_bad_grid(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def linspace_out_of_memory(monkeypatch):
+    """np.linspace that fails as numpy does for a grid of 10**11 points or
+    more, without trying to allocate it."""
+    linspace = np.linspace
+
+    def fake(lo, hi, n, *args, **kwargs):
+        if n >= 10**11:
+            raise MemoryError(f"Unable to allocate {8 * n / 2**30:.0f} GiB for an array")
+        return linspace(lo, hi, n, *args, **kwargs)
+
+    monkeypatch.setattr(np, "linspace", fake)
+
+
+def test_synth_grid_too_large(tmp_path, capsys, monkeypatch):
+    linspace_out_of_memory(monkeypatch)
+    mj = tmp_path / "m.json"
+    mj.write_text(json.dumps(model_to_dict(display_model("L"))))
+    spec = "1e9:2e9:100000000000"
+    assert cli.run(["synth", str(mj), "--outdir", str(tmp_path / "o"), "--grid", spec]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --grid {spec!r}: 100000000000 grid points do not fit in memory\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_out_of_memory_is_an_input_error(tmp_path, capsys, monkeypatch):
+    mj = tmp_path / "m.json"
+    mj.write_text(json.dumps(model_to_dict(display_model("L"))))
+    argv = ["synth", str(mj), "--outdir", str(tmp_path / "o"), "--grid", "1e9:2e9:11"]
+    for exc, err in ((MemoryError(), "error: out of memory\n"),
+                     (MemoryError("Unable to allocate 8 GiB"),
+                      "error: out of memory: Unable to allocate 8 GiB\n")):
+        def raiser(*args, exc=exc):
+            raise exc
+        monkeypatch.setattr(cli, "synthesize_admittance", raiser)
+        assert cli.run(argv) == 2
+        assert capsys.readouterr().err == err
+
+
 # --------------------------------------------------------------------- modes
 
 def test_modes_outputs(tmp_path):
@@ -235,6 +273,28 @@ def test_modes_bad_sweep_spec(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: --sweep-n A:B:STEP ") and repr(spec) in err
     # the spec is checked before any output is written
+    assert not outdir.exists()
+
+
+MODES = ["modes", "--topology", "dlvr", "--n", "5", "--lambda", "1.8e-6", "--vp", "3426"]
+
+
+def test_modes_bad_grid_points(tmp_path, capsys):
+    outdir = tmp_path / "o"
+    for n in ("1", "0", "-5"):
+        assert cli.run([*MODES, "--outdir", str(outdir), "--grid-points", n]) == 2
+        assert capsys.readouterr().err == f"error: --grid-points needs at least 2 points, got {n}\n"
+    # checked before any output is written
+    assert not outdir.exists()
+
+
+def test_modes_grid_points_too_large(tmp_path, capsys, monkeypatch):
+    linspace_out_of_memory(monkeypatch)
+    outdir = tmp_path / "o"
+    assert cli.run([*MODES, "--outdir", str(outdir), "--grid-points", "100000000000"]) == 2
+    assert capsys.readouterr().err == (
+        "error: --grid-points: 100000000000 grid points do not fit in memory\n")
+    # the admittance grid is built before any output is written
     assert not outdir.exists()
 
 
