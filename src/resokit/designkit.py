@@ -30,22 +30,15 @@ OUTLIER_REL_THRESHOLD = 0.15
 class DeviceGeometry:
     """Lateral resonator geometry, SI units throughout.
 
-    ``mode`` and ``angle_theta`` are carried as metadata selecting which
-    velocity calibration applies; no orientation physics is computed.
-    ``n_pairs`` is independent of ``n_elements`` (the relation between the
-    two is device-convention dependent and never assumed).
+    ``mode`` is carried as metadata selecting which velocity calibration
+    applies.
     """
 
     wavelength: float
     topology: str = "lvr"
     mode: str = "S0"
     n_elements: int = 20
-    n_pairs: int | None = None
-    aperture: float | None = None
     coverage: float = 0.5
-    film_h: float = 100e-9
-    metal_tm: float = 20e-9
-    angle_theta: float = 0.0
 
     def __post_init__(self) -> None:
         topo = str(self.topology).lower()
@@ -63,14 +56,6 @@ class DeviceGeometry:
         if int(self.n_elements) != self.n_elements or self.n_elements < 2:
             raise GeometryError(f"n_elements must be an integer >= 2, got {self.n_elements}")
         object.__setattr__(self, "n_elements", int(self.n_elements))
-        if self.aperture is None:
-            object.__setattr__(self, "aperture", 10.0 * self.wavelength)
-        if not self.aperture > 0.0:
-            raise GeometryError("aperture must be positive")
-        if not self.film_h > 0.0:
-            raise GeometryError("film thickness must be positive")
-        if self.metal_tm < 0.0:
-            raise GeometryError("metal thickness must be non-negative")
 
     @property
     def interior_width(self) -> float:
