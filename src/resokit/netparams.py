@@ -381,7 +381,7 @@ def _format_cells(cells: np.ndarray) -> str:
     their exact decimal digits into one byte matrix, with NUL padding where
     a value has no minus sign; any other row is formatted by ``%``.
     """
-    n, ncols = cells.shape
+    ncols = cells.shape[1]
     mag = np.abs(cells)
     fast = ((mag >= 1e-5) & (mag < 1e18)).all(axis=1)
     x = cells[fast].ravel()
