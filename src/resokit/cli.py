@@ -14,7 +14,8 @@ rendered tables. Identical inputs and flags produce byte-identical outputs
 writes a ``*_manifest.json`` recording inputs, options and outputs.
 
 Exit codes: 0 success, 1 partial batch/plan failure, 2 input error
-(including an input too large to hold in memory), 3 fit non-convergence.
+(including an input too large to hold in memory), 3 fit non-convergence,
+4 unexpected internal error (a bug).
 """
 
 from __future__ import annotations
@@ -29,8 +30,9 @@ import numpy as np
 
 from .designkit import DeviceGeometry, ProcessRules, calibrate_velocity, plan_bank, render_table
 from .errors import EstimationError, FitError, ToolkitError
-from .extract import detect_resonances, initial_guess
-from .fitkernel import WEIGHTINGS, FitOptions, FitResult, fit, fit_multistart, select_branch_count
+from .extract import detect_resonances
+from .fitkernel import (WEIGHTINGS, FitOptions, FitResult, fit_multistart, seed_from_strongest,
+                        select_branch_count)
 from .mbvd import (
     MbvdModel,
     ResonatorMetrics,
@@ -57,6 +59,7 @@ EXIT_OK = 0
 EXIT_PARTIAL = 1
 EXIT_INPUT = 2
 EXIT_NOCONV = 3
+EXIT_CRASH = 4
 
 
 def _dump_json(obj) -> str:
@@ -144,12 +147,8 @@ def _fit_trace(trace: ComplexTrace, args: argparse.Namespace) -> tuple[FitResult
         raise ValueError("--branches must be >= 1")
     if k > len(candidates):
         raise EstimationError(f"only {len(candidates)} candidate resonances for --branches {k}")
-    ranked = sorted(candidates, key=lambda c: (-c.prominence_db, c.fs_est))[:k]
-    subset = sorted(ranked, key=lambda c: c.fs_est)
-    seed = initial_guess(trace, subset, exclude=[c.span for c in candidates])
-    if args.restarts > 0:
-        return fit_multistart(trace, seed, options, restarts=args.restarts), candidates
-    return fit(trace, seed, options), candidates
+    seed = seed_from_strongest(trace, candidates, k)
+    return fit_multistart(trace, seed, options, restarts=args.restarts), candidates
 
 
 def _db20(values: np.ndarray) -> np.ndarray:
@@ -551,6 +550,10 @@ def run(argv: Sequence[str] | None = None) -> int:
         # numpy's error says how much it could not allocate; a bare one says nothing
         print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:
+        # anything else is a bug; keep it apart from the partial-batch code
+        print(f"error: internal {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_CRASH
 
 
 if __name__ == "__main__":

@@ -11,20 +11,24 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .errors import FitError
 from .extract import ResonanceCandidate, initial_guess
-from .mbvd import TWO_PI, MbvdModel, MotionalBranch
+from .mbvd import TWO_PI, Admittance, MbvdModel, MotionalBranch, admittance_arrays
 from .netparams import ComplexTrace
 
 _R_FLOOR = 1e-3
 _R_CEIL = 1e6
+_LAMBDA0 = 1e-3
 _LAMBDA_MAX = 1e12
 _LAMBDA_MIN = 1e-12
+_MAX_ITER = 200
+_FTOL = 1e-10
+_XTOL = 1e-10
 
 WEIGHTINGS = ("complex", "log_mag_phase")
 
@@ -33,25 +37,14 @@ WEIGHTINGS = ("complex", "log_mag_phase")
 class FitOptions:
     """Engine knobs.
 
+    weighting is one of WEIGHTINGS, checked when the fit starts.
     bounds is an (nparams, 2) array of [lo, hi] in natural units, rows
     ordered like the parameter vector; None means default_bounds(seed).
     Rows with lo == hi freeze that parameter.
     """
 
-    max_iter: int = 200
-    ftol: float = 1e-10
-    xtol: float = 1e-10
     weighting: str = "complex"
-    lambda0: float = 1e-3
     bounds: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if not (self.ftol > 0 and self.xtol > 0 and self.lambda0 > 0):
-            raise ValueError("ftol, xtol and lambda0 must be positive")
-        if self.weighting not in WEIGHTINGS:
-            raise ValueError(f"weighting must be one of {WEIGHTINGS}, got {self.weighting!r}")
 
 
 @dataclass(frozen=True)
@@ -129,103 +122,215 @@ def _unpack(theta: np.ndarray) -> tuple[float, float, float, np.ndarray, np.ndar
 
 def _model_from_theta(theta: np.ndarray) -> MbvdModel:
     c0, r0, rs, rm, fs, cm = _unpack(theta)
-    lm = 1.0 / ((TWO_PI * fs) ** 2 * cm)
     branches = sorted(
-        (MotionalBranch(rm=float(r), lm=float(l), cm=float(c)) for r, l, c in zip(rm, lm, cm)),
+        (MotionalBranch(rm=float(r), lm=float(l), cm=float(c))
+         for r, l, c in zip(rm, _motional_l(fs, cm), cm)),
         key=lambda b: b.fs,
     )
     return MbvdModel(c0=c0, r0=r0, rs=rs, branches=tuple(branches))
 
 
-def _y_and_grads(
-    freqs: np.ndarray,
-    c0: float,
-    r0: float,
-    rs: float,
-    rm: np.ndarray,
-    fs: np.ndarray,
-    cm: np.ndarray,
-    want_grads: bool,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Admittance and, optionally, dY/d(ln p) for every parameter.
+def _model_params(model: MbvdModel) -> tuple[float, float, float, np.ndarray, np.ndarray, np.ndarray]:
+    rm = np.array([b.rm for b in model.branches])
+    fs = np.array([b.fs for b in model.branches])
+    cm = np.array([b.cm for b in model.branches])
+    return model.c0, model.r0, model.rs, rm, fs, cm
 
-    Gradient column order matches the packed parameter vector.
+
+def _motional_l(fs: np.ndarray, cm: np.ndarray) -> np.ndarray:
+    return 1.0 / ((TWO_PI * fs) ** 2 * cm)
+
+
+def _search_box(trace: ComplexTrace, seed: MbvdModel, bounds: np.ndarray | None) -> np.ndarray:
+    """Validated (nparams, 2) bounds for fitting seed to trace."""
+    if not seed.branches:
+        raise ValueError("seed model needs at least one motional branch")
+    nparams = 3 + 3 * len(seed.branches)
+    if 2 * trace.npoints < nparams:
+        raise ValueError(f"{trace.npoints} points cannot constrain {nparams} parameters")
+    bounds = np.asarray(default_bounds(seed) if bounds is None else bounds, dtype=float)
+    if bounds.shape != (nparams, 2):
+        raise ValueError(f"bounds must have shape ({nparams}, 2), got {bounds.shape}")
+    if np.any(bounds <= 0):
+        raise ValueError("bounds must be positive (parameters live in log space)")
+    if np.any(bounds[:, 0] > bounds[:, 1]):
+        raise ValueError("bounds must satisfy lo <= hi")
+    return bounds
+
+
+class _Problem:
+    """One trace under one weighting, and the search box when fitting.
+
+    Holds the points that enter the residual, their normalization, the
+    log-space box (lo, hi, free) and the admittance of the last parameter
+    tuple scored by residuals(): the Jacobian at an accepted step is taken
+    at the tuple that scored the step, so jacobian() reuses that forward
+    pass instead of running it again.
     """
-    w = TWO_PI * freqs
-    jw = 1j * w
-    k = rm.size
-    lm = 1.0 / ((TWO_PI * fs) ** 2 * cm)
 
-    zst = r0 + 1.0 / (jw * c0)
-    yst = 1.0 / zst
-    if k:
-        zb = rm[None, :] + 1j * (w[:, None] * lm[None, :] - 1.0 / (w[:, None] * cm[None, :]))
-        yb = 1.0 / zb
-        g_tot = yst + np.sum(yb, axis=1)
-    else:
-        g_tot = yst
-    y = 1.0 / (rs + 1.0 / g_tot) if rs != 0.0 else g_tot
+    def __init__(self, trace: ComplexTrace, weighting: str, bounds: np.ndarray | None = None):
+        if weighting not in WEIGHTINGS:
+            raise ValueError(f"weighting must be one of {WEIGHTINGS}, got {weighting!r}")
+        mask = np.ones(trace.npoints, dtype=bool)
+        self.norm = 1.0
+        if weighting == "log_mag_phase":
+            mask = np.abs(trace.values) > 0
+            dropped = int(np.count_nonzero(~mask))
+            if dropped:
+                # blame the caller of the public function that built this problem
+                warnings.warn(
+                    f"log_mag_phase weighting dropped {dropped} zero-magnitude points",
+                    stacklevel=3,
+                )
+        elif trace.npoints:
+            self.norm = float(np.median(np.abs(trace.values))) or 1.0
+        self.trace = trace
+        self.weighting = weighting
+        self.freqs = trace.freqs[mask]
+        self.ym = trace.values[mask]
+        if bounds is not None:
+            self.lo = np.log(bounds[:, 0])
+            self.hi = np.log(bounds[:, 1])
+            self.free = self.lo < self.hi
+        self._params = None
+        self._adm: Admittance | None = None
 
-    if not want_grads:
-        return y, None
+    def _admittance(self, params) -> Admittance:
+        c0, r0, rs, rm, fs, cm = params
+        return admittance_arrays(self.freqs, c0, r0, rs, rm, _motional_l(fs, cm), cm)
 
-    # dY/dG for parameters inside the parallel section, dY/drs outside.
-    y_sq = y * y
-    dy_dg = y_sq / (g_tot * g_tot)
-    grads = np.empty((freqs.size, 3 + 3 * k), dtype=complex)
-    yst_sq = yst * yst
-    grads[:, 0] = dy_dg * (yst_sq / (jw * c0 * c0)) * c0          # d/d ln c0
-    grads[:, 1] = dy_dg * (-yst_sq) * r0                           # d/d ln r0
-    grads[:, 2] = (-y_sq) * rs                                     # d/d ln rs
-    for i in range(k):
-        yb_sq = yb[:, i] * yb[:, i]
-        dzb_dfs = -2j * w * lm[i] / fs[i]
-        dzb_dcm = 1j * (-w * lm[i] / cm[i] + 1.0 / (w * cm[i] ** 2))
-        grads[:, 3 + 3 * i] = dy_dg * (-yb_sq) * rm[i]
-        grads[:, 4 + 3 * i] = dy_dg * (-yb_sq * dzb_dfs) * fs[i]
-        grads[:, 5 + 3 * i] = dy_dg * (-yb_sq * dzb_dcm) * cm[i]
-    return y, grads
+    def residuals(self, params) -> np.ndarray:
+        """Residual vector at (c0, r0, rs, rm, fs, cm); keeps its admittance."""
+        self._params, self._adm = params, self._admittance(params)
+        y, ym = self._adm.y, self.ym
+        r = np.empty(2 * y.size)
+        if self.weighting == "complex":
+            d = (y - ym) / self.norm
+            r[0::2] = d.real
+            r[1::2] = d.imag
+        else:
+            r[0::2] = np.log(np.abs(y)) - np.log(np.abs(ym))
+            r[1::2] = np.angle(y * np.conj(ym))
+        return r
 
+    def jacobian(self, params) -> np.ndarray:
+        """d(residual)/d(ln p), columns in packed-parameter order.
 
-def _log_mask(trace: ComplexTrace, weighting: str) -> np.ndarray:
-    mask = np.ones(trace.npoints, dtype=bool)
-    if weighting == "log_mag_phase":
-        mask = np.abs(trace.values) > 0
-        dropped = int(np.count_nonzero(~mask))
-        if dropped:
-            warnings.warn(
-                f"log_mag_phase weighting dropped {dropped} zero-magnitude points",
-                stacklevel=3,
+        Reuses the admittance of the last residuals() call when it scored
+        this very tuple.
+        """
+        c0, r0, rs, rm, fs, cm = params
+        adm = self._adm if params is self._params else self._admittance(params)
+        w, yst, yb, g, y = adm
+        jw = 1j * w
+        k = rm.size
+        lm = _motional_l(fs, cm)
+        # dY/dG for parameters inside the parallel section, dY/drs outside.
+        y_sq = y * y
+        dy_dg = y_sq / (g * g)
+        grads = np.empty((w.size, 3 + 3 * k), dtype=complex)
+        yst_sq = yst * yst
+        grads[:, 0] = dy_dg * (yst_sq / (jw * c0 * c0)) * c0          # d/d ln c0
+        grads[:, 1] = dy_dg * (-yst_sq) * r0                           # d/d ln r0
+        grads[:, 2] = (-y_sq) * rs                                     # d/d ln rs
+        for i in range(k):
+            yb_sq = yb[:, i] * yb[:, i]
+            dzb_dfs = -2j * w * lm[i] / fs[i]
+            dzb_dcm = 1j * (-w * lm[i] / cm[i] + 1.0 / (w * cm[i] ** 2))
+            grads[:, 3 + 3 * i] = dy_dg * (-yb_sq) * rm[i]
+            grads[:, 4 + 3 * i] = dy_dg * (-yb_sq * dzb_dfs) * fs[i]
+            grads[:, 5 + 3 * i] = dy_dg * (-yb_sq * dzb_dcm) * cm[i]
+
+        jac = np.empty((2 * y.size, grads.shape[1]))
+        if self.weighting == "complex":
+            jac[0::2, :] = grads.real / self.norm
+            jac[1::2, :] = grads.imag / self.norm
+        else:
+            rel = grads / y[:, None]
+            jac[0::2, :] = rel.real
+            jac[1::2, :] = rel.imag
+        return jac
+
+    def solve(self, seed: MbvdModel) -> FitResult:
+        """Levenberg-Marquardt from seed, clipped into the box."""
+        freqs = self.trace.freqs
+        dom_fs = seed.branches[seed.dominant_index].fs
+        if freqs.size < 2 or not (freqs[0] <= dom_fs <= freqs[-1]):
+            raise ValueError("trace does not span the seed's dominant resonance")
+        lo, hi, free = self.lo, self.hi, self.free
+
+        theta = np.clip(_pack(seed), lo, hi)
+        params = _unpack(theta)
+        r = self.residuals(params)
+        cost = float(r @ r)
+        if not math.isfinite(cost):
+            raise FitError("cost is non-finite at the seed")
+
+        cost_trace = [cost]
+        lam = _LAMBDA0
+        iterations = 0
+        converged = cost < 1e-300
+
+        while not converged and iterations < _MAX_ITER:
+            iterations += 1
+            jac = self.jacobian(params)[:, free]
+            g = jac.T @ r
+            h = jac.T @ jac
+            d = np.diag(h).copy()
+            d = np.maximum(d, 1e-14 * max(float(d.max(initial=0.0)), 1e-300))
+
+            accepted = False
+            while lam <= _LAMBDA_MAX:
+                a = h + lam * np.diag(d)
+                try:
+                    step = np.linalg.solve(a, -g)
+                except np.linalg.LinAlgError:
+                    step, *_ = np.linalg.lstsq(a, -g, rcond=None)
+                theta_new = theta.copy()
+                theta_new[free] += step
+                np.clip(theta_new, lo, hi, out=theta_new)
+                params_new = _unpack(theta_new)
+                r_new = self.residuals(params_new)
+                cost_new = float(r_new @ r_new)
+                if not math.isfinite(cost_new):
+                    raise FitError("cost became non-finite", iteration=iterations)
+                if cost_new <= cost:
+                    accepted = True
+                    lam = max(lam / 3.0, _LAMBDA_MIN)
+                    break
+                lam *= 10.0
+            if not accepted:
+                break
+
+            rel_dec = (cost - cost_new) / max(cost, 1e-300)
+            step_rel = float(np.linalg.norm(theta_new - theta)) / max(
+                float(np.linalg.norm(theta)), 1e-300
             )
-    return mask
+            theta, params, r, cost = theta_new, params_new, r_new, cost_new
+            cost_trace.append(cost)
+            if cost < 1e-300 or rel_dec < _FTOL or step_rel < _XTOL:
+                converged = True
 
+        model_out = _model_from_theta(theta)
+        jac_final = self.jacobian(params)[:, free]
+        m = r.size
+        nparams = theta.size
+        nfree = int(np.count_nonzero(free))
+        sigma_sq = cost / max(m - nfree, 1)
+        cov_free = np.linalg.pinv(jac_final.T @ jac_final) * sigma_sq
+        cov = np.zeros((nparams, nparams))
+        free_idx = np.nonzero(free)[0]
+        cov[np.ix_(free_idx, free_idx)] = cov_free
 
-def _residual_from_y(
-    y: np.ndarray, ym: np.ndarray, weighting: str, norm: float
-) -> np.ndarray:
-    r = np.empty(2 * y.size)
-    if weighting == "complex":
-        d = (y - ym) / norm
-        r[0::2] = d.real
-        r[1::2] = d.imag
-    else:
-        r[0::2] = np.log(np.abs(y)) - np.log(np.abs(ym))
-        r[1::2] = np.angle(y * np.conj(ym))
-    return r
-
-
-def _jacobian_from_grads(
-    y: np.ndarray, grads: np.ndarray, weighting: str, norm: float
-) -> np.ndarray:
-    jac = np.empty((2 * y.size, grads.shape[1]))
-    if weighting == "complex":
-        jac[0::2, :] = grads.real / norm
-        jac[1::2, :] = grads.imag / norm
-    else:
-        rel = grads / y[:, None]
-        jac[0::2, :] = rel.real
-        jac[1::2, :] = rel.imag
-    return jac
+        return FitResult(
+            model=model_out,
+            cost=cost,
+            iterations=iterations,
+            converged=converged,
+            covariance=cov,
+            residual_rms=math.sqrt(cost / m) if m else 0.0,
+            cost_trace=tuple(cost_trace),
+        )
 
 
 def residuals(model: MbvdModel, trace: ComplexTrace, weighting: str = "complex") -> np.ndarray:
@@ -235,17 +340,7 @@ def residuals(model: MbvdModel, trace: ComplexTrace, weighting: str = "complex")
     median measured magnitude; "log_mag_phase" interleaves [ln|Y| error,
     wrapped phase error] and drops zero-magnitude measured points.
     """
-    if weighting not in WEIGHTINGS:
-        raise ValueError(f"weighting must be one of {WEIGHTINGS}, got {weighting!r}")
-    mask = _log_mask(trace, weighting)
-    freqs = trace.freqs[mask]
-    ym = trace.values[mask]
-    norm = _complex_norm(ym) if weighting == "complex" else 1.0
-    rm = np.array([b.rm for b in model.branches])
-    fs = np.array([b.fs for b in model.branches])
-    cm = np.array([b.cm for b in model.branches])
-    y, _ = _y_and_grads(freqs, model.c0, model.r0, model.rs, rm, fs, cm, False)
-    return _residual_from_y(y, ym, weighting, norm)
+    return _Problem(trace, weighting).residuals(_model_params(model))
 
 
 def jacobian(
@@ -260,141 +355,23 @@ def jacobian(
     Matches 7-point central finite differences to better than 1e-5
     relative.
     """
-    if weighting not in WEIGHTINGS:
-        raise ValueError(f"weighting must be one of {WEIGHTINGS}, got {weighting!r}")
-    mask = _log_mask(trace, weighting)
-    freqs = trace.freqs[mask]
-    ym = trace.values[mask]
-    norm = _complex_norm(ym) if weighting == "complex" else 1.0
-    rm = np.array([b.rm for b in model.branches])
-    fs = np.array([b.fs for b in model.branches])
-    cm = np.array([b.cm for b in model.branches])
-    y, grads = _y_and_grads(freqs, model.c0, model.r0, model.rs, rm, fs, cm, True)
-    jac = _jacobian_from_grads(y, grads, weighting, norm)
+    jac = _Problem(trace, weighting).jacobian(_model_params(model))
     for idx in frozen:
         jac[:, idx] = 0.0
     return jac
-
-
-def _complex_norm(ym: np.ndarray) -> float:
-    norm = float(np.median(np.abs(ym))) if ym.size else 1.0
-    return norm if norm > 0 else 1.0
 
 
 def fit(trace: ComplexTrace, seed: MbvdModel, options: FitOptions | None = None) -> FitResult:
     """Levenberg-Marquardt refinement of seed against trace.
 
     Multiplicative damping: x10 on a rejected step, /3 on an accepted
-    one.  Terminates when the relative cost decrease drops below ftol,
-    the relative step below xtol, or max_iter is reached.  The accepted
+    one.  Terminates when the relative cost decrease drops below 1e-10,
+    the relative step below 1e-10, or after 200 iterations.  The accepted
     cost sequence is non-increasing by construction.
     """
     opts = options or FitOptions()
-    if not seed.branches:
-        raise ValueError("seed model needs at least one motional branch")
-    dom_fs = seed.branches[seed.dominant_index].fs
-    if trace.npoints < 2 or not (trace.freqs[0] <= dom_fs <= trace.freqs[-1]):
-        raise ValueError("trace does not span the seed's dominant resonance")
-
-    nb = len(seed.branches)
-    nparams = 3 + 3 * nb
-    if 2 * trace.npoints < nparams:
-        raise ValueError(f"{trace.npoints} points cannot constrain {nparams} parameters")
-
-    bounds = opts.bounds if opts.bounds is not None else default_bounds(seed)
-    bounds = np.asarray(bounds, dtype=float)
-    if bounds.shape != (nparams, 2):
-        raise ValueError(f"bounds must have shape ({nparams}, 2), got {bounds.shape}")
-    if np.any(bounds <= 0):
-        raise ValueError("bounds must be positive (parameters live in log space)")
-    if np.any(bounds[:, 0] > bounds[:, 1]):
-        raise ValueError("bounds must satisfy lo <= hi")
-    lo = np.log(bounds[:, 0])
-    hi = np.log(bounds[:, 1])
-    free = lo < hi
-
-    mask = _log_mask(trace, opts.weighting)
-    freqs = trace.freqs[mask]
-    ym = trace.values[mask]
-    norm = _complex_norm(ym) if opts.weighting == "complex" else 1.0
-
-    def eval_resid(theta: np.ndarray) -> np.ndarray:
-        y, _ = _y_and_grads(freqs, *_unpack(theta), want_grads=False)
-        return _residual_from_y(y, ym, opts.weighting, norm)
-
-    def eval_jac(theta: np.ndarray) -> np.ndarray:
-        y, grads = _y_and_grads(freqs, *_unpack(theta), want_grads=True)
-        return _jacobian_from_grads(y, grads, opts.weighting, norm)
-
-    theta = np.clip(_pack(seed), lo, hi)
-    r = eval_resid(theta)
-    cost = float(r @ r)
-    if not math.isfinite(cost):
-        raise FitError("cost is non-finite at the seed")
-
-    cost_trace = [cost]
-    lam = opts.lambda0
-    iterations = 0
-    converged = cost < 1e-300
-
-    while not converged and iterations < opts.max_iter:
-        iterations += 1
-        jac = eval_jac(theta)[:, free]
-        g = jac.T @ r
-        h = jac.T @ jac
-        d = np.diag(h).copy()
-        d = np.maximum(d, 1e-14 * max(float(d.max(initial=0.0)), 1e-300))
-
-        accepted = False
-        while lam <= _LAMBDA_MAX:
-            a = h + lam * np.diag(d)
-            try:
-                step = np.linalg.solve(a, -g)
-            except np.linalg.LinAlgError:
-                step, *_ = np.linalg.lstsq(a, -g, rcond=None)
-            theta_new = theta.copy()
-            theta_new[free] += step
-            np.clip(theta_new, lo, hi, out=theta_new)
-            r_new = eval_resid(theta_new)
-            cost_new = float(r_new @ r_new)
-            if not math.isfinite(cost_new):
-                raise FitError("cost became non-finite", iteration=iterations)
-            if cost_new <= cost:
-                accepted = True
-                lam = max(lam / 3.0, _LAMBDA_MIN)
-                break
-            lam *= 10.0
-        if not accepted:
-            break
-
-        rel_dec = (cost - cost_new) / max(cost, 1e-300)
-        step_rel = float(np.linalg.norm(theta_new - theta)) / max(
-            float(np.linalg.norm(theta)), 1e-300
-        )
-        theta, r, cost = theta_new, r_new, cost_new
-        cost_trace.append(cost)
-        if cost < 1e-300 or rel_dec < opts.ftol or step_rel < opts.xtol:
-            converged = True
-
-    model_out = _model_from_theta(theta)
-    jac_final = eval_jac(theta)[:, free]
-    m = r.size
-    nfree = int(np.count_nonzero(free))
-    sigma_sq = cost / max(m - nfree, 1)
-    cov_free = np.linalg.pinv(jac_final.T @ jac_final) * sigma_sq
-    cov = np.zeros((nparams, nparams))
-    free_idx = np.nonzero(free)[0]
-    cov[np.ix_(free_idx, free_idx)] = cov_free
-
-    return FitResult(
-        model=model_out,
-        cost=cost,
-        iterations=iterations,
-        converged=converged,
-        covariance=cov,
-        residual_rms=math.sqrt(cost / m) if m else 0.0,
-        cost_trace=tuple(cost_trace),
-    )
+    problem = _Problem(trace, opts.weighting, _search_box(trace, seed, opts.bounds))
+    return problem.solve(seed)
 
 
 def fit_multistart(
@@ -410,25 +387,35 @@ def fit_multistart(
     stays anchored to the original seed.
     """
     opts = options or FitOptions()
-    if opts.bounds is None:
-        opts = replace(opts, bounds=default_bounds(seed))
-    best = fit(trace, seed, opts)
+    problem = _Problem(trace, opts.weighting, _search_box(trace, seed, opts.bounds))
+    best = problem.solve(seed)
     theta0 = _pack(seed)
-    lo = np.log(opts.bounds[:, 0])
-    hi = np.log(opts.bounds[:, 1])
-    free = lo < hi
+    free = problem.free
     for i in range(1, restarts + 1):
         rng = np.random.default_rng(1000 + i)
         theta = theta0.copy()
         theta[free] += rng.normal(0.0, 0.05, int(np.count_nonzero(free)))
-        np.clip(theta, lo, hi, out=theta)
+        np.clip(theta, problem.lo, problem.hi, out=theta)
         try:
-            candidate = fit(trace, _model_from_theta(theta), opts)
+            candidate = problem.solve(_model_from_theta(theta))
         except (FitError, ValueError):
             continue
         if candidate.cost < best.cost:
             best = candidate
     return best
+
+
+def seed_from_strongest(
+    trace: ComplexTrace, candidates: Sequence[ResonanceCandidate], k: int
+) -> MbvdModel:
+    """Seed model from the k most prominent candidates.
+
+    Ties in prominence go to the lower frequency; every candidate's span,
+    seeded or not, is excluded from the background estimate.
+    """
+    ranked = sorted(candidates, key=lambda c: (-c.prominence_db, c.fs_est))
+    subset = sorted(ranked[:k], key=lambda c: c.fs_est)
+    return initial_guess(trace, subset, exclude=[c.span for c in candidates])
 
 
 def select_branch_count(
@@ -447,13 +434,9 @@ def select_branch_count(
         raise ValueError("need at least one resonance candidate")
     if options is not None and options.bounds is not None:
         raise ValueError("explicit bounds fix the parameter count; incompatible with branch-count selection")
-    ranked = sorted(candidates, key=lambda c: (-c.prominence_db, c.fs_est))
-    all_spans = [c.span for c in candidates]
     best: FitResult | None = None
-    for k in range(1, len(ranked) + 1):
-        subset = sorted(ranked[:k], key=lambda c: c.fs_est)
-        seed = initial_guess(trace, subset, exclude=all_spans)
-        result = fit(trace, seed, options)
+    for k in range(1, len(candidates) + 1):
+        result = fit(trace, seed_from_strongest(trace, candidates, k), options)
         if best is not None and result.residual_rms > 0.9 * best.residual_rms:
             return best
         best = result

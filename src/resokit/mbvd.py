@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -110,11 +111,20 @@ class MbvdModel:
         return max(range(len(self.branches)), key=lambda i: self.branches[i].cm)
 
 
-def _branch_arrays(model: MbvdModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    rm = np.array([b.rm for b in model.branches])
-    lm = np.array([b.lm for b in model.branches])
-    cm = np.array([b.cm for b in model.branches])
-    return rm, lm, cm
+class Admittance(NamedTuple):
+    """Circuit admittance on a grid, with the intermediates its derivatives need.
+
+    w is the angular frequency, yst the static-arm admittance, yb the
+    (nfreq, nbranch) motional-branch admittances (None without branches),
+    g the parallel section yst + sum(yb) and y the terminal admittance
+    seen through rs.
+    """
+
+    w: np.ndarray
+    yst: np.ndarray
+    yb: np.ndarray | None
+    g: np.ndarray
+    y: np.ndarray
 
 
 def admittance_arrays(
@@ -125,24 +135,35 @@ def admittance_arrays(
     rm: np.ndarray,
     lm: np.ndarray,
     cm: np.ndarray,
-) -> np.ndarray:
-    """Evaluate the circuit admittance from raw element arrays.
+) -> Admittance:
+    """Evaluate the circuit from raw element arrays.
 
-    Shared by the model-facing synthesizer and the fit engine so both see
-    bitwise identical values.
+    The only forward pass in the package: synthesis, the antiresonance
+    search, metric extraction and the fit engine (which derives lm from
+    fs and cm and builds its Jacobian from the returned intermediates)
+    all call it, so they see bitwise identical values.
     """
     w = TWO_PI * np.asarray(freqs, dtype=float)
     jw = 1j * w
+    yb = None
     with np.errstate(divide="ignore", invalid="ignore"):
-        y = 1.0 / (r0 + 1.0 / (jw * c0))
+        yst = 1.0 / (r0 + 1.0 / (jw * c0))
+        g = yst
         if rm.size:
             zb = rm[None, :] + 1j * (
                 w[:, None] * lm[None, :] - 1.0 / (w[:, None] * cm[None, :])
             )
-            y = y + np.sum(1.0 / zb, axis=1)
-        if rs != 0.0:
-            y = 1.0 / (rs + 1.0 / y)
-    return y
+            yb = 1.0 / zb
+            g = yst + np.sum(yb, axis=1)
+        y = 1.0 / (rs + 1.0 / g) if rs != 0.0 else g
+    return Admittance(w, yst, yb, g, y)
+
+
+def _model_y(model: MbvdModel, freqs: np.ndarray) -> np.ndarray:
+    rm = np.array([b.rm for b in model.branches])
+    lm = np.array([b.lm for b in model.branches])
+    cm = np.array([b.cm for b in model.branches])
+    return admittance_arrays(freqs, model.c0, model.r0, model.rs, rm, lm, cm).y
 
 
 def synthesize_admittance(model: MbvdModel, freqs: np.ndarray) -> ComplexTrace:
@@ -153,9 +174,7 @@ def synthesize_admittance(model: MbvdModel, freqs: np.ndarray) -> ComplexTrace:
     freqs = np.asarray(freqs, dtype=float).reshape(-1)
     if freqs.size and freqs[0] <= 0:
         raise ValueError("frequencies must be positive")
-    rm, lm, cm = _branch_arrays(model)
-    values = admittance_arrays(freqs, model.c0, model.r0, model.rs, rm, lm, cm)
-    return ComplexTrace(freqs=freqs, values=values)
+    return ComplexTrace(freqs=freqs, values=_model_y(model, freqs))
 
 
 def branch_from_metrics(fs: float, qm: float, kt2: float, c0: float) -> MotionalBranch:
@@ -220,7 +239,6 @@ def _fp_search(
     Returns None when no crossing exists in the scan window (overdamped
     branch, or window clipped by f_cap).
     """
-    rm, lm, cm = _branch_arrays(model)
     fs_k = fs_list[k]
     fp_closed = _fp_closed(model, k, fs_list)
     hi = fp_closed + 6.0 * (fp_closed - fs_k)
@@ -232,12 +250,8 @@ def _fp_search(
     lo = fs_k * (1.0 + 1e-9)
     if hi <= lo:
         return None
-
-    def im_y(f: np.ndarray) -> np.ndarray:
-        return admittance_arrays(f, model.c0, model.r0, model.rs, rm, lm, cm).imag
-
     grid = np.linspace(lo, hi, 4001)
-    vals = im_y(grid)
+    vals = _model_y(model, grid).imag
     sign = np.sign(vals)
     idx = np.nonzero((sign[:-1] < 0) & (sign[1:] > 0))[0]
     if idx.size == 0:
@@ -252,7 +266,7 @@ def _fp_search(
     # secant step there lands far inside 1e-12 relative of the root.
     for _ in range(3):
         grid = np.linspace(a, b, 101)
-        vals = im_y(grid)
+        vals = _model_y(model, grid).imag
         i = 1 + int(np.argmax((vals[:-1] < 0) & (vals[1:] >= 0)))
         if vals[i] == 0.0:
             return float(grid[i])
@@ -378,9 +392,8 @@ def metrics_from_model(model: MbvdModel, grid: np.ndarray) -> ResonatorMetrics:
     qm = dom_branch.qm
     q_guess = qm if math.isfinite(qm) else Q_SENTINEL
 
-    rm, lm, cm = _branch_arrays(model)
     g_s = _dense_local_grid(fs, q_guess, f_lo, f_hi)
-    y_s = admittance_arrays(g_s, model.c0, model.r0, model.rs, rm, lm, cm)
+    y_s = _model_y(model, g_s)
     qs = q_from_phase_slope(ComplexTrace(freqs=g_s, values=y_s), fs)
     if qs > Q_SENTINEL:
         qs = math.inf
@@ -402,7 +415,7 @@ def metrics_from_model(model: MbvdModel, grid: np.ndarray) -> ResonatorMetrics:
 
     kt2 = kt2_from_frequencies(fs, fp)
     g_p = _dense_local_grid(fp, q_guess, f_lo, f_hi)
-    y_p = admittance_arrays(g_p, model.c0, model.r0, model.rs, rm, lm, cm)
+    y_p = _model_y(model, g_p)
     with np.errstate(divide="ignore", invalid="ignore"):
         z_p = 1.0 / y_p
     qp = q_from_phase_slope(ComplexTrace(freqs=g_p, values=z_p), fp)

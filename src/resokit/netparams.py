@@ -185,13 +185,14 @@ def _pairs_to_complex(fmt: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _polar(np.array([10.0 ** x for x in (a / 20.0).tolist()]), b)
 
 
-def _first_db_overflow(db: np.ndarray) -> int:
-    for i, x in enumerate((db / 20.0).tolist()):
+def _first_overflow(fn, values: list) -> int:
+    """Index of the first value on which fn raises OverflowError."""
+    for i, x in enumerate(values):
         try:
-            10.0 ** x
+            fn(x)
         except OverflowError:
             return i
-    raise AssertionError("no dB value overflows")
+    raise AssertionError("no value overflows")
 
 
 def _convert_tokens(tokens: list[str], data_lines: list[int], counts: list[int]) -> np.ndarray:
@@ -306,7 +307,8 @@ def parse_touchstone(source: str | Iterable[str]) -> NetworkRecord:
         s = _pairs_to_complex(option.fmt, a, table[:good, 2::2].ravel())
     except OverflowError:
         raise TouchstoneError(
-            "dB magnitude overflows a float", row_lines[_first_db_overflow(a) // 4]
+            "dB magnitude overflows a float",
+            row_lines[_first_overflow(lambda x: 10.0 ** x, (a / 20.0).tolist()) // 4],
         ) from None
     if good < len(freqs):
         f = float(freqs[good])
@@ -446,7 +448,13 @@ def write_touchstone(net: NetworkRecord, fmt: str = "RI", unit: str = "GHz") -> 
     else:
         # abs(complex), atan2 and log10 stay on the builtins and libm;
         # math.degrees is x * (180 / pi)
-        first = np.array(list(map(abs, s.tolist())))
+        values = s.tolist()
+        try:
+            first = np.array(list(map(abs, values)))
+        except OverflowError:
+            f = float(net.freqs[_first_overflow(abs, values) // 4])
+            raise TouchstoneError(
+                f"S-parameter magnitude overflows a float at {f:.6g} Hz") from None
         second = np.array(list(map(math.atan2, s.imag.tolist(), s.real.tolist())))
         second *= 180.0 / math.pi
         if fmt_l == "db":
@@ -506,13 +514,6 @@ def y_to_s(net: NetworkRecord) -> NetworkRecord:
         raise SingularNetworkError("(I + z0 Y) is singular", float(net.freqs[bad[0]]))
     s = (eye[None, :, :] - zy) @ _inv2(a, det)
     return NetworkRecord(freqs=net.freqs, matrices=s, kind="S", z0=net.z0)
-
-
-def extract_y21(net: NetworkRecord) -> ComplexTrace:
-    """Pull the raw Y21 trace from a Y-kind record."""
-    if net.kind != "Y":
-        raise ValueError("extract_y21 requires a Y-kind record")
-    return ComplexTrace(freqs=net.freqs, values=net.matrices[:, 1, 0])
 
 
 def device_admittance(net: NetworkRecord, embedding: str = "series") -> ComplexTrace:

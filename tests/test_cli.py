@@ -99,6 +99,23 @@ def test_fit_nonconvergence_exit_code(tmp_path, monkeypatch):
     assert rc == 3
 
 
+def test_fit_branches_pins_the_count(tmp_path):
+    src = tmp_path / "rowL.s2p"
+    write_golden(src)
+    runs = {"auto": [], "pinned": ["--branches", "1"],
+            "restarts": ["--branches", "1", "--restarts", "2"]}
+    for sub, extra in runs.items():
+        rc = cli.run(["fit", str(src), "--outdir", str(tmp_path / sub), "--prefix", "d", *extra])
+        assert rc == 0
+    # one candidate: automatic selection stops at the same single-branch fit
+    auto = (tmp_path / "auto" / "d_model.json").read_bytes()
+    assert (tmp_path / "pinned" / "d_model.json").read_bytes() == auto
+    cost = {sub: json.loads((tmp_path / sub / "d_metrics.json").read_text())["fit"]["cost"]
+            for sub in runs}
+    assert cost["restarts"] <= cost["pinned"]
+    assert cli.run(["fit", str(src), "--outdir", str(tmp_path / "two"), "--branches", "2"]) == 2
+
+
 def test_fit_prefix_override(tmp_path):
     src = tmp_path / "rowL.s2p"
     write_golden(src)
@@ -376,12 +393,39 @@ def test_convert_formats_agree(tmp_path):
     assert np.max(np.abs(a.matrices - c.matrices)) < 1e-9
 
 
+@pytest.mark.parametrize("fmt", ["MA", "DB"])
+def test_convert_magnitude_overflow_is_an_input_error(tmp_path, capsys, fmt):
+    # |1.5e308 + 1.5e308j| is finite in RI but not as a float magnitude
+    src = tmp_path / "big.s2p"
+    src.write_text("# GHZ S RI R 50\n"
+                   "1.0 0.1 0 0.2 0 0.2 0 0.1 0\n"
+                   "2.0 1.5e308 1.5e308 0 0 0 0 0 0\n")
+    outdir = tmp_path / "o"
+    assert cli.run(["convert", str(src), "--outdir", str(outdir), "--fmt", fmt]) == 2
+    assert capsys.readouterr().err == (
+        "error: S-parameter magnitude overflows a float at 2e+09 Hz\n")
+    assert not outdir.exists()
+
+
 # --------------------------------------------------------------------- misc
 
 def test_unknown_subcommand_exits_via_argparse():
     with pytest.raises(SystemExit) as exc:
         cli.run(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_unexpected_exception_has_its_own_exit_code(tmp_path, capsys, monkeypatch):
+    mj = tmp_path / "m.json"
+    mj.write_text(json.dumps(model_to_dict(display_model("L"))))
+
+    def raiser(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "synthesize_admittance", raiser)
+    argv = ["synth", str(mj), "--outdir", str(tmp_path / "o"), "--grid", "1e9:2e9:11"]
+    assert cli.run(argv) == 4
+    assert capsys.readouterr().err == "error: internal RuntimeError: boom\n"
 
 
 def test_cli_is_deterministic(tmp_path):

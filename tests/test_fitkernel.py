@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from resokit import fitkernel
 from resokit.extract import detect_resonances
 from resokit.fitkernel import (
+    WEIGHTINGS,
     FitOptions,
     default_bounds,
     fit,
@@ -289,6 +292,65 @@ def test_fit_covariance_sane():
     assert np.all(np.isfinite(cov))
     assert np.max(np.abs(cov - cov.T)) <= 1e-6 * np.max(np.abs(cov))
     assert np.all(np.diag(cov) >= 0.0)
+
+
+@pytest.mark.parametrize("exhaust_damping", [False, True])
+@pytest.mark.parametrize("weighting", WEIGHTINGS)
+def test_fit_jacobian_reuse_never_stale(monkeypatch, weighting, exhaust_damping):
+    m = one_branch()
+    tr = noisy_trace(m, np.linspace(1.7e9, 3.9e9, 401), noise_db=-60.0, seed=10)
+    seed = perturb_param(m, 3, 2.0)
+    taken = []  # (parameters, matrix) of every Jacobian the fit takes
+    jacobian_at = fitkernel._Problem.jacobian
+
+    def spy(self, params):
+        jac = jacobian_at(self, params)
+        taken.append((params, jac.copy()))
+        return jac
+
+    monkeypatch.setattr(fitkernel._Problem, "jacobian", spy)
+    if exhaust_damping:
+        # every point scored after the first Jacobian looks worse than the
+        # seed, so damping runs out and the last point scored is a rejected one
+        score = fitkernel._Problem.residuals
+
+        def worse(self, params):
+            r = score(self, params)
+            return r if not taken else np.full_like(r, 1e3)
+
+        monkeypatch.setattr(fitkernel._Problem, "residuals", worse)
+
+    res = fit(tr, seed, FitOptions(weighting=weighting))
+    monkeypatch.undo()
+    if exhaust_damping:
+        assert (res.iterations, res.converged) == (1, False)
+    for params, jac in taken:
+        fresh = fitkernel._Problem(tr, weighting).jacobian(params)
+        assert jac.tobytes() == fresh.tobytes()
+    # the covariance comes from the Jacobian at the accepted point
+    params, jac = taken[-1]
+    r = fitkernel._Problem(tr, weighting).residuals(params)
+    assert float(r @ r) == res.cost
+    cov = np.linalg.pinv(jac.T @ jac) * (res.cost / (r.size - jac.shape[1]))
+    assert cov.tobytes() == res.covariance.tobytes()
+
+
+def test_log_mag_phase_warning_points_at_caller():
+    m = one_branch()
+    tr = noisy_trace(m, np.linspace(1.7e9, 3.9e9, 401))
+    values = tr.values.copy()
+    values[0] = 0.0
+    tr = type(tr)(freqs=tr.freqs, values=values)
+    calls = (lambda: fit(tr, m, FitOptions(weighting="log_mag_phase")),
+             lambda: residuals(m, tr, weighting="log_mag_phase"),
+             lambda: jacobian(m, tr, weighting="log_mag_phase"))
+    for call in calls:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        assert len(caught) == 1
+        assert "dropped 1 zero-magnitude points" in str(caught[0].message)
+        assert caught[0].filename == __file__
 
 
 # ----------------------------------------------------------- model order

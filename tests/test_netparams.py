@@ -12,7 +12,6 @@ from resokit.errors import SingularNetworkError, TouchstoneError
 from resokit.netparams import (
     NetworkRecord,
     device_admittance,
-    extract_y21,
     parse_touchstone,
     s_to_y,
     series_element_network,
@@ -298,11 +297,3 @@ def test_device_admittance_rejects_unknown_embedding():
     net = make_net([1e9, 2e9], np.zeros((2, 2, 2)), kind="Y")
     with pytest.raises(ValueError):
         device_admittance(net, embedding="diagonal")
-
-
-def test_extract_y21_returns_off_diagonal():
-    f = np.linspace(1e9, 2e9, 5)
-    y = (1.0 + 0.5j) * np.ones(5) * 1e-3
-    tr = extract_y21(series_element_network(ComplexTrace(freqs=f, values=y)))
-    np.testing.assert_allclose(tr.values, -y, rtol=1e-10)
-    np.testing.assert_allclose(tr.freqs, f)
