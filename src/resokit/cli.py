@@ -323,6 +323,13 @@ def _cmd_modes(args: argparse.Namespace) -> int:
     hi = 1.25 * max(m.f_n for m in dominant)
     grid = _linspace(lo, hi, args.grid_points, "--grid-points")
     ytrace = synthesize_admittance(model, grid)
+    records = None
+    if sweep is not None:
+        # the sweep runs before any file is written, so a failure leaves none behind
+        geoms = [DeviceGeometry(wavelength=geom.wavelength, topology=geom.topology,
+                                n_elements=n, coverage=geom.coverage)
+                 for n in sweep]
+        records = split_study(geoms, args.vp, n_max=args.n_max, field_model=field_model)
     prefix = args.prefix or f"modes_{geom.topology}_n{geom.n_elements}"
     out = OutputWriter(args.outdir)
 
@@ -339,11 +346,7 @@ def _cmd_modes(args: argparse.Namespace) -> int:
         xlabel="frequency [Hz]", ylabel="|Y| [dB S]",
         title=f"{geom.topology} N={geom.n_elements}"))
 
-    if sweep is not None:
-        geoms = [DeviceGeometry(wavelength=geom.wavelength, topology=geom.topology,
-                                n_elements=n, coverage=geom.coverage)
-                 for n in sweep]
-        records = split_study(geoms, args.vp, n_max=args.n_max, field_model=field_model)
+    if records is not None:
         header = "N,n,f_n_Hz,eta_n,nodes,f_design_Hz,offset"
         lines = [header]
         for rec in records:

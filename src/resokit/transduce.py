@@ -19,7 +19,10 @@ independent.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -36,63 +39,85 @@ _OVERLAP_TOL = 1e-12
 _BLOCK_ELEMENTS = 1 << 15
 
 
-@dataclass(frozen=True)
-class Electrode:
-    """One finger: centre and width in metres, polarity +1 or -1."""
-
-    center: float
-    width: float
-    polarity: int
-
-    def __post_init__(self) -> None:
-        if self.width <= 0.0:
-            raise GeometryError("electrode width must be positive")
-        if self.polarity not in (-1, 1):
-            raise GeometryError(f"polarity must be +1 or -1, got {self.polarity}")
-
-    @property
-    def left(self) -> float:
-        return self.center - 0.5 * self.width
-
-    @property
-    def right(self) -> float:
-        return self.center + 0.5 * self.width
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, or the machine's
+    count where the platform cannot report one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
-@dataclass(frozen=True)
+# strain_overlaps spreads a call whose (gap x mode) matrix holds at least
+# _PARALLEL_ELEMENTS floats over _WORKERS threads; below that, starting a
+# thread costs more than it saves
+_WORKERS = _usable_cpus()
+_PARALLEL_ELEMENTS = 1 << 15
+
+
+@dataclass(frozen=True, eq=False)
 class ElectrodeLayout:
-    """Realized finger pattern on a plate of width ``plate_width``."""
+    """Realized finger pattern on a plate of width ``plate_width``: finger
+    centres and widths in metres and polarities (+1 or -1), one array
+    element per finger in order along the plate. The arrays are read-only
+    copies of what was passed."""
 
     topology: str
     wavelength: float
     coverage: float
     plate_width: float
-    electrodes: tuple[Electrode, ...]
+    centers: np.ndarray
+    widths: np.ndarray
+    polarities: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.electrodes) < 2:
+        center = np.array(self.centers, dtype=float)
+        width = np.array(self.widths, dtype=float)
+        polarity = np.array(self.polarities)
+        if not center.ndim == width.ndim == polarity.ndim == 1:
+            raise GeometryError("electrode centres, widths and polarities must be 1-D")
+        if not center.size == width.size == polarity.size:
+            raise GeometryError(
+                f"got {center.size} centres, {width.size} widths and {polarity.size} polarities")
+        if center.size < 2:
             raise GeometryError("layout needs at least two electrodes")
+        if not math.isfinite(self.plate_width) or self.plate_width <= 0.0:
+            raise GeometryError(f"plate width must be positive and finite, got {self.plate_width!r}")
+        _first_fault(~np.isfinite(center), "electrode {} centre is not finite")
+        _first_fault(~np.isfinite(width), "electrode {} width is not finite")
+        _first_fault(width <= 0.0, "electrode {} width must be positive")
+        _first_fault((polarity != 1) & (polarity != -1), "electrode {} polarity must be +1 or -1")
         tol = _OVERLAP_TOL * self.plate_width
-        prev = None
-        for i, el in enumerate(self.electrodes):
-            if el.left < -tol or el.right > self.plate_width + tol:
-                raise GeometryError(f"electrode {i} extends outside the plate")
-            if prev is not None:
-                if el.left <= prev.right + tol:
-                    raise GeometryError(f"electrodes {i - 1} and {i} overlap or touch")
-                if el.polarity == prev.polarity:
-                    raise GeometryError("electrode polarities must alternate")
-            prev = el
+        left = center - 0.5 * width
+        right = center + 0.5 * width
+        _first_fault((left < -tol) | (right > self.plate_width + tol),
+                     "electrode {} extends outside the plate")
+        _first_fault(left[1:] <= right[:-1] + tol, "electrodes {} and {} overlap or touch", pair=True)
+        _first_fault(polarity[1:] == polarity[:-1], "electrodes {} and {} have the same polarity",
+                     pair=True)
+        for name, column in (("centers", center), ("widths", width),
+                             ("polarities", polarity.astype(int))):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
 
     @property
     def n_electrodes(self) -> int:
-        return len(self.electrodes)
+        return self.centers.size
 
     @property
     def design_index(self) -> int:
         """Mode index whose wavelength matches the finger pitch."""
         n = self.n_electrodes
         return n - 1 if self.topology == "lvr" else n
+
+
+def _first_fault(fault: np.ndarray, message: str, pair: bool = False) -> None:
+    """Raise GeometryError naming the first finger (or the first adjacent
+    pair of fingers) where ``fault`` holds."""
+    hits = np.flatnonzero(fault)
+    if hits.size:
+        i = int(hits[0])
+        raise GeometryError(message.format(i, i + 1) if pair else message.format(i))
 
 
 def build_layout(geom: DeviceGeometry) -> ElectrodeLayout:
@@ -112,25 +137,21 @@ def build_layout(geom: DeviceGeometry) -> ElectrodeLayout:
     c = geom.coverage
     n = geom.n_elements
     full = 0.5 * c * lam
-    electrodes: list[Electrode] = []
+    i = np.arange(n)
+    # 0.5 * i is exact, so each element is the scalar expression's product
+    width = np.full(n, full)
     if geom.topology == "lvr":
         plate = 0.5 * (n - 1) * lam
-        for i in range(n):
-            pol = 1 if i % 2 == 0 else -1
-            if i == 0:
-                electrodes.append(Electrode(center=0.125 * c * lam, width=0.5 * full, polarity=pol))
-            elif i == n - 1:
-                electrodes.append(Electrode(center=plate - 0.125 * c * lam, width=0.5 * full, polarity=pol))
-            else:
-                electrodes.append(Electrode(center=0.5 * i * lam, width=full, polarity=pol))
+        center = 0.5 * i * lam
+        center[0] = 0.125 * c * lam
+        center[-1] = plate - 0.125 * c * lam
+        width[[0, -1]] = 0.5 * full
     else:
         plate = 0.5 * n * lam
-        for i in range(n):
-            pol = 1 if i % 2 == 0 else -1
-            electrodes.append(Electrode(center=0.25 * lam + 0.5 * i * lam, width=full, polarity=pol))
+        center = 0.25 * lam + 0.5 * i * lam
     return ElectrodeLayout(
-        topology=geom.topology, wavelength=lam, coverage=c,
-        plate_width=plate, electrodes=tuple(electrodes))
+        topology=geom.topology, wavelength=lam, coverage=c, plate_width=plate,
+        centers=center, widths=width, polarities=1 - 2 * (i % 2))
 
 
 def _indices_array(indices: Sequence[int]) -> np.ndarray:
@@ -146,10 +167,8 @@ def _gap_edges(layout: ElectrodeLayout) -> tuple[np.ndarray, np.ndarray, np.ndar
     """Left edge, right edge and field sign of every gap between adjacent
     fingers. The sign follows the polarity of the finger on the left: the
     in-plane field points from the positive finger to the negative one."""
-    center = np.array([e.center for e in layout.electrodes])
-    width = np.array([e.width for e in layout.electrodes])
-    polarity = np.array([e.polarity for e in layout.electrodes])
-    return center[:-1] + 0.5 * width[:-1], center[1:] - 0.5 * width[1:], polarity[:-1]
+    center, width = layout.centers, layout.widths
+    return center[:-1] + 0.5 * width[:-1], center[1:] - 0.5 * width[1:], layout.polarities[:-1]
 
 
 def strain_overlaps(
@@ -163,27 +182,80 @@ def strain_overlaps(
     cos(n pi a / W)); the delta variant samples the strain at the gap
     centre and scales by the gap width (the narrow-gap limit of the same
     integral).
+
+    Each mode's overlap depends on no other mode, so once the (gap x mode)
+    matrix reaches _PARALLEL_ELEMENTS floats the modes are split into
+    _WORKERS contiguous spans, one per thread (numpy releases the GIL in
+    np.cos and np.sin). Every element sees the same operations in the same
+    order whatever the split, so the result is bit-identical.
     """
     if field_model not in FIELD_MODELS:
         raise ValueError(f"field_model must be one of {FIELD_MODELS}")
     idx = _indices_array(indices)
-    w = layout.plate_width
     left, right, sign = (a[:, None] for a in _gap_edges(layout))
-    width = right - left
-    center = 0.5 * (left + right)
+    # the delta field needs -width * (k / w) and the gap centre
+    edges = (left, right) if field_model == "tophat" else (-(right - left), 0.5 * (left + right))
     out = np.empty(idx.size)
-    block = max(1, _BLOCK_ELEMENTS // sign.size)
-    for start in range(0, idx.size, block):
-        k = idx[start:start + block] * np.pi
-        if field_model == "tophat":
-            contrib = np.cos(k * right / w) - np.cos(k * left / w)
-        else:
-            contrib = -width * (k / w) * np.sin(k * center / w)
-        # an accumulate adds one gap at a time in layout order (a reduce may
-        # sum pairwise); + 0.0 turns a leading -0.0 into the 0.0 a sum from
-        # zero gives
-        out[start:start + block] = np.cumsum(sign * contrib, axis=0)[-1] + 0.0
+    workers = min(_WORKERS, idx.size) if sign.size * idx.size >= _PARALLEL_ELEMENTS else 1
+    bounds = [idx.size * j // workers for j in range(workers + 1)]
+    fill = partial(_fill_overlaps, out, idx, layout.plate_width, edges, sign, field_model)
+    errors: list[BaseException] = []
+
+    def run(lo: int, hi: int) -> None:
+        try:
+            fill(lo, hi)
+        except BaseException as exc:  # raised again on the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=span) for span in zip(bounds[1:], bounds[2:])]
+    for t in threads:
+        t.start()
+    try:
+        fill(bounds[0], bounds[1])
+    finally:
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[0]
     return out
+
+
+def _fill_overlaps(
+    out: np.ndarray, idx: np.ndarray, w: float, edges: tuple[np.ndarray, np.ndarray],
+    sign: np.ndarray, field_model: str, lo: int, hi: int,
+) -> None:
+    """Write out[lo:hi], the overlaps of modes idx[lo:hi], in blocks of
+    modes holding about _BLOCK_ELEMENTS floats each."""
+    block = max(1, _BLOCK_ELEMENTS // sign.size)
+    for start in range(lo, hi, block):
+        stop = min(start + block, hi)
+        k = idx[start:stop] * np.pi
+        if field_model == "tophat":
+            # cos(k * right / w) - cos(k * left / w)
+            left, right = edges
+            contrib = np.multiply(right, k)
+            contrib /= w
+            np.cos(contrib, out=contrib)
+            term = np.multiply(left, k)
+            term /= w
+            np.cos(term, out=term)
+            contrib -= term
+        else:
+            # -width * (k / w) * sin(k * center / w)
+            neg_width, center = edges
+            contrib = np.multiply(center, k)
+            contrib /= w
+            np.sin(contrib, out=contrib)
+            contrib *= np.multiply(neg_width, k / w)
+        contrib *= sign
+        # reducing axis 0 adds one gap at a time in layout order, as the
+        # per-gap loop does, but numpy sums a single column pairwise like any
+        # 1-D array, so that case accumulates; + 0.0 turns a leading -0.0
+        # into the 0.0 a sum from zero gives
+        if stop - start > 1:
+            out[start:stop] = np.add.reduce(contrib, axis=0) + 0.0
+        else:
+            out[start:stop] = np.cumsum(contrib, axis=0)[-1] + 0.0
 
 
 def strain_overlaps_numeric(

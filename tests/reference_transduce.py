@@ -47,9 +47,12 @@ class FieldGap:
 
 
 def field_gaps(layout: ElectrodeLayout) -> tuple[FieldGap, ...]:
+    # finger i spans center - 0.5 * width to center + 0.5 * width
+    center, width, polarity = (c.tolist() for c in (layout.centers, layout.widths, layout.polarities))
     gaps = []
-    for a, b in zip(layout.electrodes, layout.electrodes[1:]):
-        gaps.append(FieldGap(left=a.right, right=b.left, sign=a.polarity))
+    for i in range(len(center) - 1):
+        gaps.append(FieldGap(left=center[i] + 0.5 * width[i], right=center[i + 1] - 0.5 * width[i + 1],
+                             sign=polarity[i]))
     return tuple(gaps)
 
 

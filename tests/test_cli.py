@@ -7,11 +7,12 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
-from resokit import cli
+from resokit import cli, transduce
 from resokit.fitkernel import FitResult
 from resokit.mbvd import metrics_from_model, model_to_dict
 from resokit.netparams import device_admittance, parse_touchstone, s_to_y
@@ -235,6 +236,29 @@ def test_out_of_memory_is_an_input_error(tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "synthesize_admittance", raiser)
         assert cli.run(argv) == 2
         assert capsys.readouterr().err == err
+
+
+def test_out_of_memory_in_an_overlap_worker_thread(tmp_path, capsys, monkeypatch):
+    # the sweep's large geometries split their modes across threads; an error
+    # in a worker thread reaches cli.run, and modes writes nothing
+    fill = transduce._fill_overlaps
+    raised = []
+
+    def fill_or_fail(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raised.append(args)
+            raise MemoryError("Unable to allocate 1.0 GiB")
+        fill(*args)
+
+    monkeypatch.setattr(transduce, "_WORKERS", 2)
+    monkeypatch.setattr(transduce, "_fill_overlaps", fill_or_fail)
+    outdir = tmp_path / "o"
+    rc = cli.run(["modes", "--outdir", str(outdir), "--topology", "dlvr", "--n", "5",
+                  "--lambda", "1.8e-6", "--vp", "3426", "--sweep-n", "5:400:5"])
+    assert rc == 2
+    assert raised
+    assert capsys.readouterr().err == "error: out of memory: Unable to allocate 1.0 GiB\n"
+    assert not outdir.exists()
 
 
 # --------------------------------------------------------------------- modes

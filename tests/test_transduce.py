@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -37,46 +38,42 @@ def test_lvr_layout_geometry():
     lay = build_layout(lvr(5))
     # N electrodes on an (N-1) half-wavelength plate
     assert lay.plate_width == pytest.approx(2.0 * LAM, rel=1e-12)
-    assert len(lay.electrodes) == 5
-    inner = lay.electrodes[1:-1]
-    for e in inner:
-        assert e.width == pytest.approx(0.5 * 0.5 * LAM, rel=1e-12)
+    assert lay.n_electrodes == 5
+    for w in lay.widths[1:-1]:
+        assert w == pytest.approx(0.5 * 0.5 * LAM, rel=1e-12)
     # edge electrodes are half width, flush against the plate boundary
-    first, last = lay.electrodes[0], lay.electrodes[-1]
-    assert first.width == pytest.approx(0.25 * 0.5 * LAM, rel=1e-12)
-    assert last.width == pytest.approx(first.width, rel=1e-12)
-    assert first.center - first.width / 2.0 == pytest.approx(0.0, abs=1e-18)
-    assert last.center + last.width / 2.0 == pytest.approx(lay.plate_width, rel=1e-12)
+    assert lay.widths[0] == pytest.approx(0.25 * 0.5 * LAM, rel=1e-12)
+    assert lay.widths[-1] == pytest.approx(lay.widths[0], rel=1e-12)
+    assert lay.centers[0] - lay.widths[0] / 2.0 == pytest.approx(0.0, abs=1e-18)
+    assert lay.centers[-1] + lay.widths[-1] / 2.0 == pytest.approx(lay.plate_width, rel=1e-12)
     # inner centers sit on the half-wavelength grid
-    for k, e in enumerate(inner, start=1):
-        assert e.center == pytest.approx(k * LAM / 2.0, rel=1e-12)
+    for k, c in enumerate(lay.centers[1:-1], start=1):
+        assert c == pytest.approx(k * LAM / 2.0, rel=1e-12)
 
 
 def test_dlvr_layout_geometry():
     lay = build_layout(dlvr(5))
     # N half-wavelengths of plate; all electrodes full width
     assert lay.plate_width == pytest.approx(2.5 * LAM, rel=1e-12)
-    assert len(lay.electrodes) == 5
-    for e in lay.electrodes:
-        assert e.width == pytest.approx(0.5 * 0.5 * LAM, rel=1e-12)
+    assert lay.n_electrodes == 5
+    np.testing.assert_allclose(lay.widths, 0.5 * 0.5 * LAM, rtol=1e-12)
     # outermost centers a quarter wavelength in from the edges
-    assert lay.electrodes[0].center == pytest.approx(LAM / 4.0, rel=1e-12)
-    assert lay.electrodes[-1].center == pytest.approx(lay.plate_width - LAM / 4.0, rel=1e-12)
+    assert lay.centers[0] == pytest.approx(LAM / 4.0, rel=1e-12)
+    assert lay.centers[-1] == pytest.approx(lay.plate_width - LAM / 4.0, rel=1e-12)
     # uniform half-wavelength pitch
-    centers = [e.center for e in lay.electrodes]
-    np.testing.assert_allclose(np.diff(centers), LAM / 2.0, rtol=1e-12)
+    np.testing.assert_allclose(np.diff(lay.centers), LAM / 2.0, rtol=1e-12)
 
 
 def test_layout_polarity_alternates():
     for geom in (lvr(6), dlvr(6)):
-        pol = [e.polarity for e in build_layout(geom).electrodes]
+        pol = build_layout(geom).polarities.tolist()
         assert pol[0] == 1
         assert all(a == -b for a, b in zip(pol, pol[1:]))
 
 
 def test_layout_coverage_scales_width():
-    wide = build_layout(dlvr(5, c=0.8)).electrodes[0].width
-    slim = build_layout(dlvr(5, c=0.2)).electrodes[0].width
+    wide = build_layout(dlvr(5, c=0.8)).widths[0]
+    slim = build_layout(dlvr(5, c=0.2)).widths[0]
     assert wide == pytest.approx(0.8 * 0.5 * LAM, rel=1e-12)
     assert slim == pytest.approx(0.2 * 0.5 * LAM, rel=1e-12)
 
@@ -92,6 +89,58 @@ def test_geometry_validation():
         build_layout(DeviceGeometry(wavelength=LAM, n_elements=1))
     with pytest.raises(GeometryError):
         build_layout(DeviceGeometry(wavelength=LAM, topology="idt"))
+
+
+@pytest.mark.parametrize("value", (math.nan, math.inf, -math.inf))
+def test_layout_rejects_non_finite_columns(value):
+    # NaN passes every comparison-based check and used to reach the kernel,
+    # which then returned NaN overlaps
+    lay = build_layout(dlvr(5))
+    centers = lay.centers.copy()
+    centers[3] = value
+    with pytest.raises(GeometryError, match="electrode 3 centre is not finite"):
+        dataclasses.replace(lay, centers=centers)
+    widths = lay.widths.copy()
+    widths[2] = value
+    with pytest.raises(GeometryError, match="electrode 2 width is not finite"):
+        dataclasses.replace(lay, widths=widths)
+    with pytest.raises(GeometryError, match="plate width must be positive and finite"):
+        dataclasses.replace(lay, plate_width=value)
+
+
+def test_layout_errors_name_the_electrode():
+    lay = build_layout(dlvr(5))
+
+    def edited(name, i, value):
+        column = getattr(lay, name).copy()
+        column[i] = value
+        return dataclasses.replace(lay, **{name: column})
+
+    with pytest.raises(GeometryError, match="electrode 1 width must be positive"):
+        edited("widths", 1, 0.0)
+    with pytest.raises(GeometryError, match="electrode 4 polarity must be"):
+        edited("polarities", 4, 0)
+    with pytest.raises(GeometryError, match="electrode 4 extends outside the plate"):
+        edited("centers", 4, lay.plate_width)
+    with pytest.raises(GeometryError, match="electrodes 1 and 2 overlap or touch"):
+        edited("centers", 2, lay.centers[1] + lay.widths[1])
+    with pytest.raises(GeometryError, match="electrodes 2 and 3 have the same polarity"):
+        edited("polarities", 3, 1)
+    with pytest.raises(GeometryError, match="5 centres, 4 widths"):
+        dataclasses.replace(lay, widths=lay.widths[:4])
+    with pytest.raises(GeometryError, match="at least two electrodes"):
+        dataclasses.replace(lay, centers=lay.centers[:1], widths=lay.widths[:1],
+                            polarities=lay.polarities[:1])
+
+
+def test_layout_columns_are_read_only_copies():
+    lay = build_layout(dlvr(5))
+    centers = lay.centers.copy()
+    copy = dataclasses.replace(lay, centers=centers)
+    centers[0] = 0.0
+    assert copy.centers[0] == lay.centers[0]
+    with pytest.raises(ValueError):
+        copy.widths[0] = 0.0
 
 
 # ---------------------------------------------------------------- overlaps

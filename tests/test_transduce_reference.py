@@ -9,6 +9,9 @@ must carry the same values of the same types.
 from __future__ import annotations
 
 import dataclasses
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -17,7 +20,6 @@ import reference_transduce as ref
 from resokit import transduce
 from resokit.designkit import DeviceGeometry
 from resokit.transduce import (
-    Electrode,
     ElectrodeLayout,
     build_layout,
     mode_couplings,
@@ -45,6 +47,20 @@ def index_sets(d: int) -> list[list[int]]:
 @pytest.mark.parametrize("field", transduce.FIELD_MODELS)
 @pytest.mark.parametrize("topology", ("lvr", "dlvr"))
 def test_strain_overlaps_bit_equal_to_gap_loop(topology, field, coverage):
+    check_against_gap_loop(topology, field, coverage)
+
+
+@pytest.mark.parametrize("workers", (1, 2, 3))
+def test_strain_overlaps_bit_equal_with_forced_worker_count(workers, monkeypatch):
+    # 1 takes the serial path on any host, 2 and 3 the threaded one for the
+    # large counts; 3 splits the modes into unequal spans
+    monkeypatch.setattr(transduce, "_WORKERS", workers)
+    for topology in ("lvr", "dlvr"):
+        for field in transduce.FIELD_MODELS:
+            check_against_gap_loop(topology, field, 0.5)
+
+
+def check_against_gap_loop(topology, field, coverage):
     for n in COUNTS:
         layout = build_layout(DeviceGeometry(
             wavelength=LAM, topology=topology, n_elements=n, coverage=coverage))
@@ -93,8 +109,74 @@ def test_strain_overlaps_zero_sum_is_positive_zero():
     # a negative first finger turns that 0.0 into -0.0 before the sum
     layout = ElectrodeLayout(
         topology="lvr", wavelength=1.0, coverage=0.5, plate_width=1.0,
-        electrodes=(Electrode(0.2, 0.2, -1), Electrode(0.8, 0.2, 1)))
+        centers=(0.2, 0.8), widths=(0.2, 0.2), polarities=(-1, 1))
     idx = np.arange(1, 201)
     want = ref.strain_overlaps(layout, idx)
     assert np.count_nonzero(want == 0.0) > 2
     assert_bits_equal(strain_overlaps(layout, idx), want)
+    for n in (2, 4):  # a single mode takes the one-column sum
+        assert_bits_equal(strain_overlaps(layout, [n]), want[n - 1:n])
+
+
+@pytest.mark.parametrize("workers", (2, 3, 5))
+def test_strain_overlaps_threaded_spans_of_any_size(workers, monkeypatch):
+    # every call goes parallel, so spans of one or two modes (summed by the
+    # single-column branch) and more spans than modes both occur
+    monkeypatch.setattr(transduce, "_WORKERS", workers)
+    monkeypatch.setattr(transduce, "_PARALLEL_ELEMENTS", 0)
+    for topology in ("lvr", "dlvr"):
+        for field in transduce.FIELD_MODELS:
+            for n in (3, 4, 17, 40):
+                layout = build_layout(DeviceGeometry(
+                    wavelength=LAM, topology=topology, n_elements=n, coverage=0.35))
+                for idx in ([n], [n, n + 1], [7, 3, 3, 9000], list(range(1, 2 * n + 8))):
+                    assert_bits_equal(strain_overlaps(layout, idx, field),
+                                      ref.strain_overlaps(layout, idx, field))
+
+
+def test_strain_overlaps_with_more_threads_than_cpus(monkeypatch):
+    # disjoint slices of one output array, written by eight threads that the
+    # interpreter switches between as often as it can
+    monkeypatch.setattr(transduce, "_WORKERS", 8)
+    layout = build_layout(DeviceGeometry(wavelength=LAM, topology="dlvr", n_elements=400))
+    idx = np.arange(1, 2 * layout.design_index + 1)
+    want = ref.strain_overlaps(layout, idx)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert_bits_equal(strain_overlaps(layout, idx), want)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_threads_start_only_for_large_calls(monkeypatch):
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(transduce, "_WORKERS", 3)
+    monkeypatch.setattr(threading, "Thread", Recorded)
+    for n, threads in ((20, 0), (400, 2)):
+        layout = build_layout(DeviceGeometry(wavelength=LAM, topology="dlvr", n_elements=n))
+        strain_overlaps(layout, np.arange(1, 2 * n + 1))
+        assert len(started) == threads
+        assert not any(t.is_alive() for t in started)
+
+
+def test_worker_count_falls_back_without_affinity(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert transduce._usable_cpus() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert transduce._usable_cpus() == (os.cpu_count() or 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert transduce._usable_cpus() == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(transduce, "_WORKERS", transduce._usable_cpus())
+    layout = build_layout(DeviceGeometry(wavelength=LAM, topology="lvr", n_elements=338))
+    idx = np.arange(1, 2 * layout.design_index + 7)
+    for field in transduce.FIELD_MODELS:
+        assert_bits_equal(strain_overlaps(layout, idx, field), ref.strain_overlaps(layout, idx, field))
