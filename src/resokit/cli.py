@@ -31,7 +31,7 @@ import numpy as np
 from .designkit import DeviceGeometry, ProcessRules, calibrate_velocity, plan_bank, render_table
 from .errors import EstimationError, FitError, ToolkitError
 from .extract import detect_resonances
-from .fitkernel import (WEIGHTINGS, FitOptions, FitResult, fit_multistart, seed_from_strongest,
+from .fitkernel import (WEIGHTINGS, FitOptions, FitResult, fit, seed_from_strongest,
                         select_branch_count)
 from .mbvd import (
     MbvdModel,
@@ -135,6 +135,16 @@ def _candidates_doc(candidates) -> list[dict]:
     } for c in candidates]
 
 
+def _check_fit_flags(args: argparse.Namespace) -> None:
+    """Reject --branches/--restarts values that cannot apply, before any input is read."""
+    if args.branches is not None and args.branches < 1:
+        raise ValueError("--branches must be >= 1")
+    if args.restarts < 0:
+        raise ValueError(f"--restarts must be >= 0, got {args.restarts}")
+    if args.restarts and args.branches is None:
+        raise ValueError("--restarts needs --branches (automatic selection does not restart)")
+
+
 def _fit_trace(trace: ComplexTrace, args: argparse.Namespace) -> tuple[FitResult, list]:
     candidates = detect_resonances(trace, threshold_db=args.threshold_db)
     if not candidates:
@@ -143,12 +153,10 @@ def _fit_trace(trace: ComplexTrace, args: argparse.Namespace) -> tuple[FitResult
     if args.branches is None:
         return select_branch_count(trace, candidates, options), candidates
     k = args.branches
-    if k < 1:
-        raise ValueError("--branches must be >= 1")
     if k > len(candidates):
         raise EstimationError(f"only {len(candidates)} candidate resonances for --branches {k}")
     seed = seed_from_strongest(trace, candidates, k)
-    return fit_multistart(trace, seed, options, restarts=args.restarts), candidates
+    return fit(trace, seed, options, restarts=args.restarts), candidates
 
 
 def _db20(values: np.ndarray) -> np.ndarray:
@@ -201,6 +209,7 @@ def _fit_outputs(out: OutputWriter, prefix: str, source_name: str, trace: Comple
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
+    _check_fit_flags(args)
     path = Path(args.input)
     prefix = args.prefix or path.stem
     out = OutputWriter(args.outdir)
@@ -215,6 +224,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
+    _check_fit_flags(args)
     directory = Path(args.directory)
     if not directory.is_dir():
         raise ToolkitError(f"not a directory: {directory}")
@@ -296,14 +306,12 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _spectrum_csv(n_elements: int, spectrum, extra: dict | None = None) -> list[str]:
-    lines = []
-    for m in spectrum.modes:
-        cells = [str(n_elements), str(m.n), repr(m.f_n), repr(m.eta), str(m.nodes)]
-        if extra is not None:
-            cells += [repr(extra["f_design"]), repr(extra["offset"])]
-        lines.append(",".join(cells))
-    return lines
+_MODE_HEADER = "N,n,f_n_Hz,eta_n,nodes"
+
+
+def _mode_rows(n_elements: int, modes, tail: str = "") -> list[str]:
+    """One CSV row per mode under _MODE_HEADER, each followed by tail."""
+    return [f"{n_elements},{m.n},{m.f_n!r},{m.eta!r},{m.nodes}{tail}" for m in modes]
 
 
 def _cmd_modes(args: argparse.Namespace) -> int:
@@ -334,8 +342,7 @@ def _cmd_modes(args: argparse.Namespace) -> int:
     out = OutputWriter(args.outdir)
 
     out.write_text(f"{prefix}_spectrum.csv",
-                   "\n".join(["N,n,f_n_Hz,eta_n,nodes"]
-                             + _spectrum_csv(geom.n_elements, spectrum)) + "\n")
+                   "\n".join([_MODE_HEADER] + _mode_rows(geom.n_elements, spectrum.modes)) + "\n")
     out.write_text(f"{prefix}_spectrum.svg", line_plot(
         [stem_series("eta_n", spectrum.frequencies, spectrum.weights)],
         xlabel="frequency [Hz]", ylabel="coupling weight",
@@ -347,13 +354,10 @@ def _cmd_modes(args: argparse.Namespace) -> int:
         title=f"{geom.topology} N={geom.n_elements}"))
 
     if records is not None:
-        header = "N,n,f_n_Hz,eta_n,nodes,f_design_Hz,offset"
-        lines = [header]
+        lines = [_MODE_HEADER + ",f_design_Hz,offset"]
         for rec in records:
-            for m in rec.modes:
-                lines.append(",".join([
-                    str(rec.n_elements), str(m.n), repr(m.f_n), repr(m.eta),
-                    str(m.nodes), repr(rec.design_frequency), repr(rec.offset)]))
+            lines += _mode_rows(rec.n_elements, rec.modes,
+                                f",{rec.design_frequency!r},{rec.offset!r}")
         out.write_text(f"{prefix}_sweep.csv", "\n".join(lines) + "\n")
         out.write_json(f"{prefix}_sweep.json", [rec.as_dict() for rec in records])
         counts = np.array([rec.n_elements for rec in records], dtype=float)
@@ -375,6 +379,10 @@ def _cmd_design(args: argparse.Namespace) -> int:
     if (not isinstance(targets, list) or not targets
             or not all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in targets)):
         raise ToolkitError(f"{targets_path}: expected a non-empty list of target frequencies (Hz)")
+    try:
+        targets = [float(t) for t in targets]
+    except OverflowError:
+        raise ToolkitError(f"{targets_path}: a target frequency is too large for a float") from None
 
     rules = ProcessRules()
     velocity_map: dict = {}
@@ -400,7 +408,7 @@ def _cmd_design(args: argparse.Namespace) -> int:
         policy = float(policy)
     except ValueError:
         pass
-    entries = plan_bank([float(t) for t in targets], v_p, rules, policy,
+    entries = plan_bank(targets, v_p, rules, policy,
                         n_elements=args.n, coverage=args.coverage, mode=args.mode)
 
     prefix = args.prefix or targets_path.stem
@@ -419,7 +427,8 @@ def _cmd_design(args: argparse.Namespace) -> int:
         ]))
         doc_entries.append({
             "targets_hz": list(e.targets),
-            "wavelength_m": e.wavelength,
+            # a target low enough to overflow the wavelength plans to inf
+            "wavelength_m": e.wavelength if e.wavelength < np.inf else "inf",
             "topology": e.geometry.topology if e.geometry is not None else None,
             "n_elements": e.geometry.n_elements if e.geometry is not None else None,
             "coverage": e.geometry.coverage if e.geometry is not None else None,

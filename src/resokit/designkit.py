@@ -89,13 +89,6 @@ class ProcessRules:
             raise ValueError(f"invalid lambda_range {self.lambda_range}")
         object.__setattr__(self, "lambda_range", (float(lo), float(hi)))
 
-    def as_dict(self) -> dict:
-        return {
-            "min_feature": self.min_feature,
-            "min_gap": self.min_gap,
-            "lambda_range": list(self.lambda_range),
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "ProcessRules":
         kwargs = {}
@@ -221,23 +214,33 @@ class PlanEntry:
         return self.error is None
 
 
-def _pick_topology(policy, f_target: float, wavelength: float,
-                   coverage: float, rules: ProcessRules) -> str:
+def _check_policy(policy):
+    """A topology policy as _pick_topology takes it: a lowercase name or a
+    finite positive threshold in Hz."""
     if isinstance(policy, str):
         lowered = policy.lower()
-        if lowered in TOPOLOGIES:
-            return lowered
-        if lowered == "auto":
-            # lvr needs a half-width edge finger; switch to dlvr where that
-            # finger would violate the process.
-            if 0.25 * coverage * wavelength >= rules.min_feature:
-                return "lvr"
-            return "dlvr"
-        raise ValueError(f"unknown topology policy {policy!r}")
+        if lowered not in TOPOLOGIES + ("auto",):
+            raise ValueError(f"unknown topology policy {policy!r}")
+        return lowered
     threshold = float(policy)
     if threshold <= 0.0:
         raise ValueError("frequency threshold policy must be positive")
-    return "lvr" if f_target < threshold else "dlvr"
+    if not math.isfinite(threshold):
+        raise ValueError(f"frequency threshold policy must be finite, got {threshold!r}")
+    return threshold
+
+
+def _pick_topology(policy, f_target: float, wavelength: float,
+                   coverage: float, rules: ProcessRules) -> str:
+    if isinstance(policy, float):
+        return "lvr" if f_target < policy else "dlvr"
+    if policy == "auto":
+        # lvr needs a half-width edge finger; switch to dlvr where that
+        # finger would violate the process.
+        if 0.25 * coverage * wavelength >= rules.min_feature:
+            return "lvr"
+        return "dlvr"
+    return policy
 
 
 def plan_bank(
@@ -265,17 +268,25 @@ def plan_bank(
         rules = ProcessRules()
     if v_p <= 0.0:
         raise ValueError("v_p must be positive")
+    if not math.isfinite(v_p):
+        raise ValueError(f"v_p must be finite, got {v_p!r}")
     targets = [float(f) for f in targets]
     if not targets:
         raise ValueError("no target frequencies given")
     for f in targets:
         if f <= 0.0:
             raise ValueError(f"non-positive target frequency {f}")
+        if not math.isfinite(f):
+            raise ValueError(f"non-finite target frequency {f}")
+    topology_policy = _check_policy(topology_policy)
 
-    by_nm: dict[int, dict] = {}
-    order: list[int] = []
+    by_nm: dict[float, dict] = {}
+    order: list[float] = []
     for f in targets:
-        nm = int(round(v_p / f * 1e9))
+        nm = v_p / f * 1e9
+        # a wavelength too long for a float stays inf and fails the range check
+        if math.isfinite(nm):
+            nm = int(round(nm))
         if nm in by_nm:
             by_nm[nm]["targets"].append(f)
             continue

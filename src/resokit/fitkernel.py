@@ -361,31 +361,26 @@ def jacobian(
     return jac
 
 
-def fit(trace: ComplexTrace, seed: MbvdModel, options: FitOptions | None = None) -> FitResult:
+def fit(
+    trace: ComplexTrace,
+    seed: MbvdModel,
+    options: FitOptions | None = None,
+    restarts: int = 0,
+) -> FitResult:
     """Levenberg-Marquardt refinement of seed against trace.
 
     Multiplicative damping: x10 on a rejected step, /3 on an accepted
     one.  Terminates when the relative cost decrease drops below 1e-10,
     the relative step below 1e-10, or after 200 iterations.  The accepted
     cost sequence is non-increasing by construction.
+
+    restarts > 0 adds deterministic perturbed fits and returns the lowest
+    cost: restart i perturbs every free log parameter with N(0, 0.05)
+    drawn from a fixed seed, so repeated runs are identical.  The search
+    box stays anchored to the original seed.
     """
-    opts = options or FitOptions()
-    problem = _Problem(trace, opts.weighting, _search_box(trace, seed, opts.bounds))
-    return problem.solve(seed)
-
-
-def fit_multistart(
-    trace: ComplexTrace,
-    seed: MbvdModel,
-    options: FitOptions | None = None,
-    restarts: int = 0,
-) -> FitResult:
-    """fit() plus deterministic perturbed restarts; returns the lowest cost.
-
-    Restart i perturbs every free log parameter with N(0, 0.05) drawn
-    from a fixed seed, so repeated runs are identical.  The search box
-    stays anchored to the original seed.
-    """
+    if restarts < 0:
+        raise ValueError(f"restarts must be >= 0, got {restarts}")
     opts = options or FitOptions()
     problem = _Problem(trace, opts.weighting, _search_box(trace, seed, opts.bounds))
     best = problem.solve(seed)

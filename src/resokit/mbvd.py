@@ -15,7 +15,6 @@ and mechanical quality qm = 2 pi fs lm / rm.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -34,18 +33,6 @@ CM_FLOOR = 1e-21
 
 # Phase-slope quality factors above this are reported as +inf (lossless).
 Q_SENTINEL = 1e6
-
-
-class Kt2Convention(enum.Enum):
-    """Electromechanical coupling definitions.
-
-    FP2 is the reporting contract everywhere in this package; the others
-    exist for comparison against literature that uses them.
-    """
-
-    FP2 = "fp2"  # (pi^2/8) (fp^2 - fs^2) / fp^2
-    FS2 = "fs2"  # (pi^2/8) (fp^2 - fs^2) / fs^2
-    CAP = "cap"  # (pi^2/8) cm / (c0 + cm)
 
 
 @dataclass(frozen=True)
@@ -205,21 +192,9 @@ def branch_from_metrics(fs: float, qm: float, kt2: float, c0: float) -> Motional
     return MotionalBranch(rm=rm, lm=lm, cm=cm)
 
 
-def kt2_from_frequencies(
-    fs: float,
-    fp: float,
-    convention: Kt2Convention = Kt2Convention.FP2,
-    cm: float | None = None,
-    c0: float | None = None,
-) -> float:
-    """Coupling coefficient from the resonance pair (or capacitances for CAP)."""
-    if convention is Kt2Convention.FP2:
-        return KT2_PREFACTOR * (fp**2 - fs**2) / fp**2
-    if convention is Kt2Convention.FS2:
-        return KT2_PREFACTOR * (fp**2 - fs**2) / fs**2
-    if cm is None or c0 is None:
-        raise ValueError("CAP convention needs cm and c0")
-    return KT2_PREFACTOR * cm / (c0 + cm)
+def kt2_from_frequencies(fs: float, fp: float) -> float:
+    """Coupling coefficient (pi^2/8)(fp^2 - fs^2)/fp^2 from the resonance pair."""
+    return KT2_PREFACTOR * (fp**2 - fs**2) / fp**2
 
 
 def _fp_closed(model: MbvdModel, k: int, fs_list: list[float]) -> float:
@@ -231,13 +206,11 @@ def _fp_closed(model: MbvdModel, k: int, fs_list: list[float]) -> float:
     return fs_k * math.sqrt(1.0 + model.branches[k].cm / c0_eff)
 
 
-def _fp_search(
-    model: MbvdModel, k: int, fs_list: list[float], f_cap: float | None = None
-) -> float | None:
+def _fp_search(model: MbvdModel, k: int, fs_list: list[float]) -> float | None:
     """Numeric antiresonance of branch k: first upward zero of Im(Y) above fs_k.
 
     Returns None when no crossing exists in the scan window (overdamped
-    branch, or window clipped by f_cap).
+    branch).
     """
     fs_k = fs_list[k]
     fp_closed = _fp_closed(model, k, fs_list)
@@ -245,8 +218,6 @@ def _fp_search(
     nxt = [f for f in fs_list if f > fs_k]
     if nxt:
         hi = min(hi, min(nxt) * (1.0 - 1e-3))
-    if f_cap is not None:
-        hi = min(hi, f_cap)
     lo = fs_k * (1.0 + 1e-9)
     if hi <= lo:
         return None
@@ -275,27 +246,6 @@ def _fp_search(
 
 
 FP_CROSSCHECK_RTOL = 1e-3
-
-
-def resonance_frequencies(model: MbvdModel) -> list[tuple[float, float | None]]:
-    """Per-branch (fs, fp) pairs, sorted by fs.
-
-    fs is closed form.  fp is the closed form fs*sqrt(1 + cm/c0_eff),
-    reported only when a numeric upward zero crossing of Im(Y) exists
-    above fs; a branch too damped to produce a crossing gets None.  The
-    lossy crossing itself sits below the closed form by roughly
-    (1+r)/(r*(2+r)*Q^2) with r = cm/c0_eff, negligible except at very
-    low Q.
-    """
-    if not model.branches:
-        raise ValueError("model has no motional branches")
-    fs_list = [b.fs for b in model.branches]
-    out: list[tuple[float, float | None]] = []
-    for k in range(len(fs_list)):
-        fp_num = _fp_search(model, k, fs_list)
-        fp = _fp_closed(model, k, fs_list) if fp_num is not None else None
-        out.append((fs_list[k], fp))
-    return out
 
 
 @dataclass(frozen=True)

@@ -26,11 +26,17 @@ _REJECTED_TYPES = ("y", "z", "h", "g")
 DET_REL_FLOOR = 1e-12
 
 
-def _check_finite(freqs: np.ndarray, values: np.ndarray) -> None:
+def _check_samples(freqs: np.ndarray, values: np.ndarray) -> None:
+    """Finite samples on a positive, strictly increasing frequency grid."""
     if not np.isfinite(freqs).all():
         raise ValueError("frequencies must be finite")
     if not np.isfinite(values).all():
         raise ValueError("values must be finite")
+    if freqs.size:
+        if freqs[0] <= 0:
+            raise ValueError("frequencies must be positive")
+        if np.any(np.diff(freqs) <= 0):
+            raise ValueError("frequencies must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -62,12 +68,7 @@ class NetworkRecord:
             raise ValueError(f"kind must be 'S' or 'Y', got {self.kind!r}")
         if not 0 < self.z0 < math.inf:
             raise ValueError(f"z0 must be positive and finite, got {self.z0!r}")
-        _check_finite(freqs, matrices)
-        if freqs.size:
-            if freqs[0] <= 0:
-                raise ValueError("frequencies must be positive")
-            if np.any(np.diff(freqs) <= 0):
-                raise ValueError("frequencies must be strictly increasing")
+        _check_samples(freqs, matrices)
         object.__setattr__(self, "freqs", freqs)
         object.__setattr__(self, "matrices", matrices)
 
@@ -86,12 +87,7 @@ class ComplexTrace:
     def __post_init__(self):
         freqs = np.asarray(self.freqs, dtype=float).reshape(-1)
         values = np.asarray(self.values, dtype=complex).reshape(freqs.shape)
-        _check_finite(freqs, values)
-        if freqs.size:
-            if freqs[0] <= 0:
-                raise ValueError("frequencies must be positive")
-            if np.any(np.diff(freqs) <= 0):
-                raise ValueError("frequencies must be strictly increasing")
+        _check_samples(freqs, values)
         object.__setattr__(self, "freqs", freqs)
         object.__setattr__(self, "values", values)
 

@@ -43,14 +43,6 @@ class SurveyRow:
     c0: float
     fom: float
 
-    @property
-    def fom_computed(self) -> float:
-        return self.qs * self.kt2
-
-    @property
-    def velocity(self) -> float:
-        return self.fs * self.wavelength
-
 
 def _r(label: str, mode: str, topology: str, lam_nm: float, fs_ghz: float,
        qs: float, qp: float, qm: float, kt2_pct: float, c0_ff: float,

@@ -4,7 +4,8 @@
 kernel in ``resokit.transduce`` replaced, and ``mode_couplings`` builds each
 ``ModeCoupling`` from numpy scalars one mode at a time.  Tests require the
 library to match them bit for bit, so keep them unchanged when the library
-changes.
+changes.  ``strain_overlaps_numeric`` is the trapezoid-quadrature check of
+the closed-form overlaps.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from resokit.transduce import (
     ElectrodeLayout,
     ModeCoupling,
     ModeSpectrum,
+    _gap_edges,
     _indices_array,
 )
 
@@ -72,6 +74,26 @@ def strain_overlaps(
         else:
             contrib = -gap.width * (idx * np.pi / w) * np.sin(idx * np.pi * gap.center / w)
         out += gap.sign * contrib
+    return out
+
+
+def strain_overlaps_numeric(
+    layout: ElectrodeLayout,
+    indices: Sequence[int],
+    points_per_gap: int = 10_000,
+) -> np.ndarray:
+    """Brute-force check of strain_overlaps: per-gap trapezoid quadrature
+    of du_n/dx with ``points_per_gap`` samples. Top-hat field only."""
+    if points_per_gap < 2:
+        raise ValueError("need at least 2 quadrature points per gap")
+    idx = _indices_array(indices)
+    w = layout.plate_width
+    out = np.zeros(idx.size)
+    for left, right, sign in zip(*(a.tolist() for a in _gap_edges(layout))):
+        x = np.linspace(left, right, points_per_gap)
+        # du_n/dx = -(n pi / W) sin(n pi x / W), one row per mode index
+        integrand = -(idx[:, None] * np.pi / w) * np.sin(idx[:, None] * np.pi * x[None, :] / w)
+        out += sign * np.sum(np.diff(x) * (integrand[:, 1:] + integrand[:, :-1]) / 2.0, axis=1)
     return out
 
 

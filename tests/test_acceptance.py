@@ -42,10 +42,10 @@ from resokit.transduce import (
     mode_couplings,
     split_study,
     strain_overlaps,
-    strain_overlaps_numeric,
 )
 
 from conftest import golden_text, noisy_trace
+from reference_transduce import strain_overlaps_numeric
 from test_fitkernel import fd_jacobian, random_model
 from test_netparams import random_passive_net
 

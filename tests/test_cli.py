@@ -117,6 +117,43 @@ def test_fit_branches_pins_the_count(tmp_path):
     assert cli.run(["fit", str(src), "--outdir", str(tmp_path / "two"), "--branches", "2"]) == 2
 
 
+FIT_FLAG_ERRORS = [
+    (["--restarts", "2"], "error: --restarts needs --branches (automatic selection does not restart)"),
+    (["--branches", "1", "--restarts", "-1"], "error: --restarts must be >= 0, got -1"),
+    (["--restarts", "-1"], "error: --restarts must be >= 0, got -1"),
+    (["--branches", "0"], "error: --branches must be >= 1"),
+    (["--branches", "-3", "--restarts", "1"], "error: --branches must be >= 1"),
+]
+FIT_FLAG_IDS = ["restarts-without-branches", "negative-restarts", "negative-restarts-alone",
+                "zero-branches", "negative-branches"]
+
+
+@pytest.mark.parametrize("command", ["fit", "batch"])
+@pytest.mark.parametrize("flags,message", FIT_FLAG_ERRORS, ids=FIT_FLAG_IDS)
+def test_fit_flag_errors_come_before_the_input(tmp_path, capsys, command, flags, message):
+    # the input does not exist: a flag error must win over the read error
+    outdir = tmp_path / "o"
+    rc = cli.run([command, str(tmp_path / "missing"), *flags, "--outdir", str(outdir)])
+    assert rc == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "batch"])
+def test_fit_flag_errors_on_a_good_input(tmp_path, capsys, command):
+    # these used to run: --restarts without --branches was ignored, a negative
+    # --restarts meant none, and batch failed every file on --branches 0 (exit 1)
+    d = tmp_path / "meas"
+    d.mkdir()
+    write_golden(d / "a.s2p")
+    target = d / "a.s2p" if command == "fit" else d
+    for flags, message in FIT_FLAG_ERRORS:
+        outdir = tmp_path / "o"
+        assert cli.run([command, str(target), *flags, "--outdir", str(outdir)]) == 2
+        assert capsys.readouterr().err == message + "\n"
+        assert not outdir.exists()
+
+
 def test_fit_prefix_override(tmp_path):
     src = tmp_path / "rowL.s2p"
     write_golden(src)
@@ -397,6 +434,52 @@ def test_design_rejects_bad_targets(tmp_path):
     assert cli.run(["design", str(tj), "--vp", "5382"]) == 2
     tj.write_text("{broken")
     assert cli.run(["design", str(tj), "--vp", "5382"]) == 2
+
+
+@pytest.mark.parametrize("targets,flags,message", [
+    ([3e9], ["--vp", "inf"], "error: v_p must be finite, got inf"),
+    ([3e9], ["--vp", "nan"], "error: v_p must be finite, got nan"),
+    ([float("nan")], ["--vp", "5382"], "error: non-finite target frequency nan"),
+    ([3e9, float("inf")], ["--vp", "5382"], "error: non-finite target frequency inf"),
+    ([3e9], ["--vp", "5382", "--topology-policy", "nan"],
+     "error: frequency threshold policy must be finite, got nan"),
+    ([3e9], ["--vp", "5382", "--topology-policy", "inf"],
+     "error: frequency threshold policy must be finite, got inf"),
+    # every entry out of range: the policy is still checked
+    ([30e9], ["--vp", "5382", "--topology-policy", "xyz"], "error: unknown topology policy 'xyz'"),
+], ids=["vp-inf", "vp-nan", "target-nan", "target-inf", "policy-nan", "policy-inf",
+        "policy-unknown"])
+def test_design_rejects_bad_velocity_target_or_policy(tmp_path, capsys, targets, flags, message):
+    tj = tmp_path / "t.json"
+    tj.write_text(json.dumps(targets))
+    outdir = tmp_path / "o"
+    assert cli.run(["design", str(tj), *flags, "--outdir", str(outdir)]) == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert not outdir.exists()
+
+
+def test_design_rejects_an_integer_target_too_large_for_a_float(tmp_path, capsys):
+    tj = tmp_path / "t.json"
+    tj.write_text("[3000000000, 1" + "0" * 400 + "]")
+    assert cli.run(["design", str(tj), "--vp", "5382", "--outdir", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {tj}: a target frequency is too large for a float\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_design_overflowing_wavelength_is_an_out_of_range_entry(tmp_path, capsys):
+    # v_p / 1e-300 Hz overflows to an infinite wavelength
+    tj = tmp_path / "t.json"
+    tj.write_text(json.dumps([3e9, 1e-300, 5e-324]))
+    outdir = tmp_path / "o"
+    assert cli.run(["design", str(tj), "--vp", "5382", "--outdir", str(outdir)]) == 1
+    assert capsys.readouterr().err == ""
+    doc = json.loads((outdir / "t_plan.json").read_text())
+    good, bad = doc["entries"]
+    assert good["error"] is None
+    assert bad["targets_hz"] == [1e-300, 5e-324]
+    assert bad["wavelength_m"] == "inf"
+    assert bad["error"] == "wavelength inf nm outside process range [400.0 nm, 1800.0 nm]"
+    assert (outdir / "t_plan.csv").read_text().splitlines()[2].startswith("1e-300|5e-324,inf,-,error,")
 
 
 # ------------------------------------------------------------------- convert

@@ -15,7 +15,6 @@ from resokit.fitkernel import (
     FitOptions,
     default_bounds,
     fit,
-    fit_multistart,
     jacobian,
     param_names,
     residuals,
@@ -273,13 +272,20 @@ def test_default_bounds_layout():
     assert bd[i_cm, 1] == pytest.approx(m.branches[0].cm * 1e4)
 
 
-def test_fit_multistart_no_worse_than_plain():
+def test_fit_restarts_no_worse_than_plain():
     m = one_branch()
     tr = noisy_trace(m, np.linspace(1.7e9, 3.9e9, 801), noise_db=-60.0, seed=8)
     seed = perturb_param(m, 4, 1.04)
     plain = fit(tr, seed)
-    multi = fit_multistart(tr, seed, restarts=4)
+    multi = fit(tr, seed, restarts=4)
     assert multi.cost <= plain.cost * (1 + 1e-12)
+
+
+def test_fit_rejects_negative_restarts():
+    m = one_branch()
+    tr = noisy_trace(m, np.linspace(1.7e9, 3.9e9, 801), noise_db=-60.0, seed=8)
+    with pytest.raises(ValueError, match="restarts must be >= 0, got -1"):
+        fit(tr, m, restarts=-1)
 
 
 def test_fit_covariance_sane():

@@ -11,7 +11,6 @@ from resokit.errors import DegenerateCouplingError
 from resokit.mbvd import (
     KT2_PREFACTOR,
     _fp_search,
-    Kt2Convention,
     MbvdModel,
     MotionalBranch,
     branch_from_metrics,
@@ -19,7 +18,6 @@ from resokit.mbvd import (
     metrics_from_model,
     model_from_dict,
     model_to_dict,
-    resonance_frequencies,
     synthesize_admittance,
 )
 from resokit.refdata import SURVEY, roundtrip_model, synthesis_grid
@@ -56,17 +54,15 @@ def test_parallel_resonance_tenth_coupling():
     lm = 1.0 / ((2 * math.pi * 1e9) ** 2 * cm)
     m = MbvdModel(c0=c0, r0=0.0, rs=0.0,
                   branches=(MotionalBranch(rm=1.0, lm=lm, cm=cm),))
-    pairs = resonance_frequencies(m)
-    assert len(pairs) == 1
-    fs, fp = pairs[0]
-    assert fs == pytest.approx(1e9, rel=1e-12)
-    assert fp / fs == pytest.approx(1.048809, rel=1e-6)
+    met = metrics_from_model(m, np.linspace(0.9e9, 1.2e9, 1001))
+    assert met.fs == pytest.approx(1e9, rel=1e-12)
+    assert met.fp / met.fs == pytest.approx(1.048809, rel=1e-6)
 
 
 def test_parallel_resonance_pinned_row():
     # fs 2.99 GHz, kt2 0.184, c0 17.6 fF gives fp = 3.241480 GHz
     m = single_branch_model(2.99e9, 997.0, 0.184, 17.6e-15)
-    _, fp = resonance_frequencies(m)[0]
+    fp = metrics_from_model(m, np.linspace(2.7e9, 3.6e9, 2001)).fp
     assert fp == pytest.approx(3.241480e9, rel=1e-6)
 
 
@@ -80,22 +76,12 @@ def test_kt2_from_frequencies_pinned():
     assert got == pytest.approx(0.112154595, rel=1e-8)
 
 
-def test_kt2_conventions_agree_for_matching_inputs():
-    fs, fp = 1e9, math.sqrt(1.1) * 1e9
-    a = kt2_from_frequencies(fs, fp, convention=Kt2Convention.FP2)
-    b = kt2_from_frequencies(fs, fp, convention=Kt2Convention.FS2)
-    c = kt2_from_frequencies(fs, fp, convention=Kt2Convention.CAP, cm=1e-14, c0=1e-13)
-    # FP2 and CAP coincide for an ideal single branch; FS2 differs by fp^2/fs^2
-    assert a == pytest.approx(c, rel=1e-12)
-    assert b == pytest.approx(a * 1.1, rel=1e-12)
-
-
 def test_branch_roundtrip_through_kt2():
     # branch -> (fs, fp) -> kt2 reproduces the construction input
+    grid = np.linspace(1.8e9, 2.6e9, 2001)
     for kt2 in (0.01, 0.08, 0.20, 0.327):
         m = single_branch_model(2e9, 300.0, kt2, 80e-15)
-        fs, fp = resonance_frequencies(m)[0]
-        assert kt2_from_frequencies(fs, fp) == pytest.approx(kt2, rel=1e-9)
+        assert metrics_from_model(m, grid).kt2 == pytest.approx(kt2, rel=1e-9)
 
 
 def test_kt2_monotone_in_cm():
@@ -106,8 +92,7 @@ def test_kt2_monotone_in_cm():
         lm = 1.0 / ((2 * math.pi * 1e9) ** 2 * cm)
         m = MbvdModel(c0=c0, r0=0.0, rs=0.0,
                       branches=(MotionalBranch(rm=0.5, lm=lm, cm=cm),))
-        fs, fp = resonance_frequencies(m)[0]
-        kt2 = kt2_from_frequencies(fs, fp)
+        kt2 = metrics_from_model(m, np.linspace(0.9e9, 1.3e9, 1001)).kt2
         assert kt2 > prev
         prev = kt2
 
@@ -265,8 +250,8 @@ def test_metrics_low_q_flags_crosscheck():
     m = roundtrip_model("J")
     met = metrics_from_model(m, synthesis_grid("J"))
     assert "fp-crosscheck" in met.flags
-    fs, fp_closed = resonance_frequencies(m)[0]
-    assert met.fp == pytest.approx(fp_closed, rel=1e-12)
+    b = m.branches[0]
+    assert met.fp == pytest.approx(b.fs * math.sqrt(1.0 + b.cm / m.c0), rel=1e-12)
 
 
 def test_fp_search_brackets_root_to_1e12():

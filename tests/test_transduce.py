@@ -18,8 +18,9 @@ from resokit.transduce import (
     spectrum_to_mbvd,
     split_study,
     strain_overlaps,
-    strain_overlaps_numeric,
 )
+
+from reference_transduce import strain_overlaps_numeric
 
 LAM = 1.8e-6
 
