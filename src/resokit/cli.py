@@ -13,6 +13,12 @@ rendered tables. Identical inputs and flags produce byte-identical outputs
 (no timestamps, stable float formatting, sorted JSON keys). Every command
 writes a ``*_manifest.json`` recording inputs, options and outputs.
 
+Each command computes all of its outputs before ``run`` writes any of them,
+so a command that stops with an ``error:`` line writes nothing. A fit that
+ran but did not converge (exit 3) still writes its outputs, a batch with
+failed files (exit 1) writes its table of the files that did fit, and a
+bank plan with out-of-range entries (exit 1) is written with them marked.
+
 Exit codes: 0 success, 1 partial batch/plan failure, 2 input error
 (including an input too large to hold in memory), 3 fit non-convergence,
 4 unexpected internal error (a bug).
@@ -43,7 +49,6 @@ from .mbvd import (
 )
 from .netparams import (
     ComplexTrace,
-    NetworkRecord,
     device_admittance,
     parse_touchstone,
     s_to_y,
@@ -66,26 +71,14 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-class OutputWriter:
-    """Writes named outputs into one directory and remembers their order."""
-
-    def __init__(self, outdir: str):
-        self.outdir = Path(outdir)
-        self.written: list[str] = []
-
-    def write_text(self, name: str, text: str) -> Path:
-        self.outdir.mkdir(parents=True, exist_ok=True)
-        path = self.outdir / name
-        path.write_text(text, encoding="utf-8", newline="\n")
-        self.written.append(name)
-        return path
-
-    def write_json(self, name: str, obj) -> Path:
-        return self.write_text(name, _dump_json(obj))
+# what a command returns: exit code, input paths, output prefix, and the
+# files to write as name -> text, in order
+Outcome = tuple[int, list[str], str, dict[str, str]]
 
 
-def _write_manifest(command: str, inputs: Sequence[str], args: argparse.Namespace,
-                    out: OutputWriter, prefix: str) -> None:
+def _write_outputs(args: argparse.Namespace, inputs: Sequence[str], prefix: str,
+                   outputs: dict[str, str]) -> None:
+    """Create --outdir, write the outputs in order, then {prefix}_manifest.json."""
     options = {}
     for key, value in sorted(vars(args).items()):
         if key in ("handler", "command"):
@@ -94,14 +87,17 @@ def _write_manifest(command: str, inputs: Sequence[str], args: argparse.Namespac
             options[key] = value
         else:
             options[key] = str(value)
-    name = f"{prefix}_manifest.json"
+    manifest_name = f"{prefix}_manifest.json"
     manifest = {
-        "command": command,
+        "command": args.command,
         "inputs": list(inputs),
         "options": options,
-        "outputs": out.written + [name],
+        "outputs": [*outputs, manifest_name],
     }
-    out.write_text(name, _dump_json(manifest))
+    outdir = Path(args.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, text in [*outputs.items(), (manifest_name, _dump_json(manifest))]:
+        (outdir / name).write_text(text, encoding="utf-8", newline="\n")
 
 
 def _read_text(path: Path) -> str:
@@ -120,10 +116,9 @@ def _load_json(path: Path):
         raise ToolkitError(f"{path}: invalid JSON ({exc})") from exc
 
 
-def _load_device_trace(path: Path, shunt: bool) -> tuple[NetworkRecord, ComplexTrace]:
-    net = parse_touchstone(_read_text(path))
-    ynet = s_to_y(net)
-    return net, device_admittance(ynet, "shunt" if shunt else "series")
+def _load_device_trace(path: Path, shunt: bool) -> ComplexTrace:
+    ynet = s_to_y(parse_touchstone(_read_text(path)))
+    return device_admittance(ynet, "shunt" if shunt else "series")
 
 
 def _candidates_doc(candidates) -> list[dict]:
@@ -179,11 +174,19 @@ def _admittance_csv(freqs: np.ndarray, measured: np.ndarray | None,
     return "\n".join(lines) + "\n"
 
 
-def _fit_outputs(out: OutputWriter, prefix: str, source_name: str, trace: ComplexTrace,
-                 result: FitResult, metrics: ResonatorMetrics, args: argparse.Namespace) -> None:
-    out.write_json(f"{prefix}_model.json", model_to_dict(result.model))
-    out.write_json(f"{prefix}_metrics.json", {
-        "source": source_name,
+def _cmd_fit(args: argparse.Namespace) -> Outcome:
+    _check_fit_flags(args)
+    path = Path(args.input)
+    prefix = args.prefix or path.stem
+    trace = _load_device_trace(path, args.shunt)
+    result, candidates = _fit_trace(trace, args)
+    metrics = metrics_from_model(result.model, trace.freqs)
+    out = {}
+    if args.emit_candidates:
+        out[f"{prefix}_candidates.json"] = _dump_json(_candidates_doc(candidates))
+    out[f"{prefix}_model.json"] = _dump_json(model_to_dict(result.model))
+    out[f"{prefix}_metrics.json"] = _dump_json({
+        "source": path.name,
         "embedding": "shunt" if args.shunt else "series",
         "metrics": metrics.as_dict(),
         "fit": {
@@ -196,34 +199,18 @@ def _fit_outputs(out: OutputWriter, prefix: str, source_name: str, trace: Comple
         },
     })
     if args.trace_fit:
-        out.write_json(f"{prefix}_fit_trace.json", {"cost_trace": list(result.cost_trace)})
+        out[f"{prefix}_fit_trace.json"] = _dump_json({"cost_trace": list(result.cost_trace)})
     fitted = synthesize_admittance(result.model, trace.freqs)
-    out.write_text(f"{prefix}_fit.csv", _admittance_csv(trace.freqs, trace.values, fitted.values))
-    svg = line_plot(
+    out[f"{prefix}_fit.csv"] = _admittance_csv(trace.freqs, trace.values, fitted.values)
+    out[f"{prefix}_fit.svg"] = line_plot(
         [Series("measured", trace.freqs, _db20(trace.values)),
          Series("fitted", trace.freqs, _db20(fitted.values))],
-        xlabel="frequency [Hz]", ylabel="|Y| [dB S]", title=source_name)
-    out.write_text(f"{prefix}_fit.svg", svg)
-    report = render_table([(None, metrics)], labels=[prefix])
-    out.write_text(f"{prefix}_table.md", report.markdown)
+        xlabel="frequency [Hz]", ylabel="|Y| [dB S]", title=path.name)
+    out[f"{prefix}_table.md"] = render_table([(None, metrics)], labels=[prefix]).markdown
+    return EXIT_OK if result.converged else EXIT_NOCONV, [str(path)], prefix, out
 
 
-def _cmd_fit(args: argparse.Namespace) -> int:
-    _check_fit_flags(args)
-    path = Path(args.input)
-    prefix = args.prefix or path.stem
-    out = OutputWriter(args.outdir)
-    net, trace = _load_device_trace(path, args.shunt)
-    result, candidates = _fit_trace(trace, args)
-    if args.emit_candidates:
-        out.write_json(f"{prefix}_candidates.json", _candidates_doc(candidates))
-    metrics = metrics_from_model(result.model, trace.freqs)
-    _fit_outputs(out, prefix, path.name, trace, result, metrics, args)
-    _write_manifest("fit", [str(path)], args, out, prefix)
-    return EXIT_OK if result.converged else EXIT_NOCONV
-
-
-def _cmd_batch(args: argparse.Namespace) -> int:
+def _cmd_batch(args: argparse.Namespace) -> Outcome:
     _check_fit_flags(args)
     directory = Path(args.directory)
     if not directory.is_dir():
@@ -232,7 +219,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     if not files:
         raise ToolkitError(f"no .s2p files in {directory}")
     prefix = args.prefix or "batch"
-    out = OutputWriter(args.outdir)
 
     rows: list[tuple[None, ResonatorMetrics]] = []
     labels: list[str] = []
@@ -240,7 +226,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     failures: list[dict] = []
     for path in files:
         try:
-            net, trace = _load_device_trace(path, args.shunt)
+            trace = _load_device_trace(path, args.shunt)
             result, _ = _fit_trace(trace, args)
             if not result.converged:
                 raise FitError("fit did not converge", iteration=result.iterations)
@@ -252,13 +238,13 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         labels.append(path.stem)
         row_docs.append({"file": path.name, "metrics": metrics.as_dict()})
 
+    out = {}
     if rows:
         report = render_table(rows, labels=labels)
-        out.write_text(f"{prefix}_batch.md", report.markdown)
-        out.write_text(f"{prefix}_batch.csv", report.csv)
-    out.write_json(f"{prefix}_batch.json", {"rows": row_docs, "failures": failures})
-    _write_manifest("batch", [str(directory)], args, out, prefix)
-    return EXIT_PARTIAL if failures else EXIT_OK
+        out[f"{prefix}_batch.md"] = report.markdown
+        out[f"{prefix}_batch.csv"] = report.csv
+    out[f"{prefix}_batch.json"] = _dump_json({"rows": row_docs, "failures": failures})
+    return EXIT_PARTIAL if failures else EXIT_OK, [str(directory)], prefix, out
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -292,7 +278,7 @@ def _parse_sweep(spec: str) -> range:
     return range(a, b + 1, step)
 
 
-def _cmd_synth(args: argparse.Namespace) -> int:
+def _cmd_synth(args: argparse.Namespace) -> Outcome:
     model_path = Path(args.model)
     model = model_from_dict(_load_json(model_path))
     grid = _parse_grid(args.grid)
@@ -300,10 +286,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     net = series_element_network(trace, z0=args.z0)
     text = write_touchstone(y_to_s(net), fmt=args.fmt, unit=args.unit)
     prefix = args.prefix or model_path.stem
-    out = OutputWriter(args.outdir)
-    out.write_text(args.output or f"{prefix}.s2p", text)
-    _write_manifest("synth", [str(model_path)], args, out, prefix)
-    return EXIT_OK
+    return EXIT_OK, [str(model_path)], prefix, {args.output or f"{prefix}.s2p": text}
 
 
 _MODE_HEADER = "N,n,f_n_Hz,eta_n,nodes"
@@ -314,10 +297,13 @@ def _mode_rows(n_elements: int, modes, tail: str = "") -> list[str]:
     return [f"{n_elements},{m.n},{m.f_n!r},{m.eta!r},{m.nodes}{tail}" for m in modes]
 
 
-def _cmd_modes(args: argparse.Namespace) -> int:
+def _cmd_modes(args: argparse.Namespace) -> Outcome:
     sweep = _parse_sweep(args.sweep_n) if args.sweep_n else None
     if args.grid_points < 2:
         raise ValueError(f"--grid-points needs at least 2 points, got {args.grid_points}")
+    for flag, value in (("--vp", args.vp), ("--c0", args.c0)):
+        if not 0.0 < value < np.inf:
+            raise ValueError(f"{flag} must be positive and finite, got {value!r}")
     geom = DeviceGeometry(
         wavelength=args.wavelength, topology=args.topology,
         n_elements=args.n, coverage=args.coverage)
@@ -333,46 +319,42 @@ def _cmd_modes(args: argparse.Namespace) -> int:
     ytrace = synthesize_admittance(model, grid)
     records = None
     if sweep is not None:
-        # the sweep runs before any file is written, so a failure leaves none behind
         geoms = [DeviceGeometry(wavelength=geom.wavelength, topology=geom.topology,
                                 n_elements=n, coverage=geom.coverage)
                  for n in sweep]
         records = split_study(geoms, args.vp, n_max=args.n_max, field_model=field_model)
     prefix = args.prefix or f"modes_{geom.topology}_n{geom.n_elements}"
-    out = OutputWriter(args.outdir)
-
-    out.write_text(f"{prefix}_spectrum.csv",
-                   "\n".join([_MODE_HEADER] + _mode_rows(geom.n_elements, spectrum.modes)) + "\n")
-    out.write_text(f"{prefix}_spectrum.svg", line_plot(
-        [stem_series("eta_n", spectrum.frequencies, spectrum.weights)],
-        xlabel="frequency [Hz]", ylabel="coupling weight",
-        title=f"{geom.topology} N={geom.n_elements}"))
-    out.write_text(f"{prefix}_admittance.csv", _admittance_csv(grid, ytrace.values, None))
-    out.write_text(f"{prefix}_admittance.svg", line_plot(
-        [Series("model |Y|", grid, _db20(ytrace.values))],
-        xlabel="frequency [Hz]", ylabel="|Y| [dB S]",
-        title=f"{geom.topology} N={geom.n_elements}"))
+    title = f"{geom.topology} N={geom.n_elements}"
+    out = {
+        f"{prefix}_spectrum.csv":
+            "\n".join([_MODE_HEADER] + _mode_rows(geom.n_elements, spectrum.modes)) + "\n",
+        f"{prefix}_spectrum.svg": line_plot(
+            [stem_series("eta_n", spectrum.frequencies, spectrum.weights)],
+            xlabel="frequency [Hz]", ylabel="coupling weight", title=title),
+        f"{prefix}_admittance.csv": _admittance_csv(grid, ytrace.values, None),
+        f"{prefix}_admittance.svg": line_plot(
+            [Series("model |Y|", grid, _db20(ytrace.values))],
+            xlabel="frequency [Hz]", ylabel="|Y| [dB S]", title=title),
+    }
 
     if records is not None:
         lines = [_MODE_HEADER + ",f_design_Hz,offset"]
         for rec in records:
             lines += _mode_rows(rec.n_elements, rec.modes,
                                 f",{rec.design_frequency!r},{rec.offset!r}")
-        out.write_text(f"{prefix}_sweep.csv", "\n".join(lines) + "\n")
-        out.write_json(f"{prefix}_sweep.json", [rec.as_dict() for rec in records])
+        out[f"{prefix}_sweep.csv"] = "\n".join(lines) + "\n"
+        out[f"{prefix}_sweep.json"] = _dump_json([rec.as_dict() for rec in records])
         counts = np.array([rec.n_elements for rec in records], dtype=float)
         offsets = np.array([rec.offset for rec in records])
         logy = bool(np.all(offsets > 0.0))
-        out.write_text(f"{prefix}_sweep.svg", line_plot(
+        out[f"{prefix}_sweep.svg"] = line_plot(
             [Series("dominant-mode offset", counts, offsets)],
             xlabel="electrode count N", ylabel="fractional offset",
-            title=f"{geom.topology} convergence", logy=logy))
-
-    _write_manifest("modes", [], args, out, prefix)
-    return EXIT_OK
+            title=f"{geom.topology} convergence", logy=logy)
+    return EXIT_OK, [], prefix, out
 
 
-def _cmd_design(args: argparse.Namespace) -> int:
+def _cmd_design(args: argparse.Namespace) -> Outcome:
     targets_path = Path(args.targets)
     doc = _load_json(targets_path)
     targets = doc.get("targets_hz") if isinstance(doc, dict) else doc
@@ -412,7 +394,6 @@ def _cmd_design(args: argparse.Namespace) -> int:
                         n_elements=args.n, coverage=args.coverage, mode=args.mode)
 
     prefix = args.prefix or targets_path.stem
-    out = OutputWriter(args.outdir)
     csv_lines = ["targets_Hz,wavelength_nm,topology,status,findings"]
     doc_entries = []
     for e in entries:
@@ -436,21 +417,19 @@ def _cmd_design(args: argparse.Namespace) -> int:
                           "value": f.value, "limit": f.limit} for f in e.findings],
             "error": e.error,
         })
-    out.write_text(f"{prefix}_plan.csv", "\n".join(csv_lines) + "\n")
-    out.write_json(f"{prefix}_plan.json", {"v_p": v_p, "entries": doc_entries})
-    _write_manifest("design", inputs, args, out, prefix)
-    return EXIT_PARTIAL if any(not e.ok for e in entries) else EXIT_OK
+    out = {
+        f"{prefix}_plan.csv": "\n".join(csv_lines) + "\n",
+        f"{prefix}_plan.json": _dump_json({"v_p": v_p, "entries": doc_entries}),
+    }
+    return EXIT_PARTIAL if any(not e.ok for e in entries) else EXIT_OK, inputs, prefix, out
 
 
-def _cmd_convert(args: argparse.Namespace) -> int:
+def _cmd_convert(args: argparse.Namespace) -> Outcome:
     path = Path(args.input)
     net = parse_touchstone(_read_text(path))
     text = write_touchstone(net, fmt=args.fmt, unit=args.unit)
     prefix = args.prefix or path.stem
-    out = OutputWriter(args.outdir)
-    out.write_text(args.output or f"{prefix}_{args.fmt.lower()}.s2p", text)
-    _write_manifest("convert", [str(path)], args, out, prefix)
-    return EXIT_OK
+    return EXIT_OK, [str(path)], prefix, {args.output or f"{prefix}_{args.fmt.lower()}.s2p": text}
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
@@ -551,7 +530,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code, inputs, prefix, outputs = args.handler(args)
+        _write_outputs(args, inputs, prefix, outputs)
+        return code
     except FitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOCONV

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateCouplingError
+from .errors import DegenerateCouplingError, EstimationError
 from .netparams import ComplexTrace
 
 TWO_PI = 2.0 * math.pi
@@ -171,12 +171,12 @@ def branch_from_metrics(fs: float, qm: float, kt2: float, c0: float) -> Motional
     rm = 2 pi fs lm / qm.  Couplings at or above the physical ceiling and
     capacitances below the 1e-21 F floor are rejected.
     """
-    if not fs > 0:
-        raise ValueError(f"fs must be > 0, got {fs!r}")
+    if not 0.0 < fs < math.inf:
+        raise ValueError(f"fs must be positive and finite, got {fs!r}")
     if not qm > 0:
         raise ValueError(f"qm must be > 0, got {qm!r}")
-    if not c0 > 0:
-        raise ValueError(f"c0 must be > 0, got {c0!r}")
+    if not 0.0 < c0 < math.inf:
+        raise ValueError(f"c0 must be positive and finite, got {c0!r}")
     if not 0.0 < kt2 < 1.0:
         raise ValueError(f"kt2 must lie in (0, 1), got {kt2!r}")
     r = kt2 * 8.0 / math.pi**2
@@ -320,7 +320,8 @@ def metrics_from_model(model: MbvdModel, grid: np.ndarray) -> ResonatorMetrics:
     Q_s and Q_p come from the phase slope of the model's own densely
     resynthesized admittance / impedance around fs and fp, so they are
     grid-noise free.  The passed grid fixes the admissible analysis span:
-    an fp beyond it leaves the fp-derived fields None and sets a flag.
+    a dominant fs outside it is an EstimationError, and an fp beyond it
+    leaves the fp-derived fields None and sets a flag.
     """
     from .extract import q_from_phase_slope  # local import avoids a cycle
 
@@ -334,6 +335,9 @@ def metrics_from_model(model: MbvdModel, grid: np.ndarray) -> ResonatorMetrics:
     dom = model.dominant_index
     fs_list = [b.fs for b in model.branches]
     fs = fs_list[dom]
+    if not f_lo <= fs <= f_hi:
+        raise EstimationError(f"fitted dominant resonance {fs:.6g} Hz lies outside the "
+                              f"measured span [{f_lo:.6g}, {f_hi:.6g}] Hz")
     fp_num = _fp_search(model, dom, fs_list)
     fp_closed = _fp_closed(model, dom, fs_list)
 

@@ -15,6 +15,8 @@ import numpy as np
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
+_WIDTH = 720.0
+_HEIGHT = 440.0
 _MARGIN_L = 64.0
 _MARGIN_R = 16.0
 _MARGIN_T = 28.0
@@ -103,18 +105,13 @@ def line_plot(
     xlabel: str,
     ylabel: str,
     title: str = "",
-    width: float = 720.0,
-    height: float = 440.0,
-    logx: bool = False,
     logy: bool = False,
 ) -> str:
     """Render series as an SVG document string."""
     if not series:
         raise ValueError("nothing to plot")
-    xlo, xhi = _finite_range([s.x for s in series], logx)
+    xlo, xhi = _finite_range([s.x for s in series], False)
     ylo, yhi = _finite_range([s.y for s in series], logy)
-    if logx:
-        xlo, xhi = math.log10(xlo), math.log10(xhi)
     if logy:
         ylo, yhi = math.log10(ylo), math.log10(yhi)
     # pad the data box so curves do not sit on the frame
@@ -123,25 +120,25 @@ def line_plot(
     xlo, xhi = xlo - xpad, xhi + xpad
     ylo, yhi = ylo - ypad, yhi + ypad
 
-    px0, px1 = _MARGIN_L, width - _MARGIN_R
-    py0, py1 = height - _MARGIN_B, _MARGIN_T
+    px0, px1 = _MARGIN_L, _WIDTH - _MARGIN_R
+    py0, py1 = _HEIGHT - _MARGIN_B, _MARGIN_T
 
     def sx(values) -> list[float]:
-        return _to_pixels(values, xlo, xhi, px0, px1, logx)
+        return _to_pixels(values, xlo, xhi, px0, px1, False)
 
     def sy(values) -> list[float]:
         return _to_pixels(values, ylo, yhi, py0, py1, logy)
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:g}" height="{height:g}" '
-        f'viewBox="0 0 {width:g} {height:g}" font-family="sans-serif" font-size="12">',
-        f'<rect width="{width:g}" height="{height:g}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH:g}" height="{_HEIGHT:g}" '
+        f'viewBox="0 0 {_WIDTH:g} {_HEIGHT:g}" font-family="sans-serif" font-size="12">',
+        f'<rect width="{_WIDTH:g}" height="{_HEIGHT:g}" fill="white"/>',
     ]
     if title:
-        parts.append(f'<text x="{width / 2:g}" y="18" text-anchor="middle" '
+        parts.append(f'<text x="{_WIDTH / 2:g}" y="18" text-anchor="middle" '
                      f'font-size="14">{_escape(title)}</text>')
 
-    xticks = _decade_ticks(10.0 ** xlo, 10.0 ** xhi) if logx else _nice_ticks(xlo, xhi)
+    xticks = _nice_ticks(xlo, xhi)
     yticks = _decade_ticks(10.0 ** ylo, 10.0 ** yhi) if logy else _nice_ticks(ylo, yhi)
     for t, px in zip(xticks, sx(xticks)):
         parts.append(f'<line x1="{_fmt_coord(px)}" y1="{py0:g}" x2="{_fmt_coord(px)}" '
@@ -156,7 +153,7 @@ def line_plot(
 
     parts.append(f'<rect x="{px0:g}" y="{py1:g}" width="{px1 - px0:g}" '
                  f'height="{py0 - py1:g}" fill="none" stroke="#333333"/>')
-    parts.append(f'<text x="{(px0 + px1) / 2:g}" y="{height - 10:g}" '
+    parts.append(f'<text x="{(px0 + px1) / 2:g}" y="{_HEIGHT - 10:g}" '
                  f'text-anchor="middle">{_escape(xlabel)}</text>')
     parts.append(f'<text x="16" y="{(py0 + py1) / 2:g}" text-anchor="middle" '
                  f'transform="rotate(-90 16 {(py0 + py1) / 2:g})">{_escape(ylabel)}</text>')
@@ -164,8 +161,6 @@ def line_plot(
     for i, s in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
         ok = np.isfinite(s.x) & np.isfinite(s.y)
-        if logx:
-            ok &= s.x > 0.0
         if logy:
             ok &= s.y > 0.0
         points = list(map(_FMT_POINT.__mod__, zip(sx(s.x[ok]), sy(s.y[ok]))))

@@ -311,8 +311,8 @@ def mode_couplings(
     renormalized; the pruned tail always carries negligible weight, so the
     retained sum exceeds 0.999 before renormalization.
     """
-    if v_p <= 0.0:
-        raise ValueError("phase velocity must be positive")
+    if not 0.0 < v_p < math.inf:
+        raise ValueError(f"phase velocity must be positive and finite, got {v_p!r}")
     if n_max < 2 * layout.design_index:
         raise ValueError(
             f"n_max={n_max} too small; need at least twice the design index "

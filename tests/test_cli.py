@@ -164,6 +164,42 @@ def test_fit_prefix_override(tmp_path):
     assert not (outdir / "rowL_model.json").exists()
 
 
+def test_fit_outputs_in_manifest_order(tmp_path):
+    src = tmp_path / "rowL.s2p"
+    write_golden(src)
+    outdir = tmp_path / "o"
+    assert cli.run(["fit", str(src), "--outdir", str(outdir),
+                    "--emit-candidates", "--trace-fit"]) == 0
+    manifest = json.loads((outdir / "rowL_manifest.json").read_text())
+    assert manifest["outputs"] == [
+        "rowL_candidates.json", "rowL_model.json", "rowL_metrics.json",
+        "rowL_fit_trace.json", "rowL_fit.csv", "rowL_fit.svg", "rowL_table.md",
+        "rowL_manifest.json",
+    ]
+
+
+def test_fit_off_span_resonance_is_an_input_error(tmp_path, capsys):
+    # survey row V on a grid ending 0.05% above f_s, at -20 dB: the fitted
+    # dominant branch lands below the grid, so no metrics can be reported
+    model = roundtrip_model("V")
+    fs = model.branches[model.dominant_index].fs
+    d = tmp_path / "meas"
+    d.mkdir()
+    (d / "v.s2p").write_text(golden_text(model, np.linspace(0.9 * fs, 1.0005 * fs, 2001),
+                                         noise_db=-20.0, seed=1048))
+    outdir = tmp_path / "o"
+    assert cli.run(["fit", str(d / "v.s2p"), "--emit-candidates", "--outdir", str(outdir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: fitted dominant resonance ")
+    assert err.endswith(" Hz lies outside the measured span [8.082e+09, 8.98449e+09] Hz\n")
+    assert err.count("\n") == 1
+    assert not outdir.exists()
+    # in a batch the same file is one failure
+    assert cli.run(["batch", str(d), "--outdir", str(outdir)]) == 1
+    failures = json.loads((outdir / "batch_batch.json").read_text())["failures"]
+    assert [(f["file"], f["error"]) for f in failures] == [("v.s2p", err[len("error: "):-1])]
+
+
 # --------------------------------------------------------------------- batch
 
 def test_batch_partial_failure(tmp_path):
@@ -300,6 +336,9 @@ def test_out_of_memory_in_an_overlap_worker_thread(tmp_path, capsys, monkeypatch
 
 # --------------------------------------------------------------------- modes
 
+MODES = ["modes", "--topology", "dlvr", "--n", "5", "--lambda", "1.8e-6", "--vp", "3426"]
+
+
 def test_modes_outputs(tmp_path):
     outdir = tmp_path / "o"
     rc = cli.run(["modes", "--outdir", str(outdir), "--topology", "dlvr",
@@ -341,6 +380,32 @@ def test_modes_sweep(tmp_path):
     assert (outdir / "modes_dlvr_n5_sweep.svg").exists()
 
 
+def test_modes_sweep_outputs_in_manifest_order(tmp_path):
+    outdir = tmp_path / "o"
+    assert cli.run([*MODES, "--outdir", str(outdir), "--sweep-n", "5:20:5"]) == 0
+    manifest = json.loads((outdir / "modes_dlvr_n5_manifest.json").read_text())
+    assert manifest["command"] == "modes"
+    assert manifest["inputs"] == []
+    assert manifest["outputs"] == [
+        "modes_dlvr_n5_spectrum.csv", "modes_dlvr_n5_spectrum.svg",
+        "modes_dlvr_n5_admittance.csv", "modes_dlvr_n5_admittance.svg",
+        "modes_dlvr_n5_sweep.csv", "modes_dlvr_n5_sweep.json", "modes_dlvr_n5_sweep.svg",
+        "modes_dlvr_n5_manifest.json",
+    ]
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--vp", "nan"), ("--vp", "inf"), ("--vp", "0"), ("--vp", "-3426"),
+    ("--c0", "nan"), ("--c0", "inf"), ("--c0", "0"), ("--c0", "-1e-13"),
+])
+def test_modes_rejects_non_positive_or_non_finite_vp_and_c0(tmp_path, capsys, flag, value):
+    outdir = tmp_path / "o"
+    assert cli.run([*MODES, f"{flag}={value}", "--outdir", str(outdir)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {flag} must be positive and finite, got {float(value)!r}\n")
+    assert not outdir.exists()
+
+
 def test_modes_bad_sweep_spec(tmp_path, capsys):
     outdir = tmp_path / "o"
     for spec in ("1:20:5", "5:400", "5:x:5", "5:400:0", "20:5:5", "5:10:5:1"):
@@ -352,9 +417,6 @@ def test_modes_bad_sweep_spec(tmp_path, capsys):
         assert err.startswith("error: --sweep-n A:B:STEP ") and repr(spec) in err
     # the spec is checked before any output is written
     assert not outdir.exists()
-
-
-MODES = ["modes", "--topology", "dlvr", "--n", "5", "--lambda", "1.8e-6", "--vp", "3426"]
 
 
 def test_modes_bad_grid_points(tmp_path, capsys):
@@ -535,21 +597,59 @@ def test_unexpected_exception_has_its_own_exit_code(tmp_path, capsys, monkeypatc
     assert capsys.readouterr().err == "error: internal RuntimeError: boom\n"
 
 
+def failing_commands(tmp_path):
+    """(argv, name of the cli function its last output is rendered with) per command."""
+    d = tmp_path / "meas"
+    d.mkdir()
+    write_golden(d / "a.s2p")
+    mj = tmp_path / "m.json"
+    mj.write_text(json.dumps(model_to_dict(display_model("L"))))
+    tj = tmp_path / "t.json"
+    tj.write_text(json.dumps([3.0e9]))
+    return {
+        "fit": (["fit", str(d / "a.s2p"), "--emit-candidates", "--trace-fit"], "render_table"),
+        "batch": (["batch", str(d)], "render_table"),
+        "synth": (["synth", str(mj), "--grid", "1e9:2e9:11"], "write_touchstone"),
+        "modes": ([*MODES, "--sweep-n", "5:20:5"], "line_plot"),
+        "design": (["design", str(tj), "--vp", "5382"], "_dump_json"),
+        "convert": (["convert", str(d / "a.s2p"), "--fmt", "DB"], "write_touchstone"),
+    }
+
+
+@pytest.mark.parametrize("command", ["fit", "batch", "synth", "modes", "design", "convert"])
+def test_a_failing_command_writes_nothing(tmp_path, capsys, monkeypatch, command):
+    argv, last_step = failing_commands(tmp_path)[command]
+
+    def raiser(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, last_step, raiser)
+    outdir = tmp_path / "o"
+    assert cli.run([*argv, "--outdir", str(outdir)]) == 4
+    assert capsys.readouterr().err == "error: internal RuntimeError: boom\n"
+    assert not outdir.exists()
+
+
 def test_cli_is_deterministic(tmp_path):
-    src = tmp_path / "rowL.s2p"
-    write_golden(src)
+    # each run has its own working directory and the same relative paths, so
+    # the manifests, which record the input path and --outdir, are compared too
+    write_golden(tmp_path / "rowL.s2p")
+    src_root = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src_root, *filter(None, [os.environ.get("PYTHONPATH")])]))
     digests = []
     for sub in ("r1", "r2"):
-        outdir = tmp_path / sub
+        cwd = tmp_path / sub
+        cwd.mkdir()
         proc = subprocess.run(
-            [sys.executable, "-m", "resokit", "fit", str(src),
-             "--outdir", str(outdir), "--prefix", "dev", "--emit-candidates"],
-            capture_output=True, text=True)
+            [sys.executable, "-m", "resokit", "fit", os.path.join("..", "rowL.s2p"),
+             "--outdir", "out", "--prefix", "dev", "--emit-candidates"],
+            capture_output=True, text=True, cwd=cwd, env=env)
         assert proc.returncode == 0, proc.stderr
+        outdir = cwd / "out"
+        assert (outdir / "dev_manifest.json").exists()
         blob = hashlib.sha256()
         for p in sorted(outdir.iterdir()):
-            if p.name.endswith("_manifest.json"):
-                continue  # manifest embeds the outdir path
             blob.update(p.name.encode())
             blob.update(p.read_bytes())
         digests.append(blob.hexdigest())

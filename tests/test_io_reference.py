@@ -282,11 +282,11 @@ def svg_cases():
     logy = np.concatenate([[-1.0, 0.0], np.geomspace(1e-12, 1e3, 38)])
     negzero = np.array([-0.0, -1e-9, 0.0, 1e-9, -0.004999, 0.005])
     yield [Series("a", x, y), Series("", x, split), Series("c", x, lone)], {}
-    yield [Series("log", logx, logy), Series("neg", logx, -logy)], {"logx": True, "logy": True}
-    yield [Series("logx", logx, y)], {"logx": True, "title": "decades"}
+    yield [Series("log", logx, logy), Series("neg", logx, -logy)], {"logy": True}
+    yield [Series("logx", logx, y)], {"title": "decades"}
     yield [Series("logy", x, logy)], {"logy": True}
     yield [stem_series("eta_n", np.array([1e9, 2e9, 3e9]), np.array([0.2, 0.9, 0.0]))], {}
-    yield [Series("flat", x, np.full(x.size, 3.0))], {"width": 300.0, "height": 200.0}
+    yield [Series("flat", x, np.full(x.size, 3.0))], {}
     yield [Series("single", [1.0], [2.0]), Series("zeros", np.arange(6.0), negzero)], {}
     yield [Series("a&<b>\"c'", x, y)], {"title": "&amp; <&>\"'"}
 

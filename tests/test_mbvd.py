@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from resokit.errors import DegenerateCouplingError
+from resokit.errors import DegenerateCouplingError, EstimationError
 from resokit.mbvd import (
     KT2_PREFACTOR,
     _fp_search,
@@ -117,6 +117,19 @@ def test_branch_validates_positive_elements():
         MotionalBranch(rm=1.0, lm=0.0, cm=1e-14)
     with pytest.raises(ValueError):
         MotionalBranch(rm=1.0, lm=1e-9, cm=0.0)
+
+
+@pytest.mark.parametrize("fs, c0, message", [
+    (math.nan, 100e-15, "fs must be positive and finite, got nan"),
+    (math.inf, 100e-15, "fs must be positive and finite, got inf"),
+    (1e9, math.nan, "c0 must be positive and finite, got nan"),
+    (1e9, math.inf, "c0 must be positive and finite, got inf"),
+], ids=["fs-nan", "fs-inf", "c0-nan", "c0-inf"])
+def test_branch_rejects_non_finite_fs_or_c0(fs, c0, message):
+    with pytest.raises(ValueError, match=message):
+        branch_from_metrics(fs, 100.0, 0.05, c0)
+    # an infinite Q is a lossless branch, not an error
+    assert branch_from_metrics(1e9, math.inf, 0.05, 100e-15).rm == 0.0
 
 
 def test_lossless_branch_qm_infinite():
@@ -281,6 +294,20 @@ def test_metrics_dominant_branch_is_largest_cm():
                   branches=(MotionalBranch(rm=2.0, lm=side_lm, cm=side_cm), main))
     met = metrics_from_model(m, np.linspace(1.2e9, 3.2e9, 2001))
     assert met.fs == pytest.approx(2e9, rel=1e-6)
+
+
+@pytest.mark.parametrize("grid, span", [
+    (np.linspace(1.1e9, 1.3e9, 201), "[1.1e+09, 1.3e+09]"),
+    (np.linspace(0.7e9, 0.9e9, 201), "[7e+08, 9e+08]"),
+], ids=["below", "above"])
+def test_metrics_reject_fs_outside_the_grid(grid, span):
+    # a fit may move the dominant branch off the measured span; that is an
+    # estimation failure named by the span, not the phase-slope helper's grid
+    m = single_branch_model(1e9, 500.0, 0.20, 100e-15)
+    with pytest.raises(EstimationError) as exc:
+        metrics_from_model(m, grid)
+    assert str(exc.value) == (
+        f"fitted dominant resonance 1e+09 Hz lies outside the measured span {span} Hz")
 
 
 def test_metrics_empty_model_rejected():

@@ -20,9 +20,11 @@ def test_root_element_and_size():
     assert svg.rstrip().endswith("</svg>")
 
 
-def test_custom_size():
-    svg = line_plot([simple_series()], "x", "y", width=300.0, height=200.0)
-    assert 'width="300" height="200" viewBox="0 0 300 200"' in svg
+def test_plot_size_is_fixed():
+    svg = line_plot([simple_series()], "x", "y")
+    assert '<rect width="720" height="440" fill="white"/>' in svg
+    # the data frame sits inside the fixed margins
+    assert '<rect x="64" y="28" width="640" height="366" fill="none"' in svg
 
 
 def test_curves_are_polylines():
@@ -88,7 +90,7 @@ def test_stem_series_plots_as_separate_stems():
 
 def test_log_axes():
     x = np.logspace(0, 3, 20)
-    svg = line_plot([Series("s", x, 1.0 / x)], "x", "y", logx=True, logy=True)
+    svg = line_plot([Series("s", x, 1.0 / x)], "x", "y", logy=True)
     assert "<polyline" in svg
     # decade ticks label powers of ten
     assert "1e+00" in svg or "1" in svg
@@ -96,11 +98,11 @@ def test_log_axes():
 
 def test_log_axis_drops_nonpositive_then_rejects_empty():
     # mixed signs survive (positive part plotted); all-nonpositive cannot
-    svg = line_plot([Series("s", [-1.0, 1.0, 2.0], [1.0, 2.0, 3.0])], "x", "y",
-                    logx=True)
+    svg = line_plot([Series("s", [1.0, 2.0, 3.0], [-1.0, 1.0, 2.0])], "x", "y",
+                    logy=True)
     assert "<polyline" in svg
     with pytest.raises(ValueError):
-        line_plot([Series("s", [-2.0, -1.0], [1.0, 2.0])], "x", "y", logx=True)
+        line_plot([Series("s", [1.0, 2.0], [-2.0, -1.0])], "x", "y", logy=True)
 
 
 def test_coordinates_inside_viewbox():

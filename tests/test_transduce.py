@@ -251,6 +251,15 @@ def test_mode_couplings_validates_n_max():
         mode_couplings(lay, v_p=-1.0, n_max=10)
 
 
+@pytest.mark.parametrize("v_p", [math.nan, math.inf, -math.inf])
+def test_mode_couplings_and_split_study_reject_non_finite_velocity(v_p):
+    message = f"phase velocity must be positive and finite, got {v_p!r}"
+    with pytest.raises(ValueError, match=message):
+        mode_couplings(build_layout(dlvr(5)), v_p, 10)
+    with pytest.raises(ValueError, match=message):
+        split_study([dlvr(5), dlvr(10)], v_p)
+
+
 # ------------------------------------------------------------ model export
 
 def test_spectrum_to_mbvd_partitions_coupling():
