@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -98,6 +99,29 @@ def _write_outputs(args: argparse.Namespace, inputs: Sequence[str], prefix: str,
     outdir.mkdir(parents=True, exist_ok=True)
     for name, text in [*outputs.items(), (manifest_name, _dump_json(manifest))]:
         (outdir / name).write_text(text, encoding="utf-8", newline="\n")
+
+
+def _output_name(args: argparse.Namespace, prefix: str, default: str) -> str:
+    """The file -o names, or default; the manifest's name is taken."""
+    name = args.output or default
+    manifest_name = f"{prefix}_manifest.json"
+    if os.path.normpath(name) == manifest_name:
+        raise ValueError(f"-o {name!r} collides with the manifest {manifest_name}")
+    return name
+
+
+# flag rules: a test of the value and the requirement an error line states
+_POSITIVE_FINITE = (lambda v: 0.0 < v < np.inf, "must be positive and finite")
+_FRACTION = (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)")
+_ELECTRODE_COUNT = (lambda v: v >= 2, "must be >= 2")
+
+
+def _check_flags(checks) -> None:
+    """Raise a ValueError naming the first flag whose value breaks its rule;
+    checks holds (flag, value, (test, requirement)) triples in order."""
+    for flag, value, (test, requirement) in checks:
+        if not test(value):
+            raise ValueError(f"{flag} {requirement}, got {value!r}")
 
 
 def _read_text(path: Path) -> str:
@@ -280,13 +304,14 @@ def _parse_sweep(spec: str) -> range:
 
 def _cmd_synth(args: argparse.Namespace) -> Outcome:
     model_path = Path(args.model)
+    prefix = args.prefix or model_path.stem
+    name = _output_name(args, prefix, f"{prefix}.s2p")
     model = model_from_dict(_load_json(model_path))
     grid = _parse_grid(args.grid)
     trace = synthesize_admittance(model, grid)
     net = series_element_network(trace, z0=args.z0)
     text = write_touchstone(y_to_s(net), fmt=args.fmt, unit=args.unit)
-    prefix = args.prefix or model_path.stem
-    return EXIT_OK, [str(model_path)], prefix, {args.output or f"{prefix}.s2p": text}
+    return EXIT_OK, [str(model_path)], prefix, {name: text}
 
 
 _MODE_HEADER = "N,n,f_n_Hz,eta_n,nodes"
@@ -299,11 +324,20 @@ def _mode_rows(n_elements: int, modes, tail: str = "") -> list[str]:
 
 def _cmd_modes(args: argparse.Namespace) -> Outcome:
     sweep = _parse_sweep(args.sweep_n) if args.sweep_n else None
-    if args.grid_points < 2:
-        raise ValueError(f"--grid-points needs at least 2 points, got {args.grid_points}")
-    for flag, value in (("--vp", args.vp), ("--c0", args.c0)):
-        if not 0.0 < value < np.inf:
-            raise ValueError(f"{flag} must be positive and finite, got {value!r}")
+    # ElectrodeLayout.design_index of the geometry the flags describe
+    design_index = args.n - 1 if args.topology == "lvr" else args.n
+    _check_flags([
+        ("--n", args.n, _ELECTRODE_COUNT),
+        ("--lambda", args.wavelength, _POSITIVE_FINITE),
+        ("--c", args.coverage, _FRACTION),
+        ("--vp", args.vp, _POSITIVE_FINITE),
+        ("--n-max", args.n_max, (lambda v: v is None or v >= 2 * design_index,
+                                 f"must be at least twice the design index ({design_index})")),
+        ("--c0", args.c0, _POSITIVE_FINITE),
+        ("--kt2", args.kt2, _FRACTION),
+        ("--q", args.q, (lambda v: v > 0.0, "must be > 0")),  # inf is lossless
+        ("--grid-points", args.grid_points, (lambda v: v >= 2, "needs at least 2 points")),
+    ])
     geom = DeviceGeometry(
         wavelength=args.wavelength, topology=args.topology,
         n_elements=args.n, coverage=args.coverage)
@@ -312,7 +346,7 @@ def _cmd_modes(args: argparse.Namespace) -> Outcome:
     n_max = args.n_max if args.n_max is not None else 2 * layout.design_index
     spectrum = mode_couplings(layout, args.vp, n_max, field_model)
     model = spectrum_to_mbvd(spectrum, c0=args.c0, kt2_total=args.kt2, q_assumed=args.q)
-    dominant = spectrum.dominant_modes(2)
+    dominant = spectrum.dominant_modes()
     lo = 0.80 * min(m.f_n for m in dominant)
     hi = 1.25 * max(m.f_n for m in dominant)
     grid = _linspace(lo, hi, args.grid_points, "--grid-points")
@@ -355,6 +389,7 @@ def _cmd_modes(args: argparse.Namespace) -> Outcome:
 
 
 def _cmd_design(args: argparse.Namespace) -> Outcome:
+    _check_flags([("--n", args.n, _ELECTRODE_COUNT), ("--coverage", args.coverage, _FRACTION)])
     targets_path = Path(args.targets)
     doc = _load_json(targets_path)
     targets = doc.get("targets_hz") if isinstance(doc, dict) else doc
@@ -390,8 +425,7 @@ def _cmd_design(args: argparse.Namespace) -> Outcome:
         policy = float(policy)
     except ValueError:
         pass
-    entries = plan_bank(targets, v_p, rules, policy,
-                        n_elements=args.n, coverage=args.coverage, mode=args.mode)
+    entries = plan_bank(targets, v_p, rules, policy, n_elements=args.n, coverage=args.coverage)
 
     prefix = args.prefix or targets_path.stem
     csv_lines = ["targets_Hz,wavelength_nm,topology,status,findings"]
@@ -426,10 +460,11 @@ def _cmd_design(args: argparse.Namespace) -> Outcome:
 
 def _cmd_convert(args: argparse.Namespace) -> Outcome:
     path = Path(args.input)
+    prefix = args.prefix or path.stem
+    name = _output_name(args, prefix, f"{prefix}_{args.fmt.lower()}.s2p")
     net = parse_touchstone(_read_text(path))
     text = write_touchstone(net, fmt=args.fmt, unit=args.unit)
-    prefix = args.prefix or path.stem
-    return EXIT_OK, [str(path)], prefix, {args.output or f"{prefix}_{args.fmt.lower()}.s2p": text}
+    return EXIT_OK, [str(path)], prefix, {name: text}
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:

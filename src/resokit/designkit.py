@@ -17,7 +17,6 @@ from .errors import GeometryError
 from .mbvd import ResonatorMetrics
 
 TOPOLOGIES = ("lvr", "dlvr")
-ACOUSTIC_MODES = ("S0", "SH0")
 
 DEFAULT_MIN_FEATURE = 100e-9
 DEFAULT_MIN_GAP = 100e-9
@@ -28,15 +27,10 @@ OUTLIER_REL_THRESHOLD = 0.15
 
 @dataclass(frozen=True)
 class DeviceGeometry:
-    """Lateral resonator geometry, SI units throughout.
-
-    ``mode`` is carried as metadata selecting which velocity calibration
-    applies.
-    """
+    """Lateral resonator geometry, SI units throughout."""
 
     wavelength: float
     topology: str = "lvr"
-    mode: str = "S0"
     n_elements: int = 20
     coverage: float = 0.5
 
@@ -45,10 +39,6 @@ class DeviceGeometry:
         if topo not in TOPOLOGIES:
             raise GeometryError(f"unknown topology {self.topology!r}; expected one of {TOPOLOGIES}")
         object.__setattr__(self, "topology", topo)
-        mode = str(self.mode).upper()
-        if mode not in ACOUSTIC_MODES:
-            raise GeometryError(f"unknown acoustic mode {self.mode!r}; expected one of {ACOUSTIC_MODES}")
-        object.__setattr__(self, "mode", mode)
         if not (self.wavelength > 0.0 and math.isfinite(self.wavelength)):
             raise GeometryError("wavelength must be positive and finite")
         if not 0.0 < self.coverage < 1.0:
@@ -251,7 +241,6 @@ def plan_bank(
     *,
     n_elements: int = 20,
     coverage: float = 0.5,
-    mode: str = "S0",
 ) -> list[PlanEntry]:
     """Plan one geometry per target frequency on a shared process.
 
@@ -280,25 +269,20 @@ def plan_bank(
             raise ValueError(f"non-finite target frequency {f}")
     topology_policy = _check_policy(topology_policy)
 
-    by_nm: dict[float, dict] = {}
-    order: list[float] = []
+    # targets per wavelength in nm, in order of first appearance
+    by_nm: dict[float, list[float]] = {}
     for f in targets:
         nm = v_p / f * 1e9
         # a wavelength too long for a float stays inf and fails the range check
         if math.isfinite(nm):
             nm = int(round(nm))
-        if nm in by_nm:
-            by_nm[nm]["targets"].append(f)
-            continue
-        by_nm[nm] = {"targets": [f]}
-        order.append(nm)
+        by_nm.setdefault(nm, []).append(f)
 
     entries: list[PlanEntry] = []
     lo, hi = rules.lambda_range
-    for nm in order:
-        cell = by_nm[nm]
+    for nm, merged in by_nm.items():
         lam = nm * 1e-9
-        tgt = tuple(cell["targets"])
+        tgt = tuple(merged)
         if lam < lo or lam > hi:
             entries.append(PlanEntry(
                 targets=tgt, wavelength=lam, geometry=None, findings=(),
@@ -307,8 +291,7 @@ def plan_bank(
             continue
         topo = _pick_topology(topology_policy, tgt[0], lam, coverage, rules)
         geom = DeviceGeometry(
-            wavelength=lam, topology=topo, mode=mode,
-            n_elements=n_elements, coverage=coverage)
+            wavelength=lam, topology=topo, n_elements=n_elements, coverage=coverage)
         entries.append(PlanEntry(
             targets=tgt, wavelength=lam, geometry=geom,
             findings=check_lithography(geom, rules)))

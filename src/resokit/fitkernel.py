@@ -3,8 +3,9 @@
 The engine is a Levenberg-Marquardt loop over log-space parameters
 [ln c0, ln r0, ln rs] + per branch [ln rm, ln fs, ln cm], where lm is
 eliminated through lm = 1/((2 pi fs)^2 cm) so the branch frequency is a
-direct parameter.  Positivity is free in log space; box bounds are
-enforced by projection.  The Jacobian is analytic.
+direct parameter.  Positivity is free in log space; the search box, a
+fixed function of the seed in which every parameter is free, is enforced
+by projection.  The Jacobian is analytic.
 """
 
 from __future__ import annotations
@@ -35,16 +36,9 @@ WEIGHTINGS = ("complex", "log_mag_phase")
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Engine knobs.
-
-    weighting is one of WEIGHTINGS, checked when the fit starts.
-    bounds is an (nparams, 2) array of [lo, hi] in natural units, rows
-    ordered like the parameter vector; None means default_bounds(seed).
-    Rows with lo == hi freeze that parameter.
-    """
+    """Engine knobs: weighting is one of WEIGHTINGS, checked when the fit starts."""
 
     weighting: str = "complex"
-    bounds: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -53,8 +47,7 @@ class FitResult:
 
     cost is the sum of squared residuals at the solution, cost_trace the
     accepted-step history (non-increasing), covariance the linearized
-    parameter covariance in log space (rows/cols of frozen parameters are
-    zero), residual_rms = sqrt(cost / nresiduals).
+    parameter covariance in log space, residual_rms = sqrt(cost / nresiduals).
     """
 
     model: MbvdModel
@@ -82,10 +75,9 @@ def _resistance_lo(r_seed: float) -> float:
     return max(r_seed, 1e-30)
 
 
-def default_bounds(seed: MbvdModel) -> np.ndarray:
-    """Search box: c0 within x3, resistances in [1e-3, 1e6] ohm (edge
-    lowered to cover lossless seeds), branch fs within +-10% of seed,
-    cm within x1e4."""
+def _default_bounds(seed: MbvdModel) -> np.ndarray:
+    """fit()'s search box in natural units, one (lo, hi) row per packed
+    parameter."""
     rows = [
         (seed.c0 / 3.0, seed.c0 * 3.0),
         (_resistance_lo(seed.r0), _R_CEIL),
@@ -141,34 +133,38 @@ def _motional_l(fs: np.ndarray, cm: np.ndarray) -> np.ndarray:
     return 1.0 / ((TWO_PI * fs) ** 2 * cm)
 
 
-def _search_box(trace: ComplexTrace, seed: MbvdModel, bounds: np.ndarray | None) -> np.ndarray:
-    """Validated (nparams, 2) bounds for fitting seed to trace."""
+def _search_box(trace: ComplexTrace, seed: MbvdModel) -> tuple[np.ndarray, np.ndarray]:
+    """Log-space (lo, hi) box for fitting seed to trace.
+
+    Every row must be open, 0 < lo < hi < inf in natural units, so every
+    parameter is free; a seed that gives no such box (a non-finite c0, say)
+    is a ValueError naming the first parameter that has none.
+    """
     if not seed.branches:
         raise ValueError("seed model needs at least one motional branch")
     nparams = 3 + 3 * len(seed.branches)
     if 2 * trace.npoints < nparams:
         raise ValueError(f"{trace.npoints} points cannot constrain {nparams} parameters")
-    bounds = np.asarray(default_bounds(seed) if bounds is None else bounds, dtype=float)
-    if bounds.shape != (nparams, 2):
-        raise ValueError(f"bounds must have shape ({nparams}, 2), got {bounds.shape}")
-    if np.any(bounds <= 0):
-        raise ValueError("bounds must be positive (parameters live in log space)")
-    if np.any(bounds[:, 0] > bounds[:, 1]):
-        raise ValueError("bounds must satisfy lo <= hi")
-    return bounds
+    lo, hi = _default_bounds(seed).T
+    shut = np.flatnonzero(~((0.0 < lo) & (lo < hi) & (hi < np.inf)))
+    if shut.size:
+        i = int(shut[0])
+        raise ValueError(f"seed gives {param_names(len(seed.branches))[i]} no open search box: "
+                         f"[{float(lo[i])!r}, {float(hi[i])!r}]")
+    return np.log(lo), np.log(hi)
 
 
 class _Problem:
-    """One trace under one weighting, and the search box when fitting.
+    """One trace under one weighting.
 
-    Holds the points that enter the residual, their normalization, the
-    log-space box (lo, hi, free) and the admittance of the last parameter
-    tuple scored by residuals(): the Jacobian at an accepted step is taken
-    at the tuple that scored the step, so jacobian() reuses that forward
-    pass instead of running it again.
+    Holds the points that enter the residual, their normalization and the
+    admittance of the last parameter tuple scored by residuals(): the
+    Jacobian at an accepted step is taken at the tuple that scored the
+    step, so jacobian() reuses that forward pass instead of running it
+    again.  solve() takes the log-space search box from _search_box().
     """
 
-    def __init__(self, trace: ComplexTrace, weighting: str, bounds: np.ndarray | None = None):
+    def __init__(self, trace: ComplexTrace, weighting: str):
         if weighting not in WEIGHTINGS:
             raise ValueError(f"weighting must be one of {WEIGHTINGS}, got {weighting!r}")
         mask = np.ones(trace.npoints, dtype=bool)
@@ -188,10 +184,6 @@ class _Problem:
         self.weighting = weighting
         self.freqs = trace.freqs[mask]
         self.ym = trace.values[mask]
-        if bounds is not None:
-            self.lo = np.log(bounds[:, 0])
-            self.hi = np.log(bounds[:, 1])
-            self.free = self.lo < self.hi
         self._params = None
         self._adm: Admittance | None = None
 
@@ -217,7 +209,9 @@ class _Problem:
         """d(residual)/d(ln p), columns in packed-parameter order.
 
         Reuses the admittance of the last residuals() call when it scored
-        this very tuple.
+        this very tuple.  Built column-major: the order in which numpy sums
+        jac.T @ r follows the memory layout, and a row-major matrix moves
+        the last bits of every fit.
         """
         c0, r0, rs, rm, fs, cm = params
         adm = self._adm if params is self._params else self._admittance(params)
@@ -241,7 +235,7 @@ class _Problem:
             grads[:, 4 + 3 * i] = dy_dg * (-yb_sq * dzb_dfs) * fs[i]
             grads[:, 5 + 3 * i] = dy_dg * (-yb_sq * dzb_dcm) * cm[i]
 
-        jac = np.empty((2 * y.size, grads.shape[1]))
+        jac = np.empty((2 * y.size, grads.shape[1]), order="F")
         if self.weighting == "complex":
             jac[0::2, :] = grads.real / self.norm
             jac[1::2, :] = grads.imag / self.norm
@@ -251,13 +245,12 @@ class _Problem:
             jac[1::2, :] = rel.imag
         return jac
 
-    def solve(self, seed: MbvdModel) -> FitResult:
-        """Levenberg-Marquardt from seed, clipped into the box."""
+    def solve(self, seed: MbvdModel, lo: np.ndarray, hi: np.ndarray) -> FitResult:
+        """Levenberg-Marquardt from seed, clipped into the log-space box [lo, hi]."""
         freqs = self.trace.freqs
         dom_fs = seed.branches[seed.dominant_index].fs
         if freqs.size < 2 or not (freqs[0] <= dom_fs <= freqs[-1]):
             raise ValueError("trace does not span the seed's dominant resonance")
-        lo, hi, free = self.lo, self.hi, self.free
 
         theta = np.clip(_pack(seed), lo, hi)
         params = _unpack(theta)
@@ -273,7 +266,7 @@ class _Problem:
 
         while not converged and iterations < _MAX_ITER:
             iterations += 1
-            jac = self.jacobian(params)[:, free]
+            jac = self.jacobian(params)
             g = jac.T @ r
             h = jac.T @ jac
             d = np.diag(h).copy()
@@ -286,9 +279,7 @@ class _Problem:
                     step = np.linalg.solve(a, -g)
                 except np.linalg.LinAlgError:
                     step, *_ = np.linalg.lstsq(a, -g, rcond=None)
-                theta_new = theta.copy()
-                theta_new[free] += step
-                np.clip(theta_new, lo, hi, out=theta_new)
+                theta_new = np.clip(theta + step, lo, hi)
                 params_new = _unpack(theta_new)
                 r_new = self.residuals(params_new)
                 cost_new = float(r_new @ r_new)
@@ -312,15 +303,10 @@ class _Problem:
                 converged = True
 
         model_out = _model_from_theta(theta)
-        jac_final = self.jacobian(params)[:, free]
+        jac_final = self.jacobian(params)
         m = r.size
-        nparams = theta.size
-        nfree = int(np.count_nonzero(free))
-        sigma_sq = cost / max(m - nfree, 1)
-        cov_free = np.linalg.pinv(jac_final.T @ jac_final) * sigma_sq
-        cov = np.zeros((nparams, nparams))
-        free_idx = np.nonzero(free)[0]
-        cov[np.ix_(free_idx, free_idx)] = cov_free
+        sigma_sq = cost / max(m - theta.size, 1)
+        cov = np.linalg.pinv(jac_final.T @ jac_final) * sigma_sq
 
         return FitResult(
             model=model_out,
@@ -343,22 +329,13 @@ def residuals(model: MbvdModel, trace: ComplexTrace, weighting: str = "complex")
     return _Problem(trace, weighting).residuals(_model_params(model))
 
 
-def jacobian(
-    model: MbvdModel,
-    trace: ComplexTrace,
-    weighting: str = "complex",
-    frozen: Sequence[int] = (),
-) -> np.ndarray:
+def jacobian(model: MbvdModel, trace: ComplexTrace, weighting: str = "complex") -> np.ndarray:
     """Analytic d(residual)/d(ln parameter) matrix.
 
-    Columns follow param_names(); columns listed in frozen are zeroed.
-    Matches 7-point central finite differences to better than 1e-5
-    relative.
+    Columns follow param_names().  Matches 7-point central finite
+    differences to better than 1e-5 relative.
     """
-    jac = _Problem(trace, weighting).jacobian(_model_params(model))
-    for idx in frozen:
-        jac[:, idx] = 0.0
-    return jac
+    return _Problem(trace, weighting).jacobian(_model_params(model))
 
 
 def fit(
@@ -374,25 +351,28 @@ def fit(
     the relative step below 1e-10, or after 200 iterations.  The accepted
     cost sequence is non-increasing by construction.
 
+    The search box is a fixed function of the seed: c0 within x3,
+    resistances in [1e-3, 1e6] ohm (the floor lowered to cover a lossless
+    seed), each branch fs within +-10% and cm within x1e4.  Every parameter
+    is free in it.
+
     restarts > 0 adds deterministic perturbed fits and returns the lowest
-    cost: restart i perturbs every free log parameter with N(0, 0.05)
-    drawn from a fixed seed, so repeated runs are identical.  The search
-    box stays anchored to the original seed.
+    cost: restart i perturbs every log parameter with N(0, 0.05) drawn
+    from a fixed seed, so repeated runs are identical.  The search box
+    stays anchored to the original seed.
     """
     if restarts < 0:
         raise ValueError(f"restarts must be >= 0, got {restarts}")
     opts = options or FitOptions()
-    problem = _Problem(trace, opts.weighting, _search_box(trace, seed, opts.bounds))
-    best = problem.solve(seed)
+    lo, hi = _search_box(trace, seed)
+    problem = _Problem(trace, opts.weighting)
+    best = problem.solve(seed, lo, hi)
     theta0 = _pack(seed)
-    free = problem.free
     for i in range(1, restarts + 1):
         rng = np.random.default_rng(1000 + i)
-        theta = theta0.copy()
-        theta[free] += rng.normal(0.0, 0.05, int(np.count_nonzero(free)))
-        np.clip(theta, problem.lo, problem.hi, out=theta)
+        theta = np.clip(theta0 + rng.normal(0.0, 0.05, theta0.size), lo, hi)
         try:
-            candidate = problem.solve(_model_from_theta(theta))
+            candidate = problem.solve(_model_from_theta(theta), lo, hi)
         except (FitError, ValueError):
             continue
         if candidate.cost < best.cost:
@@ -427,8 +407,6 @@ def select_branch_count(
     """
     if not candidates:
         raise ValueError("need at least one resonance candidate")
-    if options is not None and options.bounds is not None:
-        raise ValueError("explicit bounds fix the parameter count; incompatible with branch-count selection")
     best: FitResult | None = None
     for k in range(1, len(candidates) + 1):
         result = fit(trace, seed_from_strongest(trace, candidates, k), options)

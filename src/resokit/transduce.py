@@ -63,8 +63,6 @@ class ElectrodeLayout:
     copies of what was passed."""
 
     topology: str
-    wavelength: float
-    coverage: float
     plate_width: float
     centers: np.ndarray
     widths: np.ndarray
@@ -150,7 +148,7 @@ def build_layout(geom: DeviceGeometry) -> ElectrodeLayout:
         plate = 0.5 * n * lam
         center = 0.25 * lam + 0.5 * i * lam
     return ElectrodeLayout(
-        topology=geom.topology, wavelength=lam, coverage=c, plate_width=plate,
+        topology=geom.topology, plate_width=plate,
         centers=center, widths=width, polarities=1 - 2 * (i % 2))
 
 
@@ -260,14 +258,16 @@ def _fill_overlaps(
 
 @dataclass(frozen=True)
 class ModeCoupling:
-    """One retained plate mode: index, wavenumber, frequency, normalized
-    coupling weight, displacement-node count (equal to the index)."""
+    """One retained plate mode: index, frequency and normalized coupling weight."""
 
     n: int
-    k_x: float
     f_n: float
     eta: float
-    nodes: int
+
+    @property
+    def nodes(self) -> int:
+        """Displacement-node count, equal to the index."""
+        return self.n
 
 
 @dataclass(frozen=True)
@@ -292,9 +292,10 @@ class ModeSpectrum:
     def weights(self) -> np.ndarray:
         return np.array([m.eta for m in self.modes])
 
-    def dominant_modes(self, count: int = 2) -> tuple[ModeCoupling, ...]:
-        """Up to ``count`` largest-weight modes, ordered by frequency."""
-        ranked = sorted(self.modes, key=lambda m: (-m.eta, m.n))[:count]
+    def dominant_modes(self) -> tuple[ModeCoupling, ...]:
+        """The two largest-weight modes (one if only one is retained),
+        ordered by frequency."""
+        ranked = sorted(self.modes, key=lambda m: (-m.eta, m.n))[:2]
         return tuple(sorted(ranked, key=lambda m: m.f_n))
 
 
@@ -326,12 +327,11 @@ def mode_couplings(
     eta = raw / total
     keep = eta >= PRUNE_REL * eta.max()
     eta_kept = eta[keep] / eta[keep].sum()
-    w = layout.plate_width
     n = idx[keep]
     modes = tuple(
-        ModeCoupling(n=i, k_x=k, f_n=f, eta=e, nodes=i)
-        for i, k, f, e in zip(n.tolist(), (n * np.pi / w).tolist(),
-                              (0.5 * n * v_p / w).tolist(), eta_kept.tolist()))
+        ModeCoupling(n=i, f_n=f, eta=e)
+        for i, f, e in zip(n.tolist(), (0.5 * n * v_p / layout.plate_width).tolist(),
+                           eta_kept.tolist()))
     return ModeSpectrum(modes=modes)
 
 
@@ -406,7 +406,7 @@ def split_study(
         local_max = n_max if n_max is not None else 2 * layout.design_index
         spectrum = mode_couplings(layout, v_p, local_max, field_model)
         f_design = v_p / geom.wavelength
-        dominant = spectrum.dominant_modes(2)
+        dominant = spectrum.dominant_modes()
         top = max(dominant, key=lambda m: m.eta)
         records.append(SplitRecord(
             n_elements=geom.n_elements,

@@ -120,7 +120,6 @@ def mode_couplings(
     eta_kept = eta[keep] / eta[keep].sum()
     w = layout.plate_width
     modes = tuple(
-        ModeCoupling(n=int(n), k_x=float(n * np.pi / w),
-                     f_n=float(0.5 * n * v_p / w), eta=float(e), nodes=int(n))
+        ModeCoupling(n=int(n), f_n=float(0.5 * n * v_p / w), eta=float(e))
         for n, e in zip(idx[keep], eta_kept))
     return ModeSpectrum(modes=modes)

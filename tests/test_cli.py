@@ -630,6 +630,39 @@ def test_a_failing_command_writes_nothing(tmp_path, capsys, monkeypatch, command
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("command", ["synth", "convert"])
+@pytest.mark.parametrize("name", ["a_manifest.json", "./a_manifest.json"])
+def test_output_may_not_take_the_manifest_name(tmp_path, capsys, command, name):
+    argv = failing_commands(tmp_path)[command][0]
+    outdir = tmp_path / "o"
+    assert cli.run([*argv, "--prefix", "a", "-o", name, "--outdir", str(outdir)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: -o {name!r} collides with the manifest a_manifest.json\n")
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("modes", "--kt2", "nan", "must lie in (0, 1), got nan"),
+    ("modes", "--q", "0", "must be > 0, got 0.0"),
+    ("modes", "--c", "nan", "must lie in (0, 1), got nan"),
+    ("modes", "--lambda", "inf", "must be positive and finite, got inf"),
+    ("modes", "--n", "1", "must be >= 2, got 1"),
+    ("modes", "--n-max", "9", "must be at least twice the design index (5), got 9"),
+    ("design", "--n", "1", "must be >= 2, got 1"),
+    ("design", "--coverage", "1", "must lie in (0, 1), got 1.0"),
+])
+def test_flag_errors_name_the_flag(tmp_path, capsys, command, flag, value, message):
+    argv = failing_commands(tmp_path)[command][0]
+    outdir = tmp_path / "o"
+    assert cli.run([*argv, f"{flag}={value}", "--outdir", str(outdir)]) == 2
+    assert capsys.readouterr().err == f"error: {flag} {message}\n"
+    assert not outdir.exists()
+
+
+def test_modes_accepts_lossless_q(tmp_path):
+    assert cli.run([*MODES, "--q", "inf", "--outdir", str(tmp_path / "o")]) == 0
+
+
 def test_cli_is_deterministic(tmp_path):
     # each run has its own working directory and the same relative paths, so
     # the manifests, which record the input path and --outdir, are compared too

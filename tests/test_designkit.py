@@ -158,7 +158,7 @@ def test_check_lithography_gap_violation():
 def display_fixture(label):
     r = row(label)
     met = metrics_from_model(display_model(label), synthesis_grid(label))
-    geom = DeviceGeometry(wavelength=r.wavelength, topology=r.topology, mode=r.mode)
+    geom = DeviceGeometry(wavelength=r.wavelength, topology=r.topology)
     return geom, met
 
 

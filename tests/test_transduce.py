@@ -225,7 +225,6 @@ def test_mode_frequencies_and_nodes():
     for m in spec.modes:
         assert m.nodes == m.n
         assert m.f_n == pytest.approx(m.n * 5382.0 / (2.0 * lay.plate_width), rel=1e-12)
-        assert m.k_x == pytest.approx(m.n * math.pi / lay.plate_width, rel=1e-12)
 
 
 def test_mode_couplings_lvr_is_ideal():

@@ -108,7 +108,7 @@ def test_strain_overlaps_zero_sum_is_positive_zero():
     # one gap symmetric about the plate centre: even modes cancel exactly, and
     # a negative first finger turns that 0.0 into -0.0 before the sum
     layout = ElectrodeLayout(
-        topology="lvr", wavelength=1.0, coverage=0.5, plate_width=1.0,
+        topology="lvr", plate_width=1.0,
         centers=(0.2, 0.8), widths=(0.2, 0.2), polarities=(-1, 1))
     idx = np.arange(1, 201)
     want = ref.strain_overlaps(layout, idx)
