@@ -49,6 +49,7 @@ from .mbvd import (
     synthesize_admittance,
 )
 from .netparams import (
+    UNITS,
     ComplexTrace,
     device_admittance,
     parse_touchstone,
@@ -114,6 +115,7 @@ def _output_name(args: argparse.Namespace, prefix: str, default: str) -> str:
 _POSITIVE_FINITE = (lambda v: 0.0 < v < np.inf, "must be positive and finite")
 _FRACTION = (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)")
 _ELECTRODE_COUNT = (lambda v: v >= 2, "must be >= 2")
+_UNIT = (lambda v: v.lower() in map(str.lower, UNITS), f"must be one of {'/'.join(UNITS)}")
 
 
 def _check_flags(checks) -> None:
@@ -155,7 +157,8 @@ def _candidates_doc(candidates) -> list[dict]:
 
 
 def _check_fit_flags(args: argparse.Namespace) -> None:
-    """Reject --branches/--restarts values that cannot apply, before any input is read."""
+    """Reject fit flag values that cannot apply, before any input is read."""
+    _check_flags([("--threshold-db", args.threshold_db, _POSITIVE_FINITE)])
     if args.branches is not None and args.branches < 1:
         raise ValueError("--branches must be >= 1")
     if args.restarts < 0:
@@ -252,9 +255,11 @@ def _cmd_batch(args: argparse.Namespace) -> Outcome:
         try:
             trace = _load_device_trace(path, args.shunt)
             result, _ = _fit_trace(trace, args)
+            # metrics first, as fit does: a fitted resonance off the span
+            # reports the same error in both commands
+            metrics = metrics_from_model(result.model, trace.freqs)
             if not result.converged:
                 raise FitError("fit did not converge", iteration=result.iterations)
-            metrics = metrics_from_model(result.model, trace.freqs)
         except (ToolkitError, ValueError) as exc:
             failures.append({"file": path.name, "error": str(exc)})
             continue
@@ -303,6 +308,7 @@ def _parse_sweep(spec: str) -> range:
 
 
 def _cmd_synth(args: argparse.Namespace) -> Outcome:
+    _check_flags([("--z0", args.z0, _POSITIVE_FINITE), ("--unit", args.unit, _UNIT)])
     model_path = Path(args.model)
     prefix = args.prefix or model_path.stem
     name = _output_name(args, prefix, f"{prefix}.s2p")
@@ -389,7 +395,12 @@ def _cmd_modes(args: argparse.Namespace) -> Outcome:
 
 
 def _cmd_design(args: argparse.Namespace) -> Outcome:
-    _check_flags([("--n", args.n, _ELECTRODE_COUNT), ("--coverage", args.coverage, _FRACTION)])
+    _check_flags([
+        # optional: without it the velocity comes from --config or the survey
+        ("--vp", args.vp, (lambda v: v is None or 0.0 < v < np.inf, "must be positive and finite")),
+        ("--n", args.n, _ELECTRODE_COUNT),
+        ("--coverage", args.coverage, _FRACTION),
+    ])
     targets_path = Path(args.targets)
     doc = _load_json(targets_path)
     targets = doc.get("targets_hz") if isinstance(doc, dict) else doc
@@ -459,6 +470,7 @@ def _cmd_design(args: argparse.Namespace) -> Outcome:
 
 
 def _cmd_convert(args: argparse.Namespace) -> Outcome:
+    _check_flags([("--unit", args.unit, _UNIT)])
     path = Path(args.input)
     prefix = args.prefix or path.stem
     name = _output_name(args, prefix, f"{prefix}_{args.fmt.lower()}.s2p")

@@ -40,10 +40,11 @@ class EstimationError(ToolkitError):
 
 
 class InductiveBackgroundError(EstimationError):
-    """Off-resonance susceptance slope came out non-positive.
+    """The static capacitance fitted to the off-resonance susceptance came
+    out non-positive.
 
-    The fitted slope (F) is attached so callers can report how inductive
-    the background looked.
+    That value (F), the slope of the static susceptance, is attached so
+    callers can report how inductive the background looked.
     """
 
     def __init__(self, slope: float):

@@ -1,9 +1,11 @@
 """Direct estimators that turn a measured admittance trace into fit seeds.
 
 No iteration here: resonance candidates come from prominence-based peak
-picking on |Y| in dB, the static capacitance from the off-resonance
-susceptance slope, and Q from the local phase slope.  Output quality only
-needs to land inside the fit engine's basin of attraction.
+picking on |Y| in dB, the static capacitance from a linear fit of the
+off-resonance susceptance with the seeded resonances as fixed poles, and
+the motional elements from the candidates' fs/fp pairs and peak heights.
+Output quality only needs to land inside the fit engine's basin of
+attraction.
 """
 
 from __future__ import annotations
@@ -14,16 +16,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EstimationError, InductiveBackgroundError, PhaseUnwrapError
+from .errors import EstimationError, InductiveBackgroundError
 from .mbvd import TWO_PI, MbvdModel, MotionalBranch
 from .netparams import ComplexTrace
 
 # Half-prominence widths are inflated by this factor to form exclusion
 # spans; resonance susceptance tails decay slowly (~1/detuning).
 _SPAN_WIDEN = 8.0
-
-# Phase-slope precondition: at least 5 points within +-f0/(2*Q_FLOOR).
-Q_FLOOR = 10.0
 
 
 @dataclass(frozen=True)
@@ -155,35 +154,27 @@ def detect_resonances(trace: ComplexTrace, threshold_db: float = 3.0) -> list[Re
     return out
 
 
-def c0_from_offresonance(
+def _c0_from_offresonance(
     trace: ComplexTrace,
-    exclusions: Sequence[tuple[int, int]] = (),
-    fs_hints: Sequence[float] | None = None,
+    spans: Sequence[tuple[int, int]],
+    fs_hints: Sequence[float],
 ) -> float:
-    """Static capacitance from the susceptance slope away from resonances.
+    """Static capacitance from the susceptance outside the given spans.
 
-    Fits Im(Y) = slope * w + intercept over all points outside the given
-    inclusive index spans and returns the slope.  Motional tails reach far
-    beyond any finite exclusion span (the shoulder susceptance decays only
-    as 1/detuning), so after the first fit points whose residuals are gross
-    outliers by the MAD criterion are trimmed and the line refitted; on a
-    clean static trace the trim is a no-op.
+    With the series resonances fixed at fs_hints, the shoulder shape is
+    known up to scale and Im(Y)/w = c0 + sum_k cm_k/(1 - (f/fs_k)^2) is
+    linear in (c0, cm_1, ..., cm_K): the residue step of vector fitting
+    (Gustavsen & Semlyen 1999).  It separates the static term from the
+    motional tails, which reach far beyond any finite span, so the points
+    need to avoid the hinted poles, not every shoulder.
 
-    When fs_hints gives the approximate series resonances, the shoulder
-    shape is known up to scale and the fit becomes linear in
-    (c0, cm_1, ..., cm_K): Im(Y)/w = c0 + sum_k cm_k/(1 - (f/fs_k)^2).
-    Strongly coupled devices on short sweep spans have no shoulder-free
-    stretch at all, so the plain slope can even turn inductive there; the
-    hinted fit separates the static term instead of trimming around it.
-
-    At least 10% of the grid must survive the exclusions, and the result
-    must be capacitive.
+    spans are inclusive index pairs kept out of the fit; at least 10% of
+    the grid must survive them, enough of it must lie clear of the hints,
+    and the result must be capacitive.
     """
     n = trace.npoints
-    if n < 2:
-        raise ValueError("need at least two points")
     mask = np.ones(n, dtype=bool)
-    for lo, hi in exclusions:
+    for lo, hi in spans:
         mask[max(lo, 0) : min(hi, n - 1) + 1] = False
     kept = int(mask.sum())
     if kept < max(2, math.ceil(0.10 * n)):
@@ -191,103 +182,53 @@ def c0_from_offresonance(
             f"only {kept}/{n} points left off-resonance; need at least 10%"
         )
     f = trace.freqs[mask]
-    w = TWO_PI * f
-    b = trace.values.imag[mask]
-
-    if fs_hints:
-        hints = [fs for fs in fs_hints if fs > 0]
-        # Points essentially on top of a hinted resonance would need the
-        # loss term; drop them instead.
-        detune = np.ones(f.size, dtype=bool)
-        for fs in hints:
-            detune &= np.abs(1.0 - (f / fs) ** 2) > 1e-3
-        if detune.sum() >= max(4, 2 + len(hints)):
-            cols = [np.ones(detune.sum())]
-            for fs in hints:
-                cols.append(1.0 / (1.0 - (f[detune] / fs) ** 2))
-            a = np.column_stack(cols)
-            coef, *_ = np.linalg.lstsq(a, b[detune] / w[detune], rcond=None)
-            c0 = float(coef[0])
-            if c0 > 0:
-                return c0
-            raise InductiveBackgroundError(c0)
-
-    slope, intercept = np.polyfit(w, b, 1)
-    for _ in range(2):
-        resid = b - (slope * w + intercept)
-        center = np.median(resid)
-        mad = np.median(np.abs(resid - center))
-        if mad <= 0.0:
-            break
-        keep = np.abs(resid - center) <= 5.0 * mad
-        if keep.all() or keep.sum() < max(8, w.size // 10):
-            break
-        w, b = w[keep], b[keep]
-        slope, intercept = np.polyfit(w, b, 1)
-    if slope <= 0:
-        raise InductiveBackgroundError(float(slope))
-    return float(slope)
-
-
-def q_from_phase_slope(trace: ComplexTrace, f0: float) -> float:
-    """Quality factor Q = (f0/2) |d phi / d f| at f0.
-
-    phi is the unwrapped phase of the trace (nearest-multiple-of-2pi
-    continuation from the lowest frequency); the derivative comes from a
-    least-squares line through the 5 samples centered on f0.  Adjacent
-    raw-phase jumps above pi inside that window are unrecoverable and
-    raise PhaseUnwrapError.
-    """
-    n = trace.npoints
-    if n < 5:
-        raise ValueError("need at least 5 points")
-    f = trace.freqs
-    if not (f[0] <= f0 <= f[-1]):
-        raise ValueError(f"f0 {f0:.6g} Hz outside grid [{f[0]:.6g}, {f[-1]:.6g}]")
-    half = f0 / (2.0 * Q_FLOOR)
-    in_window = int(np.count_nonzero(np.abs(f - f0) <= half))
-    if in_window < 5:
-        raise ValueError(
-            f"only {in_window} points within +-f0/{2 * Q_FLOOR:.0f} of f0; densify the grid"
+    # Points essentially on top of a hinted resonance would need the loss
+    # term; drop them instead.
+    clear = np.ones(f.size, dtype=bool)
+    for fs in fs_hints:
+        clear &= np.abs(1.0 - (f / fs) ** 2) > 1e-3
+    need = max(4, 2 + len(fs_hints))
+    if clear.sum() < need:
+        at = ", ".join(f"{fs:.6g}" for fs in fs_hints)
+        raise EstimationError(
+            f"only {int(clear.sum())} off-resonance points lie clear of the seeded "
+            f"resonances at {at} Hz; the background fit needs {need}"
         )
-    i0 = int(np.argmin(np.abs(f - f0)))
-    lo = min(max(i0 - 2, 0), n - 5)
-    sel = slice(lo, lo + 5)
-
-    raw = np.angle(trace.values)
-    jumps = np.abs(np.diff(raw[sel]))
-    if np.any(jumps > math.pi):
-        raise PhaseUnwrapError(
-            f"raw phase jumps by {jumps.max():.3f} rad between adjacent points"
-        )
-    phi = np.unwrap(raw)[sel]
-    slope = np.polyfit(f[sel] - f0, phi, 1)[0]
-    return float(f0 / 2.0 * abs(slope))
+    f = f[clear]
+    cols = [np.ones(f.size)]
+    for fs in fs_hints:
+        cols.append(1.0 / (1.0 - (f / fs) ** 2))
+    b = trace.values.imag[mask][clear]
+    coef, *_ = np.linalg.lstsq(np.column_stack(cols), b / (TWO_PI * f), rcond=None)
+    c0 = float(coef[0])
+    if not c0 > 0:
+        raise InductiveBackgroundError(c0)
+    return c0
 
 
 def initial_guess(
     trace: ComplexTrace,
     candidates: Sequence[ResonanceCandidate],
-    exclude: Sequence[tuple[int, int]] | None = None,
 ) -> MbvdModel:
-    """Assemble a seed MBVD model from detected candidates.
+    """Assemble a seed MBVD model with one branch per candidate.
 
-    c0 comes from the off-resonance slope (excluding every candidate span,
-    or the explicit override), cm from the fs/fp pair when the notch was
-    seen (falling back to cm = 0.05 c0), lm from fs and cm, and rm from
-    |Y| at the peak after removing the static susceptance.  Loss elements
-    r0 and rs seed at zero.
+    c0 comes from the off-resonance susceptance with the candidates' spans
+    left out and their fs_est as fixed poles (candidates not passed do not
+    constrain it), cm from the fs/fp pair when the notch was seen (falling
+    back to cm = 0.05 c0), lm from fs and cm, and rm from |Y| at the peak
+    after removing the static susceptance.  Loss elements r0 and rs seed
+    at zero.
     """
     if not candidates:
         raise ValueError("need at least one resonance candidate")
-    spans = exclude if exclude is not None else [c.span for c in candidates]
-    c0 = c0_from_offresonance(trace, spans, fs_hints=[c.fs_est for c in candidates])
+    c0 = _c0_from_offresonance(trace, [c.span for c in candidates],
+                               [c.fs_est for c in candidates])
 
     branches = []
     for cand in sorted(candidates, key=lambda c: c.fs_est):
         fs_e = cand.fs_est
         ratio = 0.0
-        if cand.fp_est is not None and cand.fp_est > fs_e:
+        if cand.fp_est is not None:
             ratio = (cand.fp_est / fs_e) ** 2 - 1.0  # equals cm/c0
         if not 1e-6 < ratio < 10.0:
             ratio = 0.05

@@ -383,14 +383,10 @@ def fit(
 def seed_from_strongest(
     trace: ComplexTrace, candidates: Sequence[ResonanceCandidate], k: int
 ) -> MbvdModel:
-    """Seed model from the k most prominent candidates.
-
-    Ties in prominence go to the lower frequency; every candidate's span,
-    seeded or not, is excluded from the background estimate.
-    """
+    """Seed model from the k most prominent candidates (ties in prominence
+    go to the lower frequency); the rest play no part in the seed."""
     ranked = sorted(candidates, key=lambda c: (-c.prominence_db, c.fs_est))
-    subset = sorted(ranked[:k], key=lambda c: c.fs_est)
-    return initial_guess(trace, subset, exclude=[c.span for c in candidates])
+    return initial_guess(trace, sorted(ranked[:k], key=lambda c: c.fs_est))
 
 
 def select_branch_count(

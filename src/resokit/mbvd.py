@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateCouplingError, EstimationError
+from .errors import DegenerateCouplingError, EstimationError, PhaseUnwrapError
 from .netparams import ComplexTrace
 
 TWO_PI = 2.0 * math.pi
@@ -33,6 +33,9 @@ CM_FLOOR = 1e-21
 
 # Phase-slope quality factors above this are reported as +inf (lossless).
 Q_SENTINEL = 1e6
+
+# Phase-slope precondition: at least 5 points within +-f0/(2*Q_FLOOR).
+Q_FLOOR = 10.0
 
 
 @dataclass(frozen=True)
@@ -245,7 +248,51 @@ def _fp_search(model: MbvdModel, k: int, fs_list: list[float]) -> float | None:
     return float(a - va * (b - a) / (vb - va))
 
 
+def q_from_phase_slope(trace: ComplexTrace, f0: float) -> float:
+    """Quality factor Q = (f0/2) |d phi / d f| at f0.
+
+    phi is the unwrapped phase of the trace (nearest-multiple-of-2pi
+    continuation from the lowest frequency); the derivative comes from a
+    least-squares line through the 5 samples centered on f0.  Adjacent
+    raw-phase jumps above pi inside that window are unrecoverable and
+    raise PhaseUnwrapError.
+    """
+    n = trace.npoints
+    if n < 5:
+        raise ValueError("need at least 5 points")
+    f = trace.freqs
+    if not (f[0] <= f0 <= f[-1]):
+        raise ValueError(f"f0 {f0:.6g} Hz outside grid [{f[0]:.6g}, {f[-1]:.6g}]")
+    half = f0 / (2.0 * Q_FLOOR)
+    in_window = int(np.count_nonzero(np.abs(f - f0) <= half))
+    if in_window < 5:
+        raise ValueError(
+            f"only {in_window} points within +-f0/{2 * Q_FLOOR:.0f} of f0; densify the grid"
+        )
+    i0 = int(np.argmin(np.abs(f - f0)))
+    lo = min(max(i0 - 2, 0), n - 5)
+    sel = slice(lo, lo + 5)
+
+    raw = np.angle(trace.values)
+    jumps = np.abs(np.diff(raw[sel]))
+    if np.any(jumps > math.pi):
+        raise PhaseUnwrapError(
+            f"raw phase jumps by {jumps.max():.3f} rad between adjacent points"
+        )
+    phi = np.unwrap(raw)[sel]
+    slope = np.polyfit(f[sel] - f0, phi, 1)[0]
+    return float(f0 / 2.0 * abs(slope))
+
+
 FP_CROSSCHECK_RTOL = 1e-3
+
+# A dominant fs closer than this many linewidths (fs/Q_s) to a grid end is
+# flagged fs-near-edge.  A branch's admittance falls to 1/sqrt(1 + (2 Q d)^2)
+# of its peak at relative detuning d, so 3 linewidths is where it is down to
+# 1/sqrt(37), about -16 dB: a nearer edge cuts the resonance off before one
+# flank has decayed, and fs and Q rest on the other flank alone.  The survey
+# grids (0.90-2.05 fs, Q_s >= 55) stay at least 0.10 fs > 3 fs/55 clear.
+FS_EDGE_LINEWIDTHS = 3.0
 
 
 @dataclass(frozen=True)
@@ -253,7 +300,9 @@ class ResonatorMetrics:
     """Scalar figures of merit for one device.
 
     fp-derived fields (fp, qp, kt2, fom) are None when the antiresonance
-    was absent or fell outside the analysis grid; flags records why.
+    was absent or fell outside the analysis grid; flags records why, and
+    fs-near-edge marks a dominant fs within FS_EDGE_LINEWIDTHS linewidths
+    of a grid end.
     qs/qp of +inf mark a lossless model (phase-slope Q above the 1e6
     sentinel).  fom = qs * kt2 by construction.
     """
@@ -323,8 +372,6 @@ def metrics_from_model(model: MbvdModel, grid: np.ndarray) -> ResonatorMetrics:
     a dominant fs outside it is an EstimationError, and an fp beyond it
     leaves the fp-derived fields None and sets a flag.
     """
-    from .extract import q_from_phase_slope  # local import avoids a cycle
-
     grid = np.asarray(grid, dtype=float).reshape(-1)
     if grid.size < 2:
         raise ValueError("grid must contain at least two frequencies")
@@ -352,6 +399,9 @@ def metrics_from_model(model: MbvdModel, grid: np.ndarray) -> ResonatorMetrics:
     if qs > Q_SENTINEL:
         qs = math.inf
 
+    # distance < FS_EDGE_LINEWIDTHS * fs / qs, which also holds for qs = 0
+    if min(fs - f_lo, f_hi - fs) * qs < FS_EDGE_LINEWIDTHS * fs:
+        flags.append("fs-near-edge")
     if fp_num is None:
         flags.append("fp-absent")
     elif fp_closed > f_hi:

@@ -17,7 +17,9 @@ import numpy as np
 
 from .errors import SingularNetworkError, TouchstoneError
 
-_UNIT_SCALE = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
+# frequency units, case-insensitive on input
+UNITS = ("Hz", "kHz", "MHz", "GHz")
+_UNIT_SCALE = dict(zip((u.lower() for u in UNITS), (1.0, 1e3, 1e6, 1e9)))
 _FORMATS = ("ri", "ma", "db")
 _REJECTED_TYPES = ("y", "z", "h", "g")
 
@@ -431,7 +433,7 @@ def write_touchstone(net: NetworkRecord, fmt: str = "RI", unit: str = "GHz") -> 
         raise ValueError(f"format must be one of RI/MA/DB, got {fmt!r}")
     unit_l = unit.lower()
     if unit_l not in _UNIT_SCALE:
-        raise ValueError(f"unit must be one of Hz/kHz/MHz/GHz, got {unit!r}")
+        raise ValueError(f"unit must be one of {'/'.join(UNITS)}, got {unit!r}")
     scale = _UNIT_SCALE[unit_l]
 
     n = net.npoints

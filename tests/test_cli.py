@@ -123,9 +123,13 @@ FIT_FLAG_ERRORS = [
     (["--restarts", "-1"], "error: --restarts must be >= 0, got -1"),
     (["--branches", "0"], "error: --branches must be >= 1"),
     (["--branches", "-3", "--restarts", "1"], "error: --branches must be >= 1"),
+    (["--threshold-db", "nan"], "error: --threshold-db must be positive and finite, got nan"),
+    (["--threshold-db", "0"], "error: --threshold-db must be positive and finite, got 0.0"),
+    (["--threshold-db", "-5"], "error: --threshold-db must be positive and finite, got -5.0"),
 ]
 FIT_FLAG_IDS = ["restarts-without-branches", "negative-restarts", "negative-restarts-alone",
-                "zero-branches", "negative-branches"]
+                "zero-branches", "negative-branches", "nan-threshold", "zero-threshold",
+                "negative-threshold"]
 
 
 @pytest.mark.parametrize("command", ["fit", "batch"])
@@ -198,6 +202,19 @@ def test_fit_off_span_resonance_is_an_input_error(tmp_path, capsys):
     assert cli.run(["batch", str(d), "--outdir", str(outdir)]) == 1
     failures = json.loads((outdir / "batch_batch.json").read_text())["failures"]
     assert [(f["file"], f["error"]) for f in failures] == [("v.s2p", err[len("error: "):-1])]
+
+
+def test_fit_flags_a_resonance_at_the_grid_edge(tmp_path):
+    # survey row L on a grid starting 0.1% below f_s, about one linewidth
+    model = roundtrip_model("L")
+    fs = model.branches[0].fs
+    src = tmp_path / "l.s2p"
+    src.write_text(golden_text(model, np.linspace(0.999 * fs, 2.05 * fs, 2001),
+                               noise_db=-40.0, seed=111))
+    outdir = tmp_path / "o"
+    assert cli.run(["fit", str(src), "--outdir", str(outdir)]) == 0
+    doc = json.loads((outdir / "l_metrics.json").read_text())
+    assert doc["metrics"]["flags"] == ["fs-near-edge"]
 
 
 # --------------------------------------------------------------------- batch
@@ -499,8 +516,8 @@ def test_design_rejects_bad_targets(tmp_path):
 
 
 @pytest.mark.parametrize("targets,flags,message", [
-    ([3e9], ["--vp", "inf"], "error: v_p must be finite, got inf"),
-    ([3e9], ["--vp", "nan"], "error: v_p must be finite, got nan"),
+    ([3e9], ["--vp", "inf"], "error: --vp must be positive and finite, got inf"),
+    ([3e9], ["--vp", "nan"], "error: --vp must be positive and finite, got nan"),
     ([float("nan")], ["--vp", "5382"], "error: non-finite target frequency nan"),
     ([3e9, float("inf")], ["--vp", "5382"], "error: non-finite target frequency inf"),
     ([3e9], ["--vp", "5382", "--topology-policy", "nan"],
@@ -650,12 +667,31 @@ def test_output_may_not_take_the_manifest_name(tmp_path, capsys, command, name):
     ("modes", "--n-max", "9", "must be at least twice the design index (5), got 9"),
     ("design", "--n", "1", "must be >= 2, got 1"),
     ("design", "--coverage", "1", "must lie in (0, 1), got 1.0"),
+    ("design", "--vp", "-1", "must be positive and finite, got -1.0"),
+    ("synth", "--z0", "0", "must be positive and finite, got 0.0"),
+    ("synth", "--z0", "nan", "must be positive and finite, got nan"),
+    ("synth", "--unit", "furlong", "must be one of Hz/kHz/MHz/GHz, got 'furlong'"),
+    ("convert", "--unit", "furlong", "must be one of Hz/kHz/MHz/GHz, got 'furlong'"),
 ])
 def test_flag_errors_name_the_flag(tmp_path, capsys, command, flag, value, message):
     argv = failing_commands(tmp_path)[command][0]
     outdir = tmp_path / "o"
     assert cli.run([*argv, f"{flag}={value}", "--outdir", str(outdir)]) == 2
     assert capsys.readouterr().err == f"error: {flag} {message}\n"
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("synth", "--z0", "0"), ("synth", "--unit", "furlong"), ("convert", "--unit", "furlong"),
+    ("design", "--vp", "inf"),
+])
+def test_flag_errors_come_before_the_input(tmp_path, capsys, command, flag, value):
+    # the input does not exist: the flag error must win over the read error
+    outdir = tmp_path / "o"
+    extra = ["--grid", "1e9:2e9:11"] if command == "synth" else []
+    argv = [command, str(tmp_path / "missing"), *extra, f"{flag}={value}", "--outdir", str(outdir)]
+    assert cli.run(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag} must be ")
     assert not outdir.exists()
 
 

@@ -11,14 +11,14 @@ import pytest
 
 from resokit import ComplexTrace
 from resokit.errors import EstimationError, InductiveBackgroundError, PhaseUnwrapError
-from resokit.extract import (
-    _prominent_peaks,
-    c0_from_offresonance,
-    detect_resonances,
-    initial_guess,
+from resokit.extract import _c0_from_offresonance, _prominent_peaks, detect_resonances, initial_guess
+from resokit.mbvd import (
+    MbvdModel,
+    MotionalBranch,
+    branch_from_metrics,
     q_from_phase_slope,
+    synthesize_admittance,
 )
-from resokit.mbvd import MbvdModel, MotionalBranch, branch_from_metrics, synthesize_admittance
 from resokit.refdata import SURVEY, roundtrip_model, row, synthesis_grid
 
 from conftest import noisy_trace, survey_trace
@@ -149,28 +149,12 @@ def test_detect_requires_enough_points():
 
 # ------------------------------------------------------ background estimate
 
-def test_c0_plain_from_capacitor():
-    f = np.linspace(1e9, 2e9, 801)
-    tr = ComplexTrace(freqs=f, values=1j * 2 * np.pi * f * 99.2e-15)
-    assert c0_from_offresonance(tr) == pytest.approx(99.2e-15, rel=1e-9)
-
-
-def test_c0_with_exclusions_moderate_coupling():
-    # kt2 6.9%: the off-resonance slope alone lands within one percent
-    m = roundtrip_model("I")
-    tr = synthesize_admittance(m, synthesis_grid("I"))
-    spans = [c.span for c in detect_resonances(tr)]
-    c0 = c0_from_offresonance(tr, spans)
-    assert c0 == pytest.approx(row("I").c0, rel=0.01)
-
-
 def test_c0_hinted_high_coupling():
     # kt2 32.7% bends Im(Y)/w everywhere; the hinted joint fit stays exact
     m = roundtrip_model("P")
     tr = synthesize_admittance(m, synthesis_grid("P"))
     cands = detect_resonances(tr)
-    c0 = c0_from_offresonance(tr, [c.span for c in cands],
-                              fs_hints=[c.fs_est for c in cands])
+    c0 = _c0_from_offresonance(tr, [c.span for c in cands], [c.fs_est for c in cands])
     assert c0 == pytest.approx(row("P").c0, rel=1e-3)
 
 
@@ -180,8 +164,7 @@ def test_c0_hinted_short_span():
     fs = row("L").fs
     tr = synthesize_admittance(m, np.linspace(0.91 * fs, 1.35 * fs, 1201))
     cands = detect_resonances(tr)
-    c0 = c0_from_offresonance(tr, [c.span for c in cands],
-                              fs_hints=[c.fs_est for c in cands])
+    c0 = _c0_from_offresonance(tr, [c.span for c in cands], [c.fs_est for c in cands])
     assert c0 == pytest.approx(row("L").c0, rel=5e-3)
 
 
@@ -189,8 +172,7 @@ def test_c0_noise_robust():
     m = roundtrip_model("I")
     tr = noisy_trace(m, synthesis_grid("I"), noise_db=-100.0, seed=5)
     cands = detect_resonances(tr)
-    c0 = c0_from_offresonance(tr, [c.span for c in cands],
-                              fs_hints=[c.fs_est for c in cands])
+    c0 = _c0_from_offresonance(tr, [c.span for c in cands], [c.fs_est for c in cands])
     assert c0 == pytest.approx(row("I").c0, rel=5e-3)
 
 
@@ -198,15 +180,25 @@ def test_c0_all_excluded_raises():
     f = np.linspace(1e9, 2e9, 101)
     tr = ComplexTrace(freqs=f, values=1j * 2 * np.pi * f * 1e-13)
     with pytest.raises(EstimationError):
-        c0_from_offresonance(tr, [(0, 100)])
+        _c0_from_offresonance(tr, [(0, 100)], [1.5e9])
 
 
-def test_c0_inductive_background_raises():
-    # susceptance falling with frequency has no capacitive reading
+def test_c0_too_few_points_clear_of_the_hints_raises():
+    # three points survive the span, fewer than the hinted fit needs
+    f = np.linspace(1e9, 2e9, 20)
+    tr = ComplexTrace(freqs=f, values=1j * 2 * np.pi * f * 1e-13)
+    with pytest.raises(EstimationError, match=r"only 3 off-resonance points lie clear of the "
+                                              r"seeded resonances at 1\.5e\+09 Hz; .* needs 4"):
+        _c0_from_offresonance(tr, [(3, 19)], [1.5e9])
+
+
+def test_c0_hinted_inductive_background_raises():
+    # susceptance falling with frequency has no capacitive static term
     f = np.linspace(1e9, 2e9, 101)
     tr = ComplexTrace(freqs=f, values=-1j * 2 * np.pi * f * 1e-13)
-    with pytest.raises(InductiveBackgroundError):
-        c0_from_offresonance(tr)
+    with pytest.raises(InductiveBackgroundError) as exc:
+        _c0_from_offresonance(tr, [(40, 60)], [1.5e9])
+    assert exc.value.slope == pytest.approx(-1e-13, rel=1e-9)
 
 
 # ------------------------------------------------------------- phase slope

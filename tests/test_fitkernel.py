@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from resokit import fitkernel
-from resokit.extract import detect_resonances
+from resokit.extract import detect_resonances, initial_guess
 from resokit.fitkernel import (
     WEIGHTINGS,
     FitOptions,
@@ -17,9 +17,17 @@ from resokit.fitkernel import (
     jacobian,
     param_names,
     residuals,
+    seed_from_strongest,
     select_branch_count,
 )
-from resokit.mbvd import MbvdModel, MotionalBranch, branch_from_metrics, synthesize_admittance
+from resokit.mbvd import (
+    MbvdModel,
+    MotionalBranch,
+    branch_from_metrics,
+    metrics_from_model,
+    synthesize_admittance,
+)
+from resokit.refdata import SURVEY, roundtrip_model, synthesis_grid
 
 from conftest import noisy_trace
 
@@ -367,6 +375,43 @@ def test_select_branch_count_keeps_real_pair():
     fs_fit = sorted(b.fs for b in res.model.branches)
     assert fs_fit[0] == pytest.approx(3.0e9, rel=5e-4)
     assert fs_fit[1] == pytest.approx(3.3e9, rel=5e-4)
+
+
+def test_seed_ignores_the_spans_of_candidates_it_does_not_seed():
+    # a weak candidate whose span covers most of the grid leaves the seed
+    # of the strongest one as it is
+    m = one_branch()
+    tr = noisy_trace(m, np.linspace(1.7e9, 3.9e9, 1201), noise_db=-80.0, seed=12)
+    real = detect_resonances(tr)[0]
+    wide = type(real)(fs_est=3.5e9, fp_est=None, prominence_db=1.0, span=(0, 1150))
+    assert seed_from_strongest(tr, [real, wide], 1) == initial_guess(tr, [real])
+
+
+# recovered devices of 66 (22 survey rows x 3 noise draws) per noise level
+RECOVERED = {-80.0: 66, -40.0: 66, -20.0: 66, -15.0: 66, -10.0: 56}
+
+
+@pytest.mark.parametrize("noise_db", RECOVERED, ids=[f"{n:g}dB" for n in RECOVERED])
+def test_select_branch_count_recovers_the_survey_under_noise(noise_db):
+    # recovery within criterion 2's tolerances (fs 1e-4, kt2 0.02, qm 0.05,
+    # c0 0.01 relative); seeding excludes only the seeded candidates' spans
+    # from the background estimate, so the spans of noise candidates cannot
+    # starve it
+    recovered = 0
+    for draw in range(3):
+        for i, row in enumerate(SURVEY):
+            model = roundtrip_model(row.label)
+            grid = synthesis_grid(row.label)
+            tr = noisy_trace(model, grid, noise_db=noise_db, seed=100 + i + 1000 * draw)
+            met = metrics_from_model(select_branch_count(tr, detect_resonances(tr)).model, tr.freqs)
+            truth = metrics_from_model(model, grid)
+            # relative only: pytest.approx's absolute 1e-12 would pass any c0
+            recovered += (met.kt2 is not None
+                          and abs(met.fs - truth.fs) <= 1e-4 * truth.fs
+                          and abs(met.kt2 - truth.kt2) <= 0.02 * truth.kt2
+                          and abs(met.qm - truth.qm) <= 0.05 * truth.qm
+                          and abs(met.c0 - truth.c0) <= 0.01 * truth.c0)
+    assert recovered == RECOVERED[noise_db]
 
 
 def test_select_branch_count_requires_candidates():

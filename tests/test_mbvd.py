@@ -285,6 +285,20 @@ def test_metrics_narrow_grid_flags_unbracketed():
     assert met.kt2 is None
 
 
+def test_metrics_flags_fs_near_a_grid_end():
+    # a grid that starts or ends 0.1% from fs holds one flank of the resonance
+    m = roundtrip_model("L")
+    fs = m.branches[0].fs
+    low = metrics_from_model(m, np.linspace(0.999 * fs, 2.05 * fs, 2001))
+    assert low.flags == ("fs-near-edge",)
+    high = metrics_from_model(m, np.linspace(0.9 * fs, 1.001 * fs, 2001))
+    assert high.flags == ("fs-near-edge", "fp-unbracketed")
+    # the survey grids keep every row clear of the edge
+    for r in SURVEY:
+        met = metrics_from_model(roundtrip_model(r.label), synthesis_grid(r.label))
+        assert "fs-near-edge" not in met.flags, r.label
+
+
 def test_metrics_dominant_branch_is_largest_cm():
     # a weak second branch must not steal fs
     main = branch_from_metrics(2e9, 400.0, 0.2, 100e-15)

@@ -38,7 +38,6 @@ PUBLIC_NAMES = [
     "TouchstoneError",
     "branch_from_metrics",
     "build_layout",
-    "c0_from_offresonance",
     "calibrate_velocity",
     "check_lithography",
     "detect_resonances",
@@ -71,7 +70,7 @@ PUBLIC_NAMES = [
 
 # deleted, or moved into tests/ as oracles
 REMOVED = ["Kt2Convention", "resonance_frequencies", "fit_multistart", "strain_overlaps_numeric",
-           "default_bounds"]
+           "default_bounds", "c0_from_offresonance"]
 
 # every value a library caller can set by leaving out an argument: the
 # defaulted parameters of public functions and methods, as module.f(param),
@@ -91,10 +90,7 @@ SETTABLE_VALUES = [
     "designkit.plan_bank(topology_policy)",
     "designkit.render_table(labels)",
     "designkit.velocity_outliers(rel_threshold)",
-    "extract.c0_from_offresonance(exclusions)",
-    "extract.c0_from_offresonance(fs_hints)",
     "extract.detect_resonances(threshold_db)",
-    "extract.initial_guess(exclude)",
     "fitkernel.FitOptions.weighting",
     "fitkernel.FitResult.cost_trace",
     "fitkernel.fit(options)",
@@ -138,12 +134,12 @@ def test_public_names_are_unique_and_resolve():
 
 
 def test_removed_names_are_gone():
-    from resokit import fitkernel, mbvd, transduce
+    from resokit import extract, fitkernel, mbvd, transduce
 
     for name in REMOVED:
         assert name not in resokit.__all__
         assert not hasattr(resokit, name), name
-        for module in (mbvd, fitkernel, transduce):
+        for module in (extract, mbvd, fitkernel, transduce):
             assert not hasattr(module, name), (module.__name__, name)
 
 
