@@ -1,9 +1,11 @@
-"""Scalar reference implementations of the Touchstone, CSV and SVG text paths.
+"""Scalar reference implementations of the Touchstone, CSV and SVG text
+paths, and the twin S-to-Y and Y-to-S conversions.
 
-These are the token-by-token parser and the per-cell writers that the
-whole-array code in ``resokit`` replaced.  Tests compare the library
-against them: written text must be byte-equal, parsed frequencies and
-matrices bit-equal, and parse errors must carry the same message and line.
+These are the token-by-token parser, the per-cell writers and the two
+separate bilinear maps that the code in ``resokit`` replaced.  Tests
+compare the library against them: written text must be byte-equal, parsed
+frequencies and converted matrices bit-equal, and parse and conversion
+errors must carry the same message and line or frequency.
 They deliberately iterate numpy scalars and Python floats exactly as the
 original loops did, so keep them unchanged when the library changes.
 """
@@ -16,8 +18,15 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from resokit.errors import TouchstoneError
-from resokit.netparams import _FORMATS, _UNIT_SCALE, NetworkRecord, _OptionLine, _parse_option_line
+from resokit.errors import SingularNetworkError, TouchstoneError
+from resokit.netparams import (
+    _FORMATS,
+    _UNIT_SCALE,
+    DET_REL_FLOOR,
+    NetworkRecord,
+    _OptionLine,
+    _parse_option_line,
+)
 from resokit.svgplot import (
     _HEIGHT,
     _MARGIN_B,
@@ -177,6 +186,49 @@ def write_touchstone(net: NetworkRecord, fmt: str = "RI", unit: str = "GHz") -> 
             cells.extend(pair(v))
         out.append(" ".join(f"{c:.17e}" for c in cells))
     return "\n".join(out) + "\n"
+
+
+def _det_and_rel(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    det = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
+    scale = np.sum(np.abs(a) ** 2, axis=(1, 2)) / 2.0
+    rel = np.abs(det) / np.maximum(scale, 1e-300)
+    return det, rel
+
+
+def _inv2(a: np.ndarray, det: np.ndarray) -> np.ndarray:
+    inv = np.empty_like(a)
+    inv[:, 0, 0] = a[:, 1, 1]
+    inv[:, 1, 1] = a[:, 0, 0]
+    inv[:, 0, 1] = -a[:, 0, 1]
+    inv[:, 1, 0] = -a[:, 1, 0]
+    return inv / det[:, None, None]
+
+
+def s_to_y(net: NetworkRecord) -> NetworkRecord:
+    if net.kind != "S":
+        raise ValueError("s_to_y requires an S-kind record")
+    eye = np.eye(2, dtype=complex)
+    a = eye[None, :, :] + net.matrices
+    det, rel = _det_and_rel(a)
+    bad = np.nonzero(rel < DET_REL_FLOOR)[0]
+    if bad.size:
+        raise SingularNetworkError("(I + S) is singular", float(net.freqs[bad[0]]))
+    y = (eye[None, :, :] - net.matrices) @ _inv2(a, det) / net.z0
+    return NetworkRecord(freqs=net.freqs, matrices=y, kind="Y", z0=net.z0)
+
+
+def y_to_s(net: NetworkRecord) -> NetworkRecord:
+    if net.kind != "Y":
+        raise ValueError("y_to_s requires a Y-kind record")
+    eye = np.eye(2, dtype=complex)
+    zy = net.z0 * net.matrices
+    a = eye[None, :, :] + zy
+    det, rel = _det_and_rel(a)
+    bad = np.nonzero(rel < DET_REL_FLOOR)[0]
+    if bad.size:
+        raise SingularNetworkError("(I + z0 Y) is singular", float(net.freqs[bad[0]]))
+    s = (eye[None, :, :] - zy) @ _inv2(a, det)
+    return NetworkRecord(freqs=net.freqs, matrices=s, kind="S", z0=net.z0)
 
 
 def admittance_csv(freqs: np.ndarray, measured: np.ndarray | None,

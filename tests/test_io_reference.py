@@ -1,9 +1,12 @@
-"""Touchstone, CSV and SVG text paths against their scalar references.
+"""Touchstone, CSV and SVG text paths and the S/Y conversions against their
+scalar references.
 
-``reference_io`` holds the token-by-token parser and the per-cell writers.
-Written text must match it byte for byte, parsed frequencies and matrices
-bit for bit (compared as uint64 so that signed zeros count), and malformed
-input must fail with the same message on the same line.
+``reference_io`` holds the token-by-token parser, the per-cell writers and
+the twin S-to-Y and Y-to-S maps.  Written text must match it byte for byte,
+parsed frequencies and converted matrices bit for bit (compared as uint64 so
+that signed zeros count), malformed input must fail with the same message on
+the same line, and a singular point with the same message at the same
+frequency.
 """
 
 from __future__ import annotations
@@ -19,8 +22,9 @@ import pytest
 import reference_io as ref
 from conftest import noisy_trace
 from resokit import cli
-from resokit.errors import TouchstoneError
+from resokit.errors import SingularNetworkError, TouchstoneError
 from resokit.netparams import (
+    DET_REL_FLOOR,
     NetworkRecord,
     device_admittance,
     parse_touchstone,
@@ -255,6 +259,85 @@ def test_parse_errors_match_reference(text):
         parse_touchstone(text)
     assert str(got.value) == str(want.value)
     assert getattr(got.value, "line", None) == getattr(want.value, "line", None)
+
+
+# ------------------------------------------------------------------ S and Y
+
+def assert_converts_like_reference(net: NetworkRecord) -> NetworkRecord | None:
+    """The library's S-to-Y or Y-to-S conversion of net: the reference's bits,
+    or, where the reference finds a singular point, its error (then None)."""
+    lib, want = (s_to_y, ref.s_to_y) if net.kind == "S" else (y_to_s, ref.y_to_s)
+    try:
+        expected = want(net)
+    except SingularNetworkError as err:
+        with pytest.raises(SingularNetworkError) as got:
+            lib(net)
+        assert str(got.value) == str(err)
+        assert got.value.frequency == err.frequency
+        return None
+    out = lib(net)
+    assert_bits_equal(out.freqs, expected.freqs)
+    assert_bits_equal(out.matrices, expected.matrices)
+    assert out.kind == expected.kind and out.z0 == expected.z0
+    return out
+
+
+@pytest.mark.parametrize("noise_db", [-80.0, -40.0, -20.0])
+def test_survey_s_y_conversions_match_reference(noise_db):
+    for i, row in enumerate(SURVEY):
+        measured = noisy_trace(roundtrip_model(row.label), synthesis_grid(row.label),
+                               noise_db=noise_db, seed=100 + i)
+        s = assert_converts_like_reference(series_element_network(measured))
+        for fmt in FORMATS:
+            y = assert_converts_like_reference(parse_touchstone(write_touchstone(s, fmt=fmt)))
+            assert assert_converts_like_reference(y) is not None
+
+
+def near_floor_matrices(seed: int, n: int = 400) -> np.ndarray:
+    """Matrices A = I + X whose relative determinant |det A| / (||A||_F^2 / 2)
+    lies within a factor of two of DET_REL_FLOOR, at scales from 1e-150 to
+    1e150: a random rank-one matrix plus a small random perturbation."""
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+    v = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+    e = rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))
+    rank_one = u[:, :, None] * v[:, None, :]
+    a = rank_one + 1e-12 * rng.uniform(0.5, 2.0, (n, 1, 1)) * e
+    det = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
+    rel = np.abs(det) / (np.sum(np.abs(a) ** 2, axis=(1, 2)) / 2.0)
+    # rescale the perturbation so the relative determinant lands near the floor
+    a = rank_one + e * (1e-12 * np.sqrt(DET_REL_FLOOR / rel)
+                        * rng.uniform(0.7, 1.4, n))[:, None, None]
+    return a * 10.0 ** rng.integers(-150, 151, size=(n, 1, 1))
+
+
+@pytest.mark.parametrize("kind", ["S", "Y"])
+def test_s_y_conversions_match_reference_near_the_singular_floor(kind):
+    a = near_floor_matrices(5 if kind == "S" else 6)
+    x = a - np.eye(2)
+    # for Y the map inverts I + z0 Y
+    mats = x if kind == "S" else x / 50.0
+    freqs = np.arange(1.0, len(a) + 1.0) * 1e9
+    singular = 0
+    for f, m in zip(freqs, mats):
+        net = NetworkRecord(freqs=[f], matrices=m[None], kind=kind, z0=50.0)
+        singular += assert_converts_like_reference(net) is None
+    # both sides of the floor are exercised
+    assert 0 < singular < len(a)
+    assert assert_converts_like_reference(NetworkRecord(freqs, mats, kind)) is None
+
+
+@pytest.mark.parametrize("kind", ["S", "Y"])
+def test_s_y_singular_point_matches_reference(kind):
+    rng = np.random.default_rng(8)
+    x = 0.2 * (rng.standard_normal((5, 2, 2)) + 1j * rng.standard_normal((5, 2, 2)))
+    x[3] = -np.eye(2)  # I + X is exactly zero there
+    mats = x if kind == "S" else x / 50.0
+    net = NetworkRecord(freqs=[1e9, 2e9, 3e9, 4e9, 5e9], matrices=mats, kind=kind)
+    assert assert_converts_like_reference(net) is None
+    with pytest.raises(SingularNetworkError) as err:
+        (s_to_y if kind == "S" else y_to_s)(net)
+    assert err.value.frequency == 4e9
 
 
 # ---------------------------------------------------------------------- CSV
