@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import GeometryError
-from .mbvd import ResonatorMetrics
+from .mbvd import ResonatorMetrics, _median
 
 TOPOLOGIES = ("lvr", "dlvr")
 
@@ -157,10 +157,12 @@ def calibrate_velocity(observations: Iterable[tuple[float, float]]) -> tuple[flo
     if not pairs:
         raise ValueError("need at least one (wavelength, fs) observation")
     for lam, fs in pairs:
+        if not (math.isfinite(lam) and math.isfinite(fs)):
+            raise ValueError(f"non-finite observation ({lam}, {fs})")
         if lam <= 0.0 or fs <= 0.0:
             raise ValueError(f"non-positive observation ({lam}, {fs})")
     products = np.array([lam * fs for lam, fs in pairs])
-    v_p = float(np.median(products))
+    v_p = _median(products)
     spread = float((products.max() - products.min()) / v_p)
     return v_p, spread
 

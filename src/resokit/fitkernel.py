@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import FitError
 from .extract import ResonanceCandidate, initial_guess
-from .mbvd import TWO_PI, Admittance, MbvdModel, MotionalBranch, admittance_arrays
+from .mbvd import TWO_PI, Admittance, MbvdModel, MotionalBranch, _median, admittance_arrays
 from .netparams import ComplexTrace
 
 _R_FLOOR = 1e-3
@@ -179,7 +179,7 @@ class _Problem:
                     stacklevel=3,
                 )
         elif trace.npoints:
-            self.norm = float(np.median(np.abs(trace.values))) or 1.0
+            self.norm = _median(np.abs(trace.values)) or 1.0
         self.trace = trace
         self.weighting = weighting
         self.freqs = trace.freqs[mask]

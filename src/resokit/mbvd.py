@@ -38,6 +38,20 @@ Q_SENTINEL = 1e6
 Q_FLOOR = 10.0
 
 
+def _median(a: np.ndarray) -> float:
+    """np.median of a finite 1-D array, bit for bit, without the numpy.ma
+    import that np.median costs.
+
+    np.median is the middle element, or the mean of the two middle ones;
+    numpy's mean sums from +0.0, so a median of negative zeros is +0.0.
+    """
+    h = a.size // 2
+    if a.size % 2:
+        return float(0.0 + np.partition(a, h)[h])
+    part = np.partition(a, (h - 1, h))
+    return float((0.0 + part[h - 1] + part[h]) / 2.0)
+
+
 @dataclass(frozen=True)
 class MotionalBranch:
     """One series RLC branch: rm (ohm), lm (H), cm (F)."""

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -100,6 +99,9 @@ class ComplexTrace:
 
 @dataclass(frozen=True)
 class _OptionLine:
+    """The option line's settings; a setting it leaves out, or a missing
+    option line, means ``# GHZ S MA R 50``."""
+
     scale: float = 1e9
     fmt: str = "ma"
     z0: float = 50.0
@@ -107,21 +109,19 @@ class _OptionLine:
 
 def _parse_option_line(text: str, lineno: int) -> _OptionLine:
     tokens = text[1:].split()
-    scale = None
-    fmt = None
-    z0 = None
+    given = {}  # _OptionLine fields the line sets
     saw_type = False
     i = 0
     while i < len(tokens):
         tok = tokens[i].lower()
         if tok in _UNIT_SCALE:
-            if scale is not None:
+            if "scale" in given:
                 raise TouchstoneError("duplicate frequency unit in option line", lineno)
-            scale = _UNIT_SCALE[tok]
+            given["scale"] = _UNIT_SCALE[tok]
         elif tok in _FORMATS:
-            if fmt is not None:
+            if "fmt" in given:
                 raise TouchstoneError("duplicate format in option line", lineno)
-            fmt = tok
+            given["fmt"] = tok
         elif tok == "s":
             if saw_type:
                 raise TouchstoneError("duplicate parameter type in option line", lineno)
@@ -131,7 +131,7 @@ def _parse_option_line(text: str, lineno: int) -> _OptionLine:
                 f"unsupported parameter type {tok.upper()!r} (only S accepted)", lineno
             )
         elif tok == "r":
-            if z0 is not None or i + 1 >= len(tokens):
+            if "z0" in given or i + 1 >= len(tokens):
                 raise TouchstoneError("malformed reference impedance in option line", lineno)
             try:
                 z0 = float(tokens[i + 1])
@@ -141,15 +141,12 @@ def _parse_option_line(text: str, lineno: int) -> _OptionLine:
                 ) from None
             if not 0 < z0 < math.inf:
                 raise TouchstoneError("reference impedance must be positive and finite", lineno)
+            given["z0"] = z0
             i += 1
         else:
             raise TouchstoneError(f"unrecognized option token {tokens[i]!r}", lineno)
         i += 1
-    return _OptionLine(
-        scale=1e9 if scale is None else scale,
-        fmt="ma" if fmt is None else fmt,
-        z0=50.0 if z0 is None else z0,
-    )
+    return _OptionLine(**given)
 
 
 def _polar(mag: np.ndarray, degrees: np.ndarray) -> np.ndarray:
@@ -183,16 +180,6 @@ def _pairs_to_complex(fmt: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _polar(np.array([10.0 ** x for x in (a / 20.0).tolist()]), b)
 
 
-def _first_overflow(fn, values: list) -> int:
-    """Index of the first value on which fn raises OverflowError."""
-    for i, x in enumerate(values):
-        try:
-            fn(x)
-        except OverflowError:
-            return i
-    raise AssertionError("no value overflows")
-
-
 def _convert_tokens(tokens: list[str], data_lines: list[int], counts: list[int]) -> np.ndarray:
     """All tokens as floats, or TouchstoneError at the first bad one."""
     try:
@@ -213,26 +200,21 @@ def _convert_tokens(tokens: list[str], data_lines: list[int], counts: list[int])
     raise AssertionError("no bad token found")
 
 
-def parse_touchstone(source: str | Iterable[str]) -> NetworkRecord:
+def parse_touchstone(source: str) -> NetworkRecord:
     """Parse Touchstone v1.0 two-port text into a NetworkRecord of kind "S".
 
     Accepts the full option-line vocabulary (Hz/kHz/MHz/GHz, RI/MA/DB,
     R z0), ``!`` comments, blank lines, and rows wrapped across physical
     lines.  A missing option line means ``# GHZ S MA R 50``.  Anything
-    that is not a well-formed two-port file raises TouchstoneError with
-    the offending line number; of several faults, the first in the file
-    is reported.
+    that is not a well-formed two-port file on a positive, strictly
+    increasing frequency grid raises TouchstoneError with the offending
+    line number; of several faults, the first in the file is reported.
 
     Parameters
     ----------
-    source : str or iterable of str
-        Full file text, or an iterable of lines.
+    source : str
+        The full file text.
     """
-    if isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = [str(s) for s in source]
-
     option: _OptionLine | None = None
     tokens: list[str] = []
     data_lines: list[int] = []  # line number of each data line
@@ -240,7 +222,7 @@ def parse_touchstone(source: str | Iterable[str]) -> NetworkRecord:
     row_lines: list[int] = []  # line on which each row starts
     pending = 0  # columns read of the row not yet complete
     try:
-        for lineno, raw in enumerate(lines, start=1):
+        for lineno, raw in enumerate(source.splitlines(), start=1):
             bang = raw.find("!")
             if bang >= 0:
                 raw = raw[:bang]
@@ -296,6 +278,7 @@ def parse_touchstone(source: str | Iterable[str]) -> NetworkRecord:
     with np.errstate(over="ignore"):  # reported below as a located error
         freqs = table[:, 0] * option.scale
     bad = ~np.isfinite(freqs)
+    bad[0] |= freqs[0] <= 0.0
     bad[1:] |= freqs[1:] <= freqs[:-1]
     # rows before the first bad frequency; a dB overflow among them comes first
     good = int(bad.argmax()) if bad.any() else len(freqs)
@@ -304,16 +287,20 @@ def parse_touchstone(source: str | Iterable[str]) -> NetworkRecord:
     try:
         s = _pairs_to_complex(option.fmt, a, table[:good, 2::2].ravel())
     except OverflowError:
-        raise TouchstoneError(
-            "dB magnitude overflows a float",
-            row_lines[_first_overflow(lambda x: 10.0 ** x, (a / 20.0).tolist()) // 4],
-        ) from None
+        for i, x in enumerate((a / 20.0).tolist()):
+            try:
+                10.0 ** x
+            except OverflowError:
+                raise TouchstoneError("dB magnitude overflows a float", row_lines[i // 4]) from None
+        raise
     if good < len(freqs):
         f = float(freqs[good])
         if not math.isfinite(f):
             raise TouchstoneError(
                 f"frequency {float(table[good, 0])!r} overflows in Hz", row_lines[good]
             )
+        if not good:
+            raise TouchstoneError(f"frequency {f:.6g} Hz is not positive", row_lines[0])
         raise TouchstoneError(
             f"frequency {f:.6g} Hz is not above the previous point", row_lines[good]
         )
@@ -444,15 +431,15 @@ def write_touchstone(net: NetworkRecord, fmt: str = "RI", unit: str = "GHz") -> 
     if fmt_l == "ri":
         first, second = s.real, s.imag
     else:
-        # abs(complex), atan2 and log10 stay on the builtins and libm;
-        # math.degrees is x * (180 / pi)
-        values = s.tolist()
-        try:
-            first = np.array(list(map(abs, values)))
-        except OverflowError:
-            f = float(net.freqs[_first_overflow(abs, values) // 4])
-            raise TouchstoneError(
-                f"S-parameter magnitude overflows a float at {f:.6g} Hz") from None
+        # np.hypot is the libm hypot that abs(complex) calls; atan2 and
+        # log10 stay on libm, whose last bit numpy's loops do not always
+        # reproduce; math.degrees is x * (180 / pi)
+        with np.errstate(over="ignore"):  # reported below as a located error
+            first = np.hypot(s.real, s.imag)
+        over = np.isinf(first)
+        if over.any():
+            f = float(net.freqs[int(over.argmax()) // 4])
+            raise TouchstoneError(f"S-parameter magnitude overflows a float at {f:.6g} Hz")
         second = np.array(list(map(math.atan2, s.imag.tolist(), s.real.tolist())))
         second *= 180.0 / math.pi
         if fmt_l == "db":
@@ -465,20 +452,25 @@ def write_touchstone(net: NetworkRecord, fmt: str = "RI", unit: str = "GHz") -> 
             + _format_cells(cells))
 
 
-def _det_and_rel(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _cayley(x: np.ndarray, freqs: np.ndarray, name: str) -> np.ndarray:
+    """(I - X) (I + X)^-1 for a stack of 2x2 matrices X.
+
+    Raises SingularNetworkError at the first frequency where (I + X) is
+    singular below the relative determinant floor.
+    """
+    eye = np.eye(2, dtype=complex)
+    a = eye + x
     det = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
     scale = np.sum(np.abs(a) ** 2, axis=(1, 2)) / 2.0
-    rel = np.abs(det) / np.maximum(scale, 1e-300)
-    return det, rel
-
-
-def _inv2(a: np.ndarray, det: np.ndarray) -> np.ndarray:
+    bad = np.nonzero(np.abs(det) / np.maximum(scale, 1e-300) < DET_REL_FLOOR)[0]
+    if bad.size:
+        raise SingularNetworkError(f"(I + {name}) is singular", float(freqs[bad[0]]))
     inv = np.empty_like(a)
     inv[:, 0, 0] = a[:, 1, 1]
     inv[:, 1, 1] = a[:, 0, 0]
     inv[:, 0, 1] = -a[:, 0, 1]
     inv[:, 1, 0] = -a[:, 1, 0]
-    return inv / det[:, None, None]
+    return (eye - x) @ (inv / det[:, None, None])
 
 
 def s_to_y(net: NetworkRecord) -> NetworkRecord:
@@ -489,28 +481,15 @@ def s_to_y(net: NetworkRecord) -> NetworkRecord:
     """
     if net.kind != "S":
         raise ValueError("s_to_y requires an S-kind record")
-    eye = np.eye(2, dtype=complex)
-    a = eye[None, :, :] + net.matrices
-    det, rel = _det_and_rel(a)
-    bad = np.nonzero(rel < DET_REL_FLOOR)[0]
-    if bad.size:
-        raise SingularNetworkError("(I + S) is singular", float(net.freqs[bad[0]]))
-    y = (eye[None, :, :] - net.matrices) @ _inv2(a, det) / net.z0
+    y = _cayley(net.matrices, net.freqs, "S") / net.z0
     return NetworkRecord(freqs=net.freqs, matrices=y, kind="Y", z0=net.z0)
 
 
 def y_to_s(net: NetworkRecord) -> NetworkRecord:
-    """Convert Y to S: S = (I - z0 Y) (I + z0 Y)^-1."""
+    """Convert Y to S: S = (I - z0 Y) (I + z0 Y)^-1, with the same singular check."""
     if net.kind != "Y":
         raise ValueError("y_to_s requires a Y-kind record")
-    eye = np.eye(2, dtype=complex)
-    zy = net.z0 * net.matrices
-    a = eye[None, :, :] + zy
-    det, rel = _det_and_rel(a)
-    bad = np.nonzero(rel < DET_REL_FLOOR)[0]
-    if bad.size:
-        raise SingularNetworkError("(I + z0 Y) is singular", float(net.freqs[bad[0]]))
-    s = (eye[None, :, :] - zy) @ _inv2(a, det)
+    s = _cayley(net.z0 * net.matrices, net.freqs, "z0 Y")
     return NetworkRecord(freqs=net.freqs, matrices=s, kind="S", z0=net.z0)
 
 

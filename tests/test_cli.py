@@ -593,6 +593,18 @@ def test_convert_magnitude_overflow_is_an_input_error(tmp_path, capsys, fmt):
     assert not outdir.exists()
 
 
+def test_convert_dc_frequency_is_a_located_input_error(tmp_path, capsys):
+    src = tmp_path / "dc.s2p"
+    src.write_text("# GHZ S RI R 50\n"
+                   "0 0.1 0 0.2 0 0.2 0 0.1 0\n"
+                   "1.0 0.1 0 0.2 0 0.2 0 0.1 0\n")
+    outdir = tmp_path / "o"
+    assert cli.run(["convert", str(src), "--outdir", str(outdir), "--fmt", "MA"]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 2: frequency 0 Hz is not positive\n")
+    assert not outdir.exists()
+
+
 # --------------------------------------------------------------------- misc
 
 def test_unknown_subcommand_exits_via_argparse():
@@ -744,6 +756,28 @@ def test_cli_reads_and_writes_utf8_under_ascii_locale(tmp_path):
         assert proc.stderr.decode("ascii", "backslashreplace").startswith(message)
     csv = (tmp_path / "out" / "good_fit.csv").read_bytes()
     assert csv.startswith(b"freq_Hz,") and b"\r" not in csv
+
+
+def test_fit_batch_and_design_load_no_numpy_ma(tmp_path):
+    # np.median imports numpy.ma, about 12 ms of every process that calls it
+    write_golden(tmp_path / "rowL.s2p")
+    (tmp_path / "t.json").write_text(json.dumps([4.0e9]))
+    out = tmp_path / "o"
+    src_root = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src_root, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    runs = [["fit", "rowL.s2p", "--outdir", str(out)],
+            ["batch", ".", "--outdir", str(out)],
+            ["design", "t.json", "--outdir", str(out)]]
+    for argv in runs:
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from resokit import cli; rc = cli.run(sys.argv[1:]); "
+             "print(rc, sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))",
+             *argv],
+            capture_output=True, text=True, cwd=tmp_path, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []", (argv, proc.stdout)
 
 
 def test_cli_import_loads_no_scipy():

@@ -43,6 +43,17 @@ def test_calibrate_velocity_rejects_empty():
         calibrate_velocity([])
 
 
+@pytest.mark.parametrize("observations, bad", [
+    ([(math.nan, 1e9)], "(nan, 1000000000.0)"),
+    ([(1.8e-6, math.inf), (1.8e-6, 2e9)], "(1.8e-06, inf)"),
+    ([(1.8e-6, 2e9), (-math.inf, 2e9)], "(-inf, 2000000000.0)"),
+], ids=["nan-wavelength", "inf-frequency", "minus-inf-wavelength"])
+def test_calibrate_velocity_rejects_non_finite_observations(observations, bad):
+    with pytest.raises(ValueError) as err:
+        calibrate_velocity(observations)
+    assert str(err.value) == f"non-finite observation {bad}"
+
+
 def test_velocity_outliers_flags_last_two():
     obs = velocity_observations(mode="S0")
     assert len(obs) == 11

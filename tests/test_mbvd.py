@@ -11,6 +11,7 @@ from resokit.errors import DegenerateCouplingError, EstimationError
 from resokit.mbvd import (
     KT2_PREFACTOR,
     _fp_search,
+    _median,
     MbvdModel,
     MotionalBranch,
     branch_from_metrics,
@@ -348,3 +349,23 @@ def test_model_dict_roundtrip_exact():
 def test_model_from_dict_rejects_missing_keys():
     with pytest.raises((KeyError, ValueError)):
         model_from_dict({"c0": 1e-13})
+
+
+# ------------------------------------------------------------------ median
+
+def test_median_equals_numpy_median_bit_for_bit():
+    rng = np.random.default_rng(23)
+    pools = [
+        lambda n: rng.standard_normal(n),
+        lambda n: np.abs(rng.standard_normal(n) + 1j * rng.standard_normal(n)),
+        # heavy ties, signed zeros, subnormals and values near overflow
+        lambda n: rng.choice([0.0, -0.0, 5e-324, -5e-324, 1.0, 2.0, 0.5, 1e308, -1e308], n),
+        lambda n: rng.integers(-2, 3, n).astype(float),
+        lambda n: np.exp(rng.uniform(-700.0, 700.0, n)),
+    ]
+    for n in [*range(1, 65), 2000, 2001]:
+        for pool in pools:
+            a = pool(n)
+            got, want = np.float64(_median(a)), np.float64(np.median(a))
+            assert got.view(np.uint64) == want.view(np.uint64), (n, a)
+            assert type(_median(a)) is float

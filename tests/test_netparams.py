@@ -100,12 +100,6 @@ def test_parse_comments_and_blanks_ignored():
     assert net.freqs.tolist() == [1e9, 2e9]
 
 
-def test_parse_accepts_iterable_of_lines():
-    lines = ["# GHZ S RI R 50", "1.0 0.5 0 0.1 0 0.1 0 0.5 0"]
-    net = parse_touchstone(lines)
-    assert net.freqs[0] == 1e9
-
-
 def test_parse_error_carries_line_number():
     with pytest.raises(TouchstoneError, match="line 2"):
         parse_touchstone("# GHZ S RI R 50\n1.0 bogus\n")
@@ -123,6 +117,20 @@ def test_parse_rejects_non_monotonic_frequency():
 
 
 ROW = "0 0 0 0 0 0 0 0"
+
+
+@pytest.mark.parametrize("text, line, message", [
+    (f"# GHZ S RI R 50\n0 {ROW}\n1.0 {ROW}\n", 2, "frequency 0 Hz is not positive"),
+    (f"# GHZ S RI R 50\n-1.0 {ROW}\n", 2, "frequency -1e+09 Hz is not positive"),
+    # a bad token anywhere in the file comes first
+    (f"# GHZ S RI R 50\n0 {ROW}\n1.0 x {ROW[2:]}\n", 3, "non-numeric token 'x'"),
+], ids=["dc", "negative", "bad-token-after-dc"])
+def test_parse_rejects_non_positive_first_frequency(text, line, message):
+    with pytest.raises(TouchstoneError) as err:
+        parse_touchstone(text)
+    assert type(err.value) is TouchstoneError
+    assert str(err.value) == f"line {line}: {message}"
+    assert err.value.line == line
 
 
 @pytest.mark.parametrize("text, where, what", [
