@@ -39,17 +39,12 @@ Q_FLOOR = 10.0
 
 
 def _median(a: np.ndarray) -> float:
-    """np.median of a finite 1-D array, bit for bit, without the numpy.ma
-    import that np.median costs.
-
-    np.median is the middle element, or the mean of the two middle ones;
-    numpy's mean sums from +0.0, so a median of negative zeros is +0.0.
-    """
+    """np.median of a finite 1-D array: the mean of its middle one or two
+    elements, as np.median takes it, without the NaN check whose masked-array
+    test imports numpy.ma (about 12 ms; numpy 1.x imports it with numpy)."""
     h = a.size // 2
-    if a.size % 2:
-        return float(0.0 + np.partition(a, h)[h])
-    part = np.partition(a, (h - 1, h))
-    return float((0.0 + part[h - 1] + part[h]) / 2.0)
+    lo = h - 1 + a.size % 2
+    return float(np.partition(a, (lo, h))[lo:h + 1].mean())
 
 
 @dataclass(frozen=True)

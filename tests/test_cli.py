@@ -759,7 +759,9 @@ def test_cli_reads_and_writes_utf8_under_ascii_locale(tmp_path):
 
 
 def test_fit_batch_and_design_load_no_numpy_ma(tmp_path):
-    # np.median imports numpy.ma, about 12 ms of every process that calls it
+    # np.median imports numpy.ma, about 12 ms of every process that calls it.
+    # numpy 1.x imports numpy.ma with numpy itself, so the check is that the
+    # run adds no numpy.ma module to those the import left loaded.
     write_golden(tmp_path / "rowL.s2p")
     (tmp_path / "t.json").write_text(json.dumps([4.0e9]))
     out = tmp_path / "o"
@@ -772,8 +774,9 @@ def test_fit_batch_and_design_load_no_numpy_ma(tmp_path):
     for argv in runs:
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys; from resokit import cli; rc = cli.run(sys.argv[1:]); "
-             "print(rc, sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))",
+             "import sys; from resokit import cli\n"
+             "ma = lambda: {m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']}\n"
+             "before = ma(); rc = cli.run(sys.argv[1:]); print(rc, sorted(ma() - before))",
              *argv],
             capture_output=True, text=True, cwd=tmp_path, env=env)
         assert proc.returncode == 0, proc.stderr
