@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -35,6 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._digits import format_repr
 from .designkit import DeviceGeometry, ProcessRules, calibrate_velocity, plan_bank, render_table
 from .errors import EstimationError, FitError, ToolkitError
 from .extract import detect_resonances
@@ -195,10 +197,7 @@ def _admittance_csv(freqs: np.ndarray, measured: np.ndarray | None,
     if fitted is not None:
         names += ["ReYfit_S", "ImYfit_S"]
         cols += [fitted.real, fitted.imag]
-    row = ",".join(["%r"] * len(cols))
-    lines = [",".join(names)]
-    lines += [row % tuple(cells) for cells in np.column_stack(cols).tolist()]
-    return "\n".join(lines) + "\n"
+    return ",".join(names) + "\n" + format_repr(np.column_stack(cols))
 
 
 def _cmd_fit(args: argparse.Namespace) -> Outcome:
@@ -419,14 +418,25 @@ def _cmd_design(args: argparse.Namespace) -> Outcome:
         cfg_path = Path(args.config)
         cfg = _load_json(cfg_path)
         inputs.append(str(cfg_path))
+        velocity_map = cfg.get("velocity", {}) if isinstance(cfg, dict) else None
+        if not isinstance(velocity_map, dict):
+            raise ToolkitError(f"{cfg_path}: expected an object with an optional "
+                               "\"velocity\" object of m/s by mode")
         if "rules" in cfg:
             rules = ProcessRules.from_dict(cfg["rules"])
-        velocity_map = cfg.get("velocity", {})
 
     if args.vp is not None:
         v_p = args.vp
     elif args.mode in velocity_map:
-        v_p = float(velocity_map[args.mode])
+        value = velocity_map[args.mode]
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        try:
+            v_p = float(value) if number else math.nan
+        except OverflowError:  # an integer beyond float range
+            v_p = math.inf
+        if not 0.0 < v_p < math.inf:
+            raise ToolkitError(f"{cfg_path}: velocity.{args.mode} must be a positive finite "
+                               f"number of m/s, got {value!r}")
     else:
         # fall back to the bundled survey; the median is robust to its outliers
         v_p, _ = calibrate_velocity(velocity_observations(mode=args.mode))
@@ -573,9 +583,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first run; every parse_args call returns a new namespace
+_parser: argparse.ArgumentParser | None = None
+
+
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         code, inputs, prefix, outputs = args.handler(args)
         _write_outputs(args, inputs, prefix, outputs)

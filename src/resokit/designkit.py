@@ -161,6 +161,8 @@ def calibrate_velocity(observations: Iterable[tuple[float, float]]) -> tuple[flo
             raise ValueError(f"non-finite observation ({lam}, {fs})")
         if lam <= 0.0 or fs <= 0.0:
             raise ValueError(f"non-positive observation ({lam}, {fs})")
+        if not math.isfinite(lam * fs):
+            raise ValueError(f"observation ({lam}, {fs}) overflows wavelength * fs")
     products = np.array([lam * fs for lam, fs in pairs])
     v_p = _median(products)
     spread = float((products.max() - products.min()) / v_p)

@@ -23,7 +23,8 @@ class TouchstoneError(ToolkitError):
 
 
 class SingularNetworkError(ToolkitError):
-    """An S/Y conversion hit a numerically singular matrix.
+    """An S/Y conversion hit a numerically singular matrix, or one too large
+    to invert in float64.
 
     ``frequency`` is the first grid point at which the conversion failed.
     """

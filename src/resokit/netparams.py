@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._digits import format_e17
 from .errors import SingularNetworkError, TouchstoneError
 
 # frequency units, case-insensitive on input
@@ -308,104 +309,6 @@ def parse_touchstone(source: str) -> NetworkRecord:
     return NetworkRecord(freqs=freqs, matrices=mats, kind="S", z0=option.z0)
 
 
-# 10**k for k = 0..22, all exact in float64, and their Veltkamp halves
-_POW10 = np.array([float(10**k) for k in range(23)])
-
-
-def _veltkamp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split a into hi + lo, each of at most 26 significant bits."""
-    c = 134217729.0 * a  # 2**27 + 1
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-_POW10_HI, _POW10_LO = _veltkamp(_POW10)
-# one field per value: "-d.ddddddddddddddddde+xx" and a separator
-_FIELD = 25
-# rows rendered per byte matrix: one matrix for a whole 2001-point file
-# took the writer's peak allocation from 1.8 MB (row by row with %) to
-# 2.9 MB; blocks of 512 rows hold it at 1.5 MB and run no slower
-_BLOCK_ROWS = 512
-
-
-def _decimal_digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The 18 digits (as an (n, 18) array of ASCII codes) and decimal exponents of
-    ``"%.17e" % x`` for 1e-5 <= a < 1e18, correctly rounded, ties to even.
-
-    The exponent e is the one with 10**17 <= a * 10**(17 - e) < 10**18,
-    exactly; a 10**k with k = 17 - e in [0, 22] is exact in float64, and
-    Dekker's TwoProduct gives the product exactly as p + err.  log10 only
-    supplies the first guess for e.
-    """
-    e = np.clip(np.floor(np.log10(a)), -5, 17).astype(np.intp)
-    a_hi, a_lo = _veltkamp(a)
-    while True:
-        k = 17 - e
-        b_hi, b_lo = _POW10_HI[k], _POW10_LO[k]
-        p = a * _POW10[k]
-        err = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-        # rounding is monotonic, so p alone decides unless it lands on the bound
-        low = (p < 1e17) | ((p == 1e17) & (err < 0.0))
-        high = (p > 1e18) | ((p == 1e18) & (err >= 0.0))
-        if not (low.any() or high.any()):
-            break
-        e += high
-        e -= low
-    # p >= 1e17 > 2**56, where the float64 spacing is 16 or more: p is an
-    # even integer and |err| <= 8, so rounding p + err half-to-even is
-    # rounding err alone.  It never rounds up to 10**18: no double in
-    # [1e-5, 1e18) lies within 5e-19 (relative) below a power of ten.
-    d = p.astype(np.int64) + np.rint(err).astype(np.int64)
-    digits = np.empty((18, a.size), dtype=np.uint8)
-    for j in range(17, -1, -1):
-        q = d // 10
-        digits[j] = 48 + (d - 10 * q)  # "0" + digit
-        d = q
-    return digits.T, e
-
-
-def _render_rows(rows: np.ndarray) -> str:
-    """Rows of values with 1e-5 <= |x| < 1e18 as ``"%.17e"`` fields joined
-    by spaces, one newline-terminated line per row, written into one byte
-    matrix with NUL padding where a value has no minus sign."""
-    x = rows.ravel()
-    digits, e = _decimal_digits(np.abs(x))
-    buf = np.zeros((x.size, _FIELD), dtype=np.uint8)
-    buf[:, 0] = np.where(x < 0.0, ord("-"), 0)
-    buf[:, 1] = digits[:, 0]
-    buf[:, 2] = ord(".")
-    buf[:, 3:20] = digits[:, 1:]
-    buf[:, 20] = ord("e")
-    buf[:, 21] = np.where(e < 0, ord("-"), ord("+"))
-    e = np.abs(e)
-    buf[:, 22] = 48 + e // 10
-    buf[:, 23] = 48 + e % 10
-    buf[:, 24] = ord(" ")
-    buf.reshape(-1, rows.shape[1], _FIELD)[:, -1, -1] = ord("\n")
-    return buf.tobytes().replace(b"\0", b"").decode("ascii")
-
-
-def _format_cells(cells: np.ndarray) -> str:
-    """Each row of ``cells`` as ``"%.17e"`` fields joined by spaces, one
-    newline-terminated line per row.
-
-    Rows whose values all satisfy 1e-5 <= |x| < 1e18 are rendered from
-    their exact decimal digits, _BLOCK_ROWS at a time; any other row is
-    formatted by ``%``.
-    """
-    mag = np.abs(cells)
-    fast = ((mag >= 1e-5) & (mag < 1e18)).all(axis=1)
-    rows = cells[fast]
-    text = "".join([_render_rows(rows[i:i + _BLOCK_ROWS])
-                    for i in range(0, len(rows), _BLOCK_ROWS)])
-    if fast.all():
-        return text
-    row = " ".join(["%.17e"] * cells.shape[1]) + "\n"
-    lines = iter(text.splitlines(keepends=True))
-    return "".join(next(lines) if ok else row % tuple(c)
-                   for ok, c in zip(fast.tolist(), cells.tolist()))
-
-
 def write_touchstone(net: NetworkRecord, fmt: str = "RI", unit: str = "GHz") -> str:
     """Render an S-kind NetworkRecord as Touchstone v1.0 two-port text.
 
@@ -449,19 +352,24 @@ def write_touchstone(net: NetworkRecord, fmt: str = "RI", unit: str = "GHz") -> 
 
     return (f"! 2-port S-parameters, {fmt_l.upper()} format\n"
             f"# {unit_l.upper()} S {fmt_l.upper()} R {net.z0:.17g}\n"
-            + _format_cells(cells))
+            + format_e17(cells))
 
 
 def _cayley(x: np.ndarray, freqs: np.ndarray, name: str) -> np.ndarray:
     """(I - X) (I + X)^-1 for a stack of 2x2 matrices X.
 
     Raises SingularNetworkError at the first frequency where (I + X) is
-    singular below the relative determinant floor.
+    singular below the relative determinant floor, or where its determinant
+    or scale overflows a float (entries above about 1e154).
     """
     eye = np.eye(2, dtype=complex)
     a = eye + x
-    det = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
-    scale = np.sum(np.abs(a) ** 2, axis=(1, 2)) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below as a located error
+        det = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
+        scale = np.sum(np.abs(a) ** 2, axis=(1, 2)) / 2.0
+    over = np.nonzero(~(np.isfinite(scale) & np.isfinite(det)))[0]
+    if over.size:
+        raise SingularNetworkError(f"(I + {name}) is too large to invert", float(freqs[over[0]]))
     bad = np.nonzero(np.abs(det) / np.maximum(scale, 1e-300) < DET_REL_FLOOR)[0]
     if bad.size:
         raise SingularNetworkError(f"(I + {name}) is singular", float(freqs[bad[0]]))

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._digits import format_points
+
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 _WIDTH = 720.0
@@ -91,13 +93,10 @@ def _fmt_coord(v: float) -> str:
     return f"{v:.2f}"
 
 
-_FMT_POINT = "%.2f,%.2f"  # two _fmt_coord values
-
-
-def _to_pixels(values, lo: float, hi: float, p0: float, p1: float, log: bool) -> list[float]:
+def _to_pixels(values, lo: float, hi: float, p0: float, p1: float, log: bool) -> np.ndarray:
     # log10 stays on libm; the affine map keeps the scalar operation order
     t = np.array(list(map(math.log10, values))) if log else np.asarray(values, dtype=float)
-    return (p0 + (t - lo) / (hi - lo) * (p1 - p0)).tolist()
+    return p0 + (t - lo) / (hi - lo) * (p1 - p0)
 
 
 def line_plot(
@@ -123,10 +122,10 @@ def line_plot(
     px0, px1 = _MARGIN_L, _WIDTH - _MARGIN_R
     py0, py1 = _HEIGHT - _MARGIN_B, _MARGIN_T
 
-    def sx(values) -> list[float]:
+    def sx(values) -> np.ndarray:
         return _to_pixels(values, xlo, xhi, px0, px1, False)
 
-    def sy(values) -> list[float]:
+    def sy(values) -> np.ndarray:
         return _to_pixels(values, ylo, yhi, py0, py1, logy)
 
     parts = [
@@ -140,12 +139,12 @@ def line_plot(
 
     xticks = _nice_ticks(xlo, xhi)
     yticks = _decade_ticks(10.0 ** ylo, 10.0 ** yhi) if logy else _nice_ticks(ylo, yhi)
-    for t, px in zip(xticks, sx(xticks)):
+    for t, px in zip(xticks, sx(xticks).tolist()):
         parts.append(f'<line x1="{_fmt_coord(px)}" y1="{py0:g}" x2="{_fmt_coord(px)}" '
                      f'y2="{py1:g}" stroke="#dddddd" stroke-width="1"/>')
         parts.append(f'<text x="{_fmt_coord(px)}" y="{py0 + 16:g}" '
                      f'text-anchor="middle">{_escape(_fmt_tick(t))}</text>')
-    for t, py in zip(yticks, sy(yticks)):
+    for t, py in zip(yticks, sy(yticks).tolist()):
         parts.append(f'<line x1="{px0:g}" y1="{_fmt_coord(py)}" x2="{px1:g}" '
                      f'y2="{_fmt_coord(py)}" stroke="#dddddd" stroke-width="1"/>')
         parts.append(f'<text x="{px0 - 6:g}" y="{_fmt_coord(py + 4)}" '
@@ -163,7 +162,8 @@ def line_plot(
         ok = np.isfinite(s.x) & np.isfinite(s.y)
         if logy:
             ok &= s.y > 0.0
-        points = list(map(_FMT_POINT.__mod__, zip(sx(s.x[ok]), sy(s.y[ok]))))
+        # one "%.2f,%.2f" per plottable sample
+        points = format_points(sx(s.x[ok]), sy(s.y[ok])).split(" ") if ok.any() else []
         # runs of consecutive plottable samples
         idx = np.flatnonzero(ok)
         cuts = (np.flatnonzero(np.diff(idx) > 1) + 1).tolist()

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -202,6 +203,29 @@ def test_fit_off_span_resonance_is_an_input_error(tmp_path, capsys):
     assert cli.run(["batch", str(d), "--outdir", str(outdir)]) == 1
     failures = json.loads((outdir / "batch_batch.json").read_text())["failures"]
     assert [(f["file"], f["error"]) for f in failures] == [("v.s2p", err[len("error: "):-1])]
+
+
+@pytest.mark.parametrize("entry", ["1.5e308 1.5e308", "2e154 0", "0 -1e200"])
+def test_an_s_entry_too_large_to_invert_is_a_located_input_error(tmp_path, capsys, entry):
+    # |S11|**2 overflows the determinant's scale; before, the conversion
+    # spread NaN into an unlocated "values must be finite", with warnings
+    d = tmp_path / "meas"
+    d.mkdir()
+    write_golden(d / "a.s2p")
+    (d / "b.s2p").write_text("# GHZ S RI R 50\n"
+                             "1.0 0.1 0 0 0 0 0 0.1 0\n"
+                             f"2.0 {entry} 0 0 0 0 0.1 0\n")
+    message = "(I + S) is too large to invert at 2e+09 Hz"
+    outdir = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.run(["fit", str(d / "b.s2p"), "--outdir", str(outdir)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not outdir.exists()
+        assert cli.run(["batch", str(d), "--outdir", str(outdir)]) == 1
+    doc = json.loads((outdir / "batch_batch.json").read_text())
+    assert [r["file"] for r in doc["rows"]] == ["a.s2p"]
+    assert doc["failures"] == [{"file": "b.s2p", "error": message}]
 
 
 def test_fit_flags_a_resonance_at_the_grid_edge(tmp_path):
@@ -537,6 +561,34 @@ def test_design_rejects_bad_velocity_target_or_policy(tmp_path, capsys, targets,
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("value, shown", [
+    ('"abc"', "'abc'"), ("-1", "-1"), ("NaN", "nan"), ("Infinity", "inf"),
+], ids=["string", "negative", "nan", "infinity"])
+def test_design_rejects_a_bad_config_velocity(tmp_path, capsys, value, shown):
+    tj = tmp_path / "t.json"
+    tj.write_text(json.dumps([3e9]))
+    cj = tmp_path / "c.json"
+    cj.write_text('{"velocity": {"S0": %s}}' % value)
+    outdir = tmp_path / "o"
+    assert cli.run(["design", str(tj), "--config", str(cj), "--outdir", str(outdir)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {cj}: velocity.S0 must be a positive finite number of m/s, got {shown}\n")
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("config", ["[5500]", '{"velocity": "S0"}'], ids=["list", "string"])
+def test_design_rejects_a_config_that_is_not_an_object(tmp_path, capsys, config):
+    tj = tmp_path / "t.json"
+    tj.write_text(json.dumps([3e9]))
+    cj = tmp_path / "c.json"
+    cj.write_text(config)
+    outdir = tmp_path / "o"
+    assert cli.run(["design", str(tj), "--config", str(cj), "--outdir", str(outdir)]) == 2
+    assert capsys.readouterr().err == (
+        f'error: {cj}: expected an object with an optional "velocity" object of m/s by mode\n')
+    assert not outdir.exists()
+
+
 def test_design_rejects_an_integer_target_too_large_for_a_float(tmp_path, capsys):
     tj = tmp_path / "t.json"
     tj.write_text("[3000000000, 1" + "0" * 400 + "]")
@@ -624,6 +676,36 @@ def test_unexpected_exception_has_its_own_exit_code(tmp_path, capsys, monkeypatc
     argv = ["synth", str(mj), "--outdir", str(tmp_path / "o"), "--grid", "1e9:2e9:11"]
     assert cli.run(argv) == 4
     assert capsys.readouterr().err == "error: internal RuntimeError: boom\n"
+
+
+def test_run_builds_its_parser_once_and_parses_each_call_afresh(tmp_path, capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    mj = tmp_path / "m.json"
+    mj.write_text(json.dumps(model_to_dict(display_model("L"))))
+    tj = tmp_path / "t.json"
+    tj.write_text(json.dumps([3.0e9]))
+    plain = ["synth", str(mj), "--grid", "1e9:2e9:11", "--outdir", str(tmp_path / "b")]
+    runs = [
+        ["synth", str(mj), "--grid", "1e9:2e9:11", "--z0", "75", "--fmt", "DB", "--unit", "MHz",
+         "-o", "x.s2p", "--prefix", "p", "--outdir", str(tmp_path / "a")],
+        plain,
+        ["design", str(tj), "--vp", "5382", "--n", "12", "--outdir", str(tmp_path / "c")],
+    ]
+    assert [cli.run(argv) for argv in runs] == [0, 0, 0]
+    assert built == [1]
+    # the second synth sees none of the first one's flags
+    options = json.loads((tmp_path / "b" / "m_manifest.json").read_text())["options"]
+    fresh = vars(build().parse_args(plain))
+    assert options == {k: v for k, v in fresh.items() if k not in ("command", "handler")}
+    assert options["z0"] == 50.0 and options["fmt"] == "RI" and options["output"] is None
+    # a helper patched after the parser was built still takes effect
+    monkeypatch.setattr(cli, "write_touchstone", lambda *a, **k: "patched\n")
+    assert cli.run(plain) == 0
+    assert (tmp_path / "b" / "m.s2p").read_text() == "patched\n"
+    assert built == [1]
 
 
 def failing_commands(tmp_path):

@@ -54,6 +54,16 @@ def test_calibrate_velocity_rejects_non_finite_observations(observations, bad):
     assert str(err.value) == f"non-finite observation {bad}"
 
 
+@pytest.mark.parametrize("observations, bad", [
+    ([(1e300, 1e300)], "(1e+300, 1e+300)"),
+    ([(1.8e-6, 2e9), (2.0, 1.7e308)], "(2.0, 1.7e+308)"),
+], ids=["alone", "after-a-good-one"])
+def test_calibrate_velocity_rejects_an_overflowing_product(observations, bad):
+    with pytest.raises(ValueError) as err:
+        calibrate_velocity(observations)
+    assert str(err.value) == f"observation {bad} overflows wavelength * fs"
+
+
 def test_velocity_outliers_flags_last_two():
     obs = velocity_observations(mode="S0")
     assert len(obs) == 11
