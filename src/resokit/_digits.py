@@ -55,9 +55,7 @@ def _scaled(a: np.ndarray, n: int, kmax: int):
         k = n - 1 - e
         b_hi, b_lo = _POW10_HI[k], _POW10_LO[k]
         p = a * _POW10[k]
-        w = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-        if kmax > 22:
-            w += a * _POW10_TAIL[k]
+        w = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo + a * _POW10_TAIL[k]
         # rounding is monotonic, so p alone decides unless it lands on a bound
         low = (p < lo_bound) | ((p == lo_bound) & (w < 0.0))
         high = (p > hi_bound) | ((p == hi_bound) & (w >= 0.0))

@@ -21,11 +21,15 @@ import reference_io as ref
 from resokit import _digits, cli
 
 
+def signed(rng: np.random.Generator, values: np.ndarray) -> np.ndarray:
+    """values, each with a random sign."""
+    return values * rng.choice([-1.0, 1.0], size=values.size)
+
+
 def bit_band(rng: np.random.Generator, lo: float, hi: float, size: int) -> np.ndarray:
     """Doubles uniform in bit pattern between lo and hi > lo > 0, either sign."""
     a, b = np.array([lo, hi]).view(np.int64)
-    values = rng.integers(a, b, size=size).view(np.float64)
-    return values * rng.choice([-1.0, 1.0], size=size)
+    return signed(rng, rng.integers(a, b, size=size).view(np.float64))
 
 
 def neighbours(values: np.ndarray, steps: int = 2) -> np.ndarray:
@@ -89,9 +93,9 @@ def repr_values(rng: np.random.Generator) -> np.ndarray:
     groups = [
         raw[np.isfinite(raw)],
         bit_band(rng, 1e-28, 1e16, 520_000),
-        digit_count_values(rng, 12_000) * rng.choice([-1.0, 1.0], 17 * 12_000),
+        signed(rng, digit_count_values(rng, 12_000)),
         neighbours(np.concatenate([powers, -powers]), 3),
-        decimal_ties(rng, 40) * rng.choice([-1.0, 1.0]),
+        signed(rng, decimal_ties(rng, 40)),
         bit_band(rng, 0.9e-5, 1.1e-5, 20_000),
         bit_band(rng, 0.9e-4, 1.1e-4, 20_000),
         bit_band(rng, 0.9e16, 1.1e16, 20_000),
@@ -137,7 +141,7 @@ def test_svg_points_print_each_value_as_percent_2f():
     values = np.concatenate([
         rng.uniform(-1000.0, 1000.0, 400_000),
         bit_band(rng, 1e-300, 2.0**40, 200_000),
-        neighbours(np.concatenate([ties, small_ties]), 1) * rng.choice([-1.0, 1.0]),
+        signed(rng, neighbours(np.concatenate([ties, small_ties]), 1)),
         neighbours(half_cents, 2),
         rng.uniform(-0.006, 0.006, 10_000),
         np.array([0.0, -0.0, 5e-324, -5e-324, 0.005, -0.005, 0.015, 2.0**40 - 1.0, 1e12]),
