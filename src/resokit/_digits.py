@@ -8,7 +8,7 @@ power of ten is carried as its rounded double plus the exact rounding error
 (Dekker's TwoProduct), with 10**k held as an exact double-double.  A row
 holding a value whose digits this cannot decide is formatted by Python.
 
-The shortest-digit search is the one of Ryu (Adams 2018, PLDI) on a 17-digit
+The shortest-digit search follows Ryu (Adams 2018, PLDI), on a 17-digit
 scaled integer: the fewest digits whose correctly rounded candidate lies
 strictly inside the half-ulp interval around the value.
 """

@@ -678,7 +678,7 @@ def test_unexpected_exception_has_its_own_exit_code(tmp_path, capsys, monkeypatc
     assert capsys.readouterr().err == "error: internal RuntimeError: boom\n"
 
 
-def test_run_builds_its_parser_once_and_parses_each_call_afresh(tmp_path, capsys, monkeypatch):
+def test_run_builds_its_parser_once_and_parses_each_call_afresh(tmp_path, monkeypatch):
     built = []
     build = cli.build_parser
     monkeypatch.setattr(cli, "_parser", None)
