@@ -1,4 +1,5 @@
-"""Exact decimal digits of float64 arrays, and the text layouts built on them.
+"""Exact decimal digits of float64 arrays, the text layouts built on them,
+and the reading of ``"%.17e"`` text back.
 
 Three renderings, each byte-equal to Python's own formatting of the same
 doubles: ``"%.17e"`` (the Touchstone writer), ``repr`` (the CSV writers:
@@ -7,6 +8,9 @@ the shortest string that reads back as the same double) and ``"%.2f"``
 power of ten is carried as its rounded double plus the exact rounding error
 (Dekker's TwoProduct), with 10**k held as an exact double-double.  A row
 holding a value whose digits this cannot decide is formatted by Python.
+The reader, ``parse_e17``, decides each ``"%.17e"``-shaped token the same
+way in reverse (Clinger 1990): a candidate double is accepted when the
+exact residual of the 18-digit integer against it lies inside half an ulp.
 
 The shortest-digit search follows Ryu (Adams 2018, PLDI), on a 17-digit
 scaled integer: the fewest digits whose correctly rounded candidate lies
@@ -290,3 +294,121 @@ def format_points(x: np.ndarray, y: np.ndarray) -> str:
     buf[0::2, -1] = ord(",")
     buf[1::2, -1] = ord(" ")
     return buf.tobytes().translate(None, b"\0")[:-1].decode("ascii")
+
+
+
+# The 32 bytes from 28 before a token's end: the sign or a separator at byte
+# 4 (checked apart), then a "%.17e" field, "0" standing for any digit, and 4
+# bytes past the token.  As little-endian words, each is XORed with the
+# shape and masked to the bits that must match ("e" or "E"; "+" up to bits 1
+# and 2, which the exponent table checks); adding the limit to a masked
+# byte's low 7 bits sets its high bit where a digit exceeds 9 or another
+# byte differs.
+_E17_WINDOW = "     0.00000000000000000e+00    "
+
+
+def _window_words(byte) -> np.ndarray:
+    """_E17_WINDOW mapped byte by byte, as a column of 4 words."""
+    return np.frombuffer(bytes(map(byte, _E17_WINDOW)), dtype="<u8").reshape(4, 1)
+
+
+_SHAPE = _window_words(lambda c: 0 if c == " " else ord(c))
+_KEEP = _window_words(lambda c: {" ": 0, "e": 0xDF, "+": 0xF9}.get(c, 0xFF))
+_LIMIT = _window_words(lambda c: {" ": 0, "0": 0x76}.get(c, 0x7F))
+_HIGH = _KEEP & np.uint64(0x8080808080808080)
+_SEVEN_BITS = np.uint64(0x7F7F7F7F7F7F7F7F)
+# the byte before a token of 23 or 24 characters: a separator, or its sign
+_LEADS = np.zeros(256, dtype=bool)
+_LEADS[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32, 43, 45]] = True
+
+
+def _divisors() -> np.ndarray:
+    """10**(17 - e) for each exponent e by its code: bits 1 and 2 of its
+    sign's byte (1 for "+", 2 for "-"), plus 4 times its second digit's low
+    nibble and 128 times its first's; NaN outside -5..17 or for another sign."""
+    code = np.arange(2048)
+    sign = code & 3
+    e = ((code >> 7) * 10 + (code >> 2 & 15)) * np.where(sign == 2, -1, 1)
+    valid = ((sign == 1) | (sign == 2)) & (e >= -5) & (e <= 17)
+    return np.where(valid, _POW10[np.clip(17 - e, 0, 44)], np.nan)
+
+
+_DIVISOR = _divisors()
+_DIVISOR_HI, _DIVISOR_LO = _veltkamp(_DIVISOR)
+# tokens decoded per pass: the temporaries stay small enough for the
+# allocator to reuse, where larger ones cost a page fault per 4 KB
+_DECODE_BLOCK = 2048
+
+
+def _eight_digits(w: np.ndarray) -> np.ndarray:
+    """The numbers spelled by little-endian words of 8 ASCII digits, first
+    digit most significant: adjacent digits, then pairs, then quads are
+    combined by multiplying within the word (Lemire's SWAR reduction)."""
+    w = w - np.uint64(0x3030303030303030)
+    w = w * np.uint64(10) + (w >> np.uint64(8))
+    mask = np.uint64(0x000000FF000000FF)
+    return ((w & mask) * np.uint64(100 + (1000000 << 32))
+            + ((w >> np.uint64(16)) & mask) * np.uint64(1 + (10000 << 32))) >> np.uint64(32)
+
+
+def parse_e17(text: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """``float(token)`` of each token ``text[starts[i]:ends[i]]`` shaped like
+    ``"%.17e"`` output, ``[+-]d.ddddddddddddddddd[eE][+-]dd``, with a
+    decimal exponent of -5..17; returns (values, decided).
+
+    text holds ASCII bytes, and the tokens are in order.  The 18 digits
+    make an integer D that is exact as a double-double, 10**m (m = 17 -
+    exponent <= 22) is an exact double, and the value is D / 10**m (Clinger
+    1990).  The quotient q of the doubles is within 1.5 ulps of it, so the
+    residual D - q * 10**m is exact with TwoProduct; x = q + residual / 10**m
+    is accepted when its exact rounding error plus a bound on the
+    division's stays below half the spacing of doubles next to x.  A token
+    of another shape, within 4 bytes of the text's end or near a tie is
+    left undecided, and its value is meaningless.
+    """
+    values = np.zeros(ends.size)
+    decided = np.zeros(ends.size, dtype=bool)
+    first, stop = np.searchsorted(ends, [28, text.size - 3])
+    short = ends - starts <= 24
+    windows = np.ndarray((max(text.size - 31, 0),), dtype="V32", buffer=text, strides=(1,))
+    for i in range(first, stop, _DECODE_BLOCK):
+        j = min(i + _DECODE_BLOCK, stop)
+        values[i:j], decided[i:j] = _decode_e17(windows[ends[i:j] - 28], short[i:j])
+    return values, decided
+
+
+def _decode_e17(windows: np.ndarray, short: np.ndarray):
+    w = np.ascontiguousarray(windows.view("<u8").reshape(-1, 4).T)
+    bad = (w ^ _SHAPE) & _KEEP
+    bad = (((bad & _SEVEN_BITS) + _LIMIT) | bad) & _HIGH
+    lead = (w[0] >> np.uint64(32)) & np.uint64(0xFF)
+    ok = ~bad.any(axis=0) & short & _LEADS[lead]
+    code = (w[3] >> np.uint64(9)) & np.uint64(0x78783)
+    code = ((code & np.uint64(0x7FF)) | (code >> np.uint64(13))).view(np.int64)
+    p, p_hi, p_lo = _DIVISOR[code], _DIVISOR_HI[code], _DIVISOR_LO[code]
+    # "000000" and the first two digits
+    w[0] = (((w[0] & np.uint64(0xFF << 40)) << np.uint64(8)) | (w[0] & np.uint64(0xFF << 56))
+            | np.uint64(0x303030303030))
+    digits = _eight_digits(w[:3]).view(np.int64)
+    # D = hi + lo: hi needs at most 52 bits, and Fast2Sum gives D = dh + dl
+    hi = (digits[0] * 1e8 + digits[1]) * 1e8
+    lo = digits[2].astype(np.float64)
+    dh = hi + lo
+    dl = lo - (dh - hi)
+    q = dh / p
+    # D - q * 10**m: each partial sum is a multiple of the product's last
+    # bit and below 2**53 of them, so none rounds
+    q_hi, q_lo = _veltkamp(q)
+    prod = q * p
+    err = ((q_hi * p_hi - prod) + q_hi * p_lo + q_lo * p_hi) + q_lo * p_lo
+    t = (((dh - prod) - err) + dl) / p
+    x = q + t
+    # |x - D / 10**m| is at most |(q - x) + t| (Fast2Sum: exact) plus the
+    # division's error, below |t| * 2**-53; 2**-50 also covers this sum's rounding
+    off = np.abs((q - x) + t) + np.abs(t) * 2.0**-50
+    bits = x.view(np.uint64)
+    # half the smaller spacing of doubles next to x (below a power of two)
+    half = (((bits - np.uint64(1)) & np.uint64(0x7FF << 52)) - np.uint64(53 << 52)).view(np.float64)
+    ok &= off < half
+    bits |= (lead == 45).astype(np.uint64) << np.uint64(63)
+    return x, ok

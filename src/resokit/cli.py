@@ -393,6 +393,38 @@ def _cmd_modes(args: argparse.Namespace) -> Outcome:
     return EXIT_OK, [], prefix, out
 
 
+def _config_number(path: Path, key: str, value, unit: str) -> float:
+    """A --config value that must be a positive finite JSON number."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    try:
+        x = float(value) if number else math.nan
+    except OverflowError:  # an integer beyond float range
+        x = math.inf
+    if not 0.0 < x < math.inf:
+        raise ToolkitError(f"{path}: {key} must be a positive finite number of {unit}, "
+                           f"got {value!r}")
+    return x
+
+
+def _config_rules(path: Path, rules) -> ProcessRules:
+    """The process rules of a --config "rules" object, each key checked."""
+    if not isinstance(rules, dict):
+        raise ToolkitError(f"{path}: rules must be an object of lengths in m, got {rules!r}")
+    given = {key: _config_number(path, f"rules.{key}", rules[key], "m")
+             for key in ("min_feature", "min_gap") if key in rules}
+    if "lambda_range" in rules:
+        span = rules["lambda_range"]
+        if not (isinstance(span, list) and len(span) == 2):
+            raise ToolkitError(f"{path}: rules.lambda_range must be a list of two lengths "
+                               f"in m, got {span!r}")
+        lo, hi = (_config_number(path, f"rules.lambda_range[{i}]", v, "m")
+                  for i, v in enumerate(span))
+        if lo > hi:
+            raise ToolkitError(f"{path}: rules.lambda_range must not decrease, got {span!r}")
+        given["lambda_range"] = (lo, hi)
+    return ProcessRules(**given)
+
+
 def _cmd_design(args: argparse.Namespace) -> Outcome:
     _check_flags([
         # optional: without it the velocity comes from --config or the survey
@@ -423,20 +455,12 @@ def _cmd_design(args: argparse.Namespace) -> Outcome:
             raise ToolkitError(f"{cfg_path}: expected an object with an optional "
                                "\"velocity\" object of m/s by mode")
         if "rules" in cfg:
-            rules = ProcessRules.from_dict(cfg["rules"])
+            rules = _config_rules(cfg_path, cfg["rules"])
 
     if args.vp is not None:
         v_p = args.vp
     elif args.mode in velocity_map:
-        value = velocity_map[args.mode]
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        try:
-            v_p = float(value) if number else math.nan
-        except OverflowError:  # an integer beyond float range
-            v_p = math.inf
-        if not 0.0 < v_p < math.inf:
-            raise ToolkitError(f"{cfg_path}: velocity.{args.mode} must be a positive finite "
-                               f"number of m/s, got {value!r}")
+        v_p = _config_number(cfg_path, f"velocity.{args.mode}", velocity_map[args.mode], "m/s")
     else:
         # fall back to the bundled survey; the median is robust to its outliers
         v_p, _ = calibrate_velocity(velocity_observations(mode=args.mode))

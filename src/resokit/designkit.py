@@ -79,18 +79,6 @@ class ProcessRules:
             raise ValueError(f"invalid lambda_range {self.lambda_range}")
         object.__setattr__(self, "lambda_range", (float(lo), float(hi)))
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ProcessRules":
-        kwargs = {}
-        if "min_feature" in data:
-            kwargs["min_feature"] = float(data["min_feature"])
-        if "min_gap" in data:
-            kwargs["min_gap"] = float(data["min_gap"])
-        if "lambda_range" in data:
-            lo, hi = data["lambda_range"]
-            kwargs["lambda_range"] = (float(lo), float(hi))
-        return cls(**kwargs)
-
 
 @dataclass(frozen=True)
 class Finding:
@@ -164,7 +152,10 @@ def calibrate_velocity(observations: Iterable[tuple[float, float]]) -> tuple[flo
         if not math.isfinite(lam * fs):
             raise ValueError(f"observation ({lam}, {fs}) overflows wavelength * fs")
     products = np.array([lam * fs for lam, fs in pairs])
-    v_p = _median(products)
+    with np.errstate(over="ignore"):  # reported below
+        v_p = _median(products)
+    if not math.isfinite(v_p):
+        raise ValueError("the median of wavelength * fs overflows a float")
     spread = float((products.max() - products.min()) / v_p)
     return v_p, spread
 

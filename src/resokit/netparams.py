@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._digits import format_e17
+from ._digits import format_e17, parse_e17
 from .errors import SingularNetworkError, TouchstoneError
 
 # frequency units, case-insensitive on input
@@ -159,8 +159,8 @@ def _polar(mag: np.ndarray, degrees: np.ndarray) -> np.ndarray:
     can differ from it in the sign of an underflowed zero.
     """
     radians = (degrees * (math.pi / 180.0)).tolist()
-    c = np.array(list(map(math.cos, radians)))
-    s = np.array(list(map(math.sin, radians)))
+    c = np.fromiter(map(math.cos, radians), float, len(radians))
+    s = np.fromiter(map(math.sin, radians), float, len(radians))
     out = np.empty(mag.size, dtype=complex)
     out.real = mag * c - 0.0 * s
     out.imag = mag * s + 0.0 * c
@@ -177,28 +177,87 @@ def _pairs_to_complex(fmt: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return out
     if fmt == "ma":
         return _polar(a, b)
-    # db: magnitude in dB20
-    return _polar(np.array([10.0 ** x for x in (a / 20.0).tolist()]), b)
+    # db: magnitude in dB20, libm's pow(10, x) as 10.0 ** x takes it
+    return _polar(np.fromiter(map(math.pow, itertools.repeat(10.0), (a / 20.0).tolist()),
+                              float, a.size), b)
 
 
-def _convert_tokens(tokens: list[str], data_lines: list[int], counts: list[int]) -> np.ndarray:
-    """All tokens as floats, or TouchstoneError at the first bad one."""
-    try:
-        values = np.array(list(map(float, tokens)), dtype=float)
-        if np.isfinite(values).all():
-            return values
-    except ValueError:
-        pass
-    it = iter(tokens)
-    for lineno, n in zip(data_lines, counts):
-        for tok in itertools.islice(it, n):
-            try:
-                value = float(tok)
-            except ValueError:
-                raise TouchstoneError(f"non-numeric token {tok!r}", lineno) from None
-            if not math.isfinite(value):
-                raise TouchstoneError(f"non-finite value {tok!r}", lineno) from None
-    raise AssertionError("no bad token found")
+# by code point below 34: 1 for str.split's whitespace, 2 for a line break
+# of str.splitlines (whitespace too), 3 for "!", which opens a comment ...
+_LOW_KINDS = np.zeros(34, dtype=np.uint8)
+_LOW_KINDS[[9, 31, 32]] = 1
+_LOW_KINDS[[10, 11, 12, 13, 28, 29, 30]] = 2
+_LOW_KINDS[33] = 3
+# ... and the whitespace and line breaks above 127
+_WIDE_SPACES = np.array([0x85, 0xA0, 0x1680, *range(0x2000, 0x200B),
+                         0x2028, 0x2029, 0x202F, 0x205F, 0x3000])
+_WIDE_BREAKS = np.array([0x85, 0x2028, 0x2029])
+_SCAN_BLOCK = 1 << 16  # characters classified per pass
+
+
+def _tokens(source: str):
+    """The whitespace-separated tokens of the source outside ``!`` comments,
+    as ``str.splitlines`` and ``str.split`` find them.
+
+    Returns (text, starts, ends, breaks): token i is source[starts[i]:ends[i]],
+    breaks holds the position of each line break ("\\r\\n" at its "\\r"),
+    and text the source's characters as bytes, "?" for each non-ASCII one.
+    Tokens are separated by characters below 34 and by the non-ASCII
+    whitespace, which is looked up among the "?"s.  The characters below 34
+    are found a block of text at a time, since a mask of the whole text
+    would cost a page fault per 4 KB; positions are int32 for the same
+    reason.
+    """
+    text = np.frombuffer(source.encode("ascii", "replace"), dtype=np.uint8)
+    marks = [np.zeros(0, dtype=np.intp)]
+    for i in range(0, text.size, _SCAN_BLOCK):
+        marks.append(np.flatnonzero(text[i:i + _SCAN_BLOCK] < 34) + i)
+    index = np.int32 if text.size < 2**31 else np.intp
+    marks = np.concatenate(marks, dtype=index)
+    kinds = _LOW_KINDS[text[marks]]
+    seps = marks[(kinds == 1) | (kinds == 2)]
+    breaks = marks[kinds == 2]
+    breaks = breaks[~((text[breaks] == 10) & (text[breaks - 1] == 13) & (breaks > 0))]
+    if not source.isascii():
+        odd = np.flatnonzero(text == ord("?")).astype(index)
+        points = np.fromiter(map(ord, map(source.__getitem__, odd.tolist())), np.int64, odd.size)
+        seps = np.union1d(seps, odd[np.isin(points, _WIDE_SPACES)])
+        breaks = np.union1d(breaks, odd[np.isin(points, _WIDE_BREAKS)])
+    bounds = np.concatenate(([-1], seps, [text.size]), dtype=index)
+    gaps = bounds[1:] - bounds[:-1] > 1
+    starts, ends = bounds[:-1][gaps] + 1, bounds[1:][gaps]
+    bangs = marks[kinds == 3]
+    if bangs.size and starts.size:
+        # a comment runs from the first "!" of its line to the line's end:
+        # tokens from there on go, and a token holding the "!" ends there
+        line = np.searchsorted(breaks, bangs)
+        first = np.flatnonzero(np.diff(line, prepend=-1))
+        bangs, line = bangs[first], line[first]
+        cut = np.searchsorted(starts, bangs)
+        held = np.flatnonzero((cut > 0) & (ends[cut - 1] > bangs))
+        ends[cut[held] - 1] = bangs[held]
+        drop = np.zeros(starts.size + 1, dtype=np.int8)
+        np.add.at(drop, cut, 1)
+        np.add.at(drop, np.searchsorted(starts, np.append(breaks, text.size)[line]), -1)
+        keep = np.cumsum(drop[:-1], dtype=np.int8) == 0
+        starts, ends = starts[keep], ends[keep]
+    return text, starts, ends, breaks
+
+
+def _row_error(lines: np.ndarray, counts: np.ndarray, pending: np.ndarray):
+    """(line found, error) for the first data line that overfills a row, or
+    None; pending holds the columns each line's row had before it."""
+    over = np.flatnonzero(pending + counts > 9)
+    if not over.size:
+        return None
+    i = int(over[0])
+    n, lineno = int(counts[i]), int(lines[i])
+    if not pending[i]:
+        return lineno, TouchstoneError(
+            f"{n} columns in one row; only 2-port data (9 columns) supported", lineno)
+    start = int(lines[np.flatnonzero(pending[:i] == 0)[-1]])
+    return lineno, TouchstoneError(
+        f"row starting here accumulates {int(pending[i]) + n} columns, expected 9", start)
 
 
 def parse_touchstone(source: str) -> NetworkRecord:
@@ -210,66 +269,74 @@ def parse_touchstone(source: str) -> NetworkRecord:
     that is not a well-formed two-port file on a positive, strictly
     increasing frequency grid raises TouchstoneError with the offending
     line number; of several faults, the first in the file is reported.
+    Every value is Python's ``float()`` of its token.
 
     Parameters
     ----------
     source : str
         The full file text.
     """
+    text, starts, ends, breaks = _tokens(source)
+    # the lines holding tokens: first token, token count, 1-based number
+    bounds = np.concatenate(([0], np.searchsorted(starts, breaks), [starts.size]))
+    counts = np.diff(bounds)
+    filled = np.flatnonzero(counts)
+    first, counts, numbers = bounds[filled], counts[filled], filled + 1
+    hashes = text[starts[first]] == ord("#")
+    data_lines, data_counts = numbers[~hashes], counts[~hashes]
+    pending = (np.cumsum(data_counts) - data_counts) % 9  # columns before each data line
+    faults = []  # (line found, error), the scan's order
+    row_fault = _row_error(data_lines, data_counts, pending)
+    if row_fault:
+        faults.append(row_fault)
     option: _OptionLine | None = None
-    tokens: list[str] = []
-    data_lines: list[int] = []  # line number of each data line
-    counts: list[int] = []  # tokens on each data line
-    row_lines: list[int] = []  # line on which each row starts
-    pending = 0  # columns read of the row not yet complete
-    try:
-        for lineno, raw in enumerate(source.splitlines(), start=1):
-            bang = raw.find("!")
-            if bang >= 0:
-                raw = raw[:bang]
-            text = raw.strip()
-            if not text:
+    for k, (i, n, lineno) in enumerate(zip(first[hashes][:2].tolist(), counts[hashes].tolist(),
+                                           numbers[hashes].tolist())):
+        if data_lines.size and data_lines[0] < lineno:
+            faults.append((lineno, TouchstoneError("option line after data", lineno)))
+        elif k:
+            faults.append((lineno, TouchstoneError("duplicate option line", lineno)))
+        else:
+            try:
+                option = _parse_option_line(source[starts[i]:ends[i + n - 1]], lineno)
                 continue
-            if text.startswith("#"):
-                if counts:
-                    raise TouchstoneError("option line after data", lineno)
-                if option is not None:
-                    raise TouchstoneError("duplicate option line", lineno)
-                option = _parse_option_line(text, lineno)
-                continue
-            line_tokens = text.split()
-            n = len(line_tokens)
-            tokens += line_tokens
-            data_lines.append(lineno)
-            counts.append(n)
-            if not pending:
-                row_lines.append(lineno)
-                if n > 9:
-                    raise TouchstoneError(
-                        f"{n} columns in one row; only 2-port data (9 columns) supported",
-                        lineno,
-                    )
-            pending += n
-            if pending == 9:
-                pending = 0
-            elif pending > 9:
-                raise TouchstoneError(
-                    f"row starting here accumulates {pending} columns, expected 9",
-                    row_lines[-1],
-                )
-    except TouchstoneError:
-        # a bad token on this line or an earlier one comes first in the file
-        _convert_tokens(tokens, data_lines, counts)
-        raise
-    values = _convert_tokens(tokens, data_lines, counts)
+            except TouchstoneError as exc:
+                faults.append((lineno, exc))
+        break
+    if hashes.any():
+        data = np.repeat(~hashes, counts)
+        starts, ends = starts[data], ends[data]
 
-    if counts and counts.count(3) == len(counts):
+    values, decided = parse_e17(text, starts, ends)
+    del text  # the encoded source, before the libm steps allocate
+    bad = None  # the first token that is no finite number
+    for i in np.flatnonzero(~decided).tolist():
+        token = source[starts[i]:ends[i]]
+        try:
+            values[i] = value = float(token)
+            if math.isfinite(value):
+                continue
+            message = f"non-finite value {token!r}"
+        except ValueError:
+            message = f"non-numeric token {token!r}"
+        bad = TouchstoneError(message, int(np.searchsorted(breaks, starts[i])) + 1)
+        break
+    if faults:
+        # a bad token on the faulty line or an earlier one comes first in the file
+        found, fault = min(faults, key=lambda f: f[0])
+        raise bad if bad is not None and bad.line <= found else fault
+    if bad is not None:
+        raise bad
+
+    if data_counts.size and (data_counts == 3).all():
         raise TouchstoneError(
-            "rows have 3 columns (1-port data); only 2-port supported", data_lines[0]
+            "rows have 3 columns (1-port data); only 2-port supported", int(data_lines[0])
         )
-    if pending:
-        raise TouchstoneError(f"incomplete final row ({pending} of 9 columns)", row_lines[-1])
-    if not row_lines:
+    row_lines = data_lines[pending == 0]  # line on which each row starts
+    if values.size % 9:
+        raise TouchstoneError(f"incomplete final row ({values.size % 9} of 9 columns)",
+                              int(row_lines[-1]))
+    if not row_lines.size:
         raise TouchstoneError("no data rows found")
 
     if option is None:
@@ -292,18 +359,19 @@ def parse_touchstone(source: str) -> NetworkRecord:
             try:
                 10.0 ** x
             except OverflowError:
-                raise TouchstoneError("dB magnitude overflows a float", row_lines[i // 4]) from None
+                raise TouchstoneError("dB magnitude overflows a float",
+                                      int(row_lines[i // 4])) from None
         raise
     if good < len(freqs):
         f = float(freqs[good])
         if not math.isfinite(f):
             raise TouchstoneError(
-                f"frequency {float(table[good, 0])!r} overflows in Hz", row_lines[good]
+                f"frequency {float(table[good, 0])!r} overflows in Hz", int(row_lines[good])
             )
         if not good:
-            raise TouchstoneError(f"frequency {f:.6g} Hz is not positive", row_lines[0])
+            raise TouchstoneError(f"frequency {f:.6g} Hz is not positive", int(row_lines[0]))
         raise TouchstoneError(
-            f"frequency {f:.6g} Hz is not above the previous point", row_lines[good]
+            f"frequency {f:.6g} Hz is not above the previous point", int(row_lines[good])
         )
     mats = np.ascontiguousarray(s.reshape(-1, 2, 2).transpose(0, 2, 1))
     return NetworkRecord(freqs=freqs, matrices=mats, kind="S", z0=option.z0)
@@ -343,10 +411,11 @@ def write_touchstone(net: NetworkRecord, fmt: str = "RI", unit: str = "GHz") -> 
         if over.any():
             f = float(net.freqs[int(over.argmax()) // 4])
             raise TouchstoneError(f"S-parameter magnitude overflows a float at {f:.6g} Hz")
-        second = np.array(list(map(math.atan2, s.imag.tolist(), s.real.tolist())))
+        second = np.fromiter(map(math.atan2, s.imag.tolist(), s.real.tolist()), float, s.size)
         second *= 180.0 / math.pi
         if fmt_l == "db":
-            first = 20.0 * np.array(list(map(math.log10, np.maximum(first, 1e-300).tolist())))
+            first = 20.0 * np.fromiter(map(math.log10, np.maximum(first, 1e-300).tolist()),
+                                       float, s.size)
     cells[:, 1::2] = first.reshape(n, 4)
     cells[:, 2::2] = second.reshape(n, 4)
 

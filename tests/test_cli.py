@@ -576,6 +576,40 @@ def test_design_rejects_a_bad_config_velocity(tmp_path, capsys, value, shown):
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("rules, message", [
+    ("5", "rules must be an object of lengths in m, got 5"),
+    ('{"min_gap": "x"}', "rules.min_gap must be a positive finite number of m, got 'x'"),
+    ('{"min_feature": -1e-7}',
+     "rules.min_feature must be a positive finite number of m, got -1e-07"),
+    ('{"lambda_range": [1]}', "rules.lambda_range must be a list of two lengths in m, got [1]"),
+    ('{"lambda_range": [1e-6, NaN]}',
+     "rules.lambda_range[1] must be a positive finite number of m, got nan"),
+    ('{"lambda_range": [2e-6, 1e-6]}', "rules.lambda_range must not decrease, got [2e-06, 1e-06]"),
+], ids=["not-an-object", "gap-string", "feature-negative", "range-short", "range-nan",
+        "range-decreasing"])
+def test_design_rejects_bad_config_rules(tmp_path, capsys, rules, message):
+    tj = tmp_path / "t.json"
+    tj.write_text(json.dumps([3e9]))
+    cj = tmp_path / "c.json"
+    cj.write_text('{"rules": %s}' % rules)
+    outdir = tmp_path / "o"
+    assert cli.run(["design", str(tj), "--config", str(cj), "--vp", "5382",
+                    "--outdir", str(outdir)]) == 2
+    assert capsys.readouterr().err == f"error: {cj}: {message}\n"
+    assert not outdir.exists()
+
+
+def test_design_takes_config_rules(tmp_path, capsys):
+    tj = tmp_path / "t.json"
+    tj.write_text(json.dumps([3e9]))
+    cj = tmp_path / "c.json"
+    cj.write_text('{"rules": {"min_feature": 1e-9, "min_gap": 1e-9, "lambda_range": [1e-7, 1e-4]}}')
+    outdir = tmp_path / "o"
+    assert cli.run(["design", str(tj), "--config", str(cj), "--vp", "5382",
+                    "--outdir", str(outdir)]) == 0
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("config", ["[5500]", '{"velocity": "S0"}'], ids=["list", "string"])
 def test_design_rejects_a_config_that_is_not_an_object(tmp_path, capsys, config):
     tj = tmp_path / "t.json"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -62,6 +63,15 @@ def test_calibrate_velocity_rejects_an_overflowing_product(observations, bad):
     with pytest.raises(ValueError) as err:
         calibrate_velocity(observations)
     assert str(err.value) == f"observation {bad} overflows wavelength * fs"
+
+
+def test_calibrate_velocity_rejects_an_overflowing_median():
+    # each product is finite, the mean of the two middle ones is not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as err:
+            calibrate_velocity([(1.0, 1.7e308), (1.0, 1.7e308)])
+    assert str(err.value) == "the median of wavelength * fs overflows a float"
 
 
 def test_velocity_outliers_flags_last_two():

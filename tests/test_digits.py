@@ -162,3 +162,68 @@ def test_points_outside_the_exact_range_are_formatted_by_python():
     y = np.array([math.nan, 2.0, 3.0, -1e300])
     assert _digits.format_points(x, y) == " ".join(
         map("%.2f,%.2f".__mod__, zip(x.tolist(), y.tolist())))
+
+
+def e17_midpoints(rng: np.random.Generator, size: int) -> list[str]:
+    """"%.17e"-shaped tokens at and one unit of the last digit either side
+    of the 18-digit decimal nearest to the midpoint between a double of
+    1e-5..1e18 and the next one up: the hardest values to round."""
+    tokens = []
+    for x in bit_band(rng, 1e-5, 1e18, size).tolist():
+        mant, exp2 = math.frexp(abs(x))
+        mid = Fraction(2 * int(mant * 2**53) + 1) * Fraction(2) ** (exp2 - 54)
+        e = math.floor(math.log10(mid))
+        d = round(mid / Fraction(10) ** (e - 17))
+        if d >= 10**18:
+            d, e = round(mid / Fraction(10) ** (e - 16)), e + 1
+        for n in (d - 1, d, d + 1):
+            if 10**17 <= n < 10**18:
+                digits = str(n)
+                tokens.append(f"{'-' if x < 0 else ''}{digits[0]}.{digits[1:]}e{e:+03d}")
+    return tokens
+
+
+def parse_e17_tokens(tokens: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """_digits.parse_e17 on the tokens, space-separated in one text, with
+    room before the first and after the last for its 32-byte windows."""
+    lengths = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens))
+    ends = 28 + np.cumsum(lengths + 1) - 1
+    text = np.frombuffer((" " * 28 + " ".join(tokens) + " " * 4).encode("ascii"), dtype=np.uint8)
+    return _digits.parse_e17(text, ends - lengths, ends)
+
+
+def is_tie(token: str) -> bool:
+    """The token's decimal lies exactly halfway between two doubles."""
+    x = float(token)
+    exact = Fraction(token)
+    other = np.nextafter(x, math.inf if exact > Fraction(x) else -math.inf)
+    return 2 * exact == Fraction(x) + Fraction(float(other))
+
+
+def test_parse_e17_reads_each_token_as_float():
+    rng = np.random.default_rng(23)
+    raw = rng.integers(0, 2**64, size=300_000, dtype=np.uint64).view(np.float64)
+    groups = {
+        "raw bit patterns": ["%.17e" % v for v in raw[np.isfinite(raw)].tolist()],
+        "1e-5..1e18": ["%.17e" % v for v in bit_band(rng, 1e-5, 1e18, 600_000).tolist()],
+        "band edges": ["%.17e" % v for v in neighbours(np.concatenate(
+            [[1e-5, 1e17, 1e18, 1.0, 2.0, 0.5], -np.array([1e-5, 1e17, 1.0])]), 3).tolist()],
+        "midpoints": e17_midpoints(rng, 40_000),
+    }
+    assert sum(map(len, groups.values())) >= 10**6
+    undecided = {}
+    for name, tokens in groups.items():
+        undecided[name] = []
+        for chunk in range(0, len(tokens), 100_000):
+            part = tokens[chunk:chunk + 100_000]
+            values, decided = parse_e17_tokens(part)
+            want = np.array(list(map(float, part)))
+            wrong = np.flatnonzero(decided & (values.view(np.uint64) != want.view(np.uint64)))
+            assert not wrong.size, [part[i] for i in wrong[:5]]
+            undecided[name] += [part[i] for i in np.flatnonzero(~decided)]
+    # the writer's band is decided whole; near a tie, only an exact tie is
+    # left to float(), as is everything with an exponent outside -5..17
+    assert not undecided["1e-5..1e18"]
+    assert all(map(is_tie, undecided["midpoints"]))
+    assert len(undecided["midpoints"]) < 0.05 * len(groups["midpoints"])
+    assert all(not -5 <= int(t.split("e")[1]) <= 17 for t in undecided["raw bit patterns"])
