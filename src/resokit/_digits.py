@@ -369,20 +369,22 @@ def parse_e17(text: np.ndarray, starts: np.ndarray, ends: np.ndarray):
     values = np.zeros(ends.size)
     decided = np.zeros(ends.size, dtype=bool)
     first, stop = np.searchsorted(ends, [28, text.size - 3])
-    short = ends - starts <= 24
+    length = ends - starts
+    sized = (length >= 23) & (length <= 24)  # with and without a sign
     windows = np.ndarray((max(text.size - 31, 0),), dtype="V32", buffer=text, strides=(1,))
     for i in range(first, stop, _DECODE_BLOCK):
         j = min(i + _DECODE_BLOCK, stop)
-        values[i:j], decided[i:j] = _decode_e17(windows[ends[i:j] - 28], short[i:j])
+        if sized[i:j].any():  # a block of other spellings is left undecided
+            values[i:j], decided[i:j] = _decode_e17(windows[ends[i:j] - 28], sized[i:j])
     return values, decided
 
 
-def _decode_e17(windows: np.ndarray, short: np.ndarray):
+def _decode_e17(windows: np.ndarray, sized: np.ndarray):
     w = np.ascontiguousarray(windows.view("<u8").reshape(-1, 4).T)
     bad = (w ^ _SHAPE) & _KEEP
     bad = (((bad & _SEVEN_BITS) + _LIMIT) | bad) & _HIGH
     lead = (w[0] >> np.uint64(32)) & np.uint64(0xFF)
-    ok = ~bad.any(axis=0) & short & _LEADS[lead]
+    ok = ~bad.any(axis=0) & sized & _LEADS[lead]
     code = (w[3] >> np.uint64(9)) & np.uint64(0x78783)
     code = ((code & np.uint64(0x7FF)) | (code >> np.uint64(13))).view(np.int64)
     p, p_hi, p_lo = _DIVISOR[code], _DIVISOR_HI[code], _DIVISOR_LO[code]

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -37,7 +36,8 @@ from typing import Sequence
 import numpy as np
 
 from ._digits import format_repr
-from .designkit import DeviceGeometry, ProcessRules, calibrate_velocity, plan_bank, render_table
+from .designkit import (DeviceGeometry, ProcessRules, _positive_number, calibrate_velocity,
+                        plan_bank, render_table)
 from .errors import EstimationError, FitError, ToolkitError
 from .extract import detect_resonances
 from .fitkernel import (WEIGHTINGS, FitOptions, FitResult, fit, seed_from_strongest,
@@ -393,36 +393,13 @@ def _cmd_modes(args: argparse.Namespace) -> Outcome:
     return EXIT_OK, [], prefix, out
 
 
-def _config_number(path: Path, key: str, value, unit: str) -> float:
-    """A --config value that must be a positive finite JSON number."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+def _config_entry(path: Path, read, *args):
+    """read(*args) on an entry of the --config file at path, whose
+    ValueError becomes a ToolkitError that names the file."""
     try:
-        x = float(value) if number else math.nan
-    except OverflowError:  # an integer beyond float range
-        x = math.inf
-    if not 0.0 < x < math.inf:
-        raise ToolkitError(f"{path}: {key} must be a positive finite number of {unit}, "
-                           f"got {value!r}")
-    return x
-
-
-def _config_rules(path: Path, rules) -> ProcessRules:
-    """The process rules of a --config "rules" object, each key checked."""
-    if not isinstance(rules, dict):
-        raise ToolkitError(f"{path}: rules must be an object of lengths in m, got {rules!r}")
-    given = {key: _config_number(path, f"rules.{key}", rules[key], "m")
-             for key in ("min_feature", "min_gap") if key in rules}
-    if "lambda_range" in rules:
-        span = rules["lambda_range"]
-        if not (isinstance(span, list) and len(span) == 2):
-            raise ToolkitError(f"{path}: rules.lambda_range must be a list of two lengths "
-                               f"in m, got {span!r}")
-        lo, hi = (_config_number(path, f"rules.lambda_range[{i}]", v, "m")
-                  for i, v in enumerate(span))
-        if lo > hi:
-            raise ToolkitError(f"{path}: rules.lambda_range must not decrease, got {span!r}")
-        given["lambda_range"] = (lo, hi)
-    return ProcessRules(**given)
+        return read(*args)
+    except ValueError as exc:
+        raise ToolkitError(f"{path}: {exc}") from None
 
 
 def _cmd_design(args: argparse.Namespace) -> Outcome:
@@ -455,12 +432,13 @@ def _cmd_design(args: argparse.Namespace) -> Outcome:
             raise ToolkitError(f"{cfg_path}: expected an object with an optional "
                                "\"velocity\" object of m/s by mode")
         if "rules" in cfg:
-            rules = _config_rules(cfg_path, cfg["rules"])
+            rules = _config_entry(cfg_path, ProcessRules.from_dict, cfg["rules"])
 
     if args.vp is not None:
         v_p = args.vp
     elif args.mode in velocity_map:
-        v_p = _config_number(cfg_path, f"velocity.{args.mode}", velocity_map[args.mode], "m/s")
+        v_p = _config_entry(cfg_path, _positive_number, f"velocity.{args.mode}",
+                            velocity_map[args.mode], "m/s")
     else:
         # fall back to the bundled survey; the median is robust to its outliers
         v_p, _ = calibrate_velocity(velocity_observations(mode=args.mode))

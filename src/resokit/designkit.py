@@ -79,6 +79,41 @@ class ProcessRules:
             raise ValueError(f"invalid lambda_range {self.lambda_range}")
         object.__setattr__(self, "lambda_range", (float(lo), float(hi)))
 
+    @classmethod
+    def from_dict(cls, data) -> "ProcessRules":
+        """Rules from a JSON object of lengths in metres, each key optional:
+        "min_feature", "min_gap" and a two-item "lambda_range".  A bad entry
+        raises ValueError naming it, e.g. ``rules.min_gap must be a positive
+        finite number of m, got 'x'``."""
+        if not isinstance(data, dict):
+            raise ValueError(f"rules must be an object of lengths in m, got {data!r}")
+        kwargs = {key: _positive_number(f"rules.{key}", data[key], "m")
+                  for key in ("min_feature", "min_gap") if key in data}
+        if "lambda_range" in data:
+            span = data["lambda_range"]
+            if not (isinstance(span, (list, tuple)) and len(span) == 2):
+                raise ValueError(f"rules.lambda_range must be a list of two lengths in m, "
+                                 f"got {span!r}")
+            lo, hi = (_positive_number(f"rules.lambda_range[{i}]", v, "m")
+                      for i, v in enumerate(span))
+            if lo > hi:
+                raise ValueError(f"rules.lambda_range must not decrease, got {span!r}")
+            kwargs["lambda_range"] = (lo, hi)
+        return cls(**kwargs)
+
+
+def _positive_number(key: str, value, unit: str) -> float:
+    """value as a float if it is a positive finite JSON number of unit;
+    otherwise a ValueError that names key."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    try:
+        x = float(value) if number else math.nan
+    except OverflowError:  # an integer beyond float range
+        x = math.inf
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"{key} must be a positive finite number of {unit}, got {value!r}")
+    return x
+
 
 @dataclass(frozen=True)
 class Finding:

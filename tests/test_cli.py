@@ -884,7 +884,10 @@ def test_fit_batch_and_design_load_no_numpy_ma(tmp_path):
     src_root = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src_root, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    # a non-ASCII file takes the tokenizer's code-point lookup too
+    (tmp_path / "ohm.s2p").write_text("! Z0 = 50 \u03a9\n" + (tmp_path / "rowL.s2p").read_text())
     runs = [["fit", "rowL.s2p", "--outdir", str(out)],
+            ["fit", "ohm.s2p", "--outdir", str(out)],
             ["batch", ".", "--outdir", str(out)],
             ["design", "t.json", "--outdir", str(out)]]
     for argv in runs:

@@ -65,6 +65,25 @@ def test_calibrate_velocity_rejects_an_overflowing_product(observations, bad):
     assert str(err.value) == f"observation {bad} overflows wavelength * fs"
 
 
+def test_process_rules_from_dict():
+    rules = ProcessRules.from_dict({"min_gap": 2e-7, "lambda_range": (5e-7, 1e-6)})
+    assert rules == ProcessRules(min_gap=2e-7, lambda_range=(5e-7, 1e-6))
+    assert ProcessRules.from_dict({}) == ProcessRules()
+
+
+@pytest.mark.parametrize("data, message", [
+    ([], "rules must be an object of lengths in m, got []"),
+    ({"min_feature": "1e-7"}, "rules.min_feature must be a positive finite number of m, got '1e-7'"),
+    ({"min_gap": True}, "rules.min_gap must be a positive finite number of m, got True"),
+    ({"lambda_range": [1e-6, 10**400]},
+     f"rules.lambda_range[1] must be a positive finite number of m, got {10**400!r}"),
+])
+def test_process_rules_from_dict_names_a_bad_entry(data, message):
+    with pytest.raises(ValueError) as err:
+        ProcessRules.from_dict(data)
+    assert str(err.value) == message
+
+
 def test_calibrate_velocity_rejects_an_overflowing_median():
     # each product is finite, the mean of the two middle ones is not
     with warnings.catch_warnings():

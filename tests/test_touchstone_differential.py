@@ -155,8 +155,46 @@ def test_mutated_survey_files_parse_like_reference(seed):
     assert 0.2 < outcomes.count("record") / len(outcomes) < 0.8
 
 
+def three_digit_exponent(x: float) -> str:
+    mantissa, exponent = ("%+.11E" % x).split("E")
+    return f"{mantissa}E{exponent[0]}{int(exponent[1:]):03d}"
+
+
+# other instruments' spellings of every data token, read a run at a time
+SPELLINGS = {
+    "%.9e": lambda k, x: "%.9e" % x,
+    "%g": lambda k, x: "%g" % x,
+    "+d.dddE+ddd": lambda k, x: three_digit_exponent(x),
+    "mixed": lambda k, x: "%.17e" % x if k % 3 else "%.6e" % x,
+}
+
+
+def respell(text: str, spelling) -> str:
+    """text with each data token written by spelling(k, value)."""
+    lines = text.split("\n")
+    count = 0
+    for i, line in enumerate(lines):
+        if line and line[0] not in "!#":
+            values = [float(t) for t in line.split()]
+            lines[i] = " ".join(spelling(count + k, x) for k, x in enumerate(values))
+            count += len(values)
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("spelling", SPELLINGS)
+def test_mutated_foreign_spellings_parse_like_reference(spelling):
+    rng = np.random.default_rng(2000 + list(SPELLINGS).index(spelling))
+    for i in range(len(SURVEY)):
+        text = respell(survey_text(i, FORMATS[i % 3], UNITS[i % 4]), SPELLINGS[spelling])
+        assert assert_parses_like_reference(text) == "record"
+        for _ in range(6):
+            assert_parses_like_reference(mutate(rng, text))
+
+
 ROW = " ".join("%.17e" % v for v in [1.0, 0.5, -0.25, 0.125, 0.0625, 1e-5, -3.0, 2.0, 7.0])
 ROW2 = ROW.replace("1.00000000000000000e+00", "2.00000000000000000e+00", 1)
+SHORT = " ".join("%g" % float(t) for t in ROW.split())
+SHORT2 = " ".join("%g" % float(t) for t in ROW2.split())
 EDGES = [
     "", " ", "\n", "!", "#", ROW, ROW + "\n" + ROW2, ROW + "!x\n" + ROW2, ROW + "!" + ROW2,
     "!" + ROW + "\n" + ROW2, ROW + "\n!\n" + ROW2 + "!", ROW.replace(" ", "!", 1),
@@ -168,12 +206,15 @@ EDGES = [
     ROW.replace(" ", "?\u2003", 1), ROW.replace(" ", " ? ", 1),
     "# HZ S DB R 50\n1 6.00000000000000000e+03 0 -6460 1 7000 0 0 0",
     "# HZ S DB R 50\n1 7.00000000000000000e+03 0 0 0 0 0 0 0",
+    SHORT + "!\n" + SHORT2, SHORT + "!x\n" + SHORT2, SHORT + "\n! c\n" + SHORT2,
+    SHORT + "\n# GHZ S RI R 50\n" + SHORT2, SHORT.replace(" ", "\u2003 \x85"),
 ]
 
 
 @pytest.mark.parametrize("text", [t + end for t in EDGES for end in ("", "\n")])
 def test_hand_written_edges_parse_like_reference(text):
     # tokens at the very start and end of the text, "!" against a token,
-    # "\r\r\n", a byte-order mark, "?" beside non-ASCII text, and a first
-    # frequency <= 0
+    # "\r\r\n", a byte-order mark, "?" beside non-ASCII text, a first
+    # frequency <= 0, and runs of short tokens broken by a comment or an
+    # option line
     assert_parses_like_reference(text)
