@@ -243,9 +243,13 @@ def _tokens(source: str):
         cut = np.searchsorted(starts, opens)
         held = np.flatnonzero((cut > 0) & (ends[cut - 1] > opens))
         ends[cut[held] - 1] = opens[held]
+        # the tokens cut[k]..stop[k] - 1 go; spans that drop any are
+        # disjoint, so no index repeats within cut or within stop
+        stop = np.searchsorted(starts, np.append(breaks, text.size)[line])
+        span = cut < stop
         drop = np.zeros(starts.size + 1, dtype=np.int8)
-        np.add.at(drop, cut, 1)
-        np.add.at(drop, np.searchsorted(starts, np.append(breaks, text.size)[line]), -1)
+        drop[cut[span]] = 1
+        drop[stop[span]] -= 1
         keep = np.cumsum(drop[:-1], dtype=np.int8) == 0
         starts, ends = starts[keep], ends[keep]
     return text, starts, ends, breaks, bangs

@@ -206,7 +206,8 @@ EDGES = [
     ROW.replace(" ", "?\u2003", 1), ROW.replace(" ", " ? ", 1),
     "# HZ S DB R 50\n1 6.00000000000000000e+03 0 -6460 1 7000 0 0 0",
     "# HZ S DB R 50\n1 7.00000000000000000e+03 0 0 0 0 0 0 0",
-    SHORT + "!\n" + SHORT2, SHORT + "!x\n" + SHORT2, SHORT + "\n! c\n" + SHORT2,
+    ROW + "!x\n!y\n" + ROW2, SHORT + "!\n" + SHORT2, SHORT + "!x\n" + SHORT2,
+    SHORT + "\n! c\n" + SHORT2,
     SHORT + "\n# GHZ S RI R 50\n" + SHORT2, SHORT.replace(" ", "\u2003 \x85"),
 ]
 
@@ -215,6 +216,6 @@ EDGES = [
 def test_hand_written_edges_parse_like_reference(text):
     # tokens at the very start and end of the text, "!" against a token,
     # "\r\r\n", a byte-order mark, "?" beside non-ASCII text, a first
-    # frequency <= 0, and runs of short tokens broken by a comment or an
-    # option line
+    # frequency <= 0, a comment line after a comment that drops no token,
+    # and runs of short tokens broken by a comment or an option line
     assert_parses_like_reference(text)
