@@ -40,8 +40,7 @@ from .designkit import (DeviceGeometry, ProcessRules, _positive_number, calibrat
                         plan_bank, render_table)
 from .errors import EstimationError, FitError, ToolkitError
 from .extract import detect_resonances
-from .fitkernel import (WEIGHTINGS, FitOptions, FitResult, fit, seed_from_strongest,
-                        select_branch_count)
+from .fitkernel import FitResult, fit, seed_from_strongest, select_branch_count
 from .mbvd import (
     MbvdModel,
     ResonatorMetrics,
@@ -62,7 +61,7 @@ from .netparams import (
 )
 from .refdata import velocity_observations
 from .svgplot import Series, line_plot, stem_series
-from .transduce import build_layout, mode_couplings, spectrum_to_mbvd, split_study
+from .transduce import _mode_frequency, build_layout, mode_couplings, spectrum_to_mbvd, split_study
 
 EXIT_OK = 0
 EXIT_PARTIAL = 1
@@ -173,14 +172,13 @@ def _fit_trace(trace: ComplexTrace, args: argparse.Namespace) -> tuple[FitResult
     candidates = detect_resonances(trace, threshold_db=args.threshold_db)
     if not candidates:
         raise EstimationError("no resonant peaks found above the prominence threshold")
-    options = FitOptions(weighting=args.weighting)
     if args.branches is None:
-        return select_branch_count(trace, candidates, options), candidates
+        return select_branch_count(trace, candidates), candidates
     k = args.branches
     if k > len(candidates):
         raise EstimationError(f"only {len(candidates)} candidate resonances for --branches {k}")
     seed = seed_from_strongest(trace, candidates, k)
-    return fit(trace, seed, options, restarts=args.restarts), candidates
+    return fit(trace, seed, restarts=args.restarts), candidates
 
 
 def _db20(values: np.ndarray) -> np.ndarray:
@@ -221,7 +219,6 @@ def _cmd_fit(args: argparse.Namespace) -> Outcome:
             "iterations": result.iterations,
             "n_branches": len(result.model.branches),
             "residual_rms": result.residual_rms,
-            "weighting": args.weighting,
         },
     })
     if args.trace_fit:
@@ -313,7 +310,10 @@ def _cmd_synth(args: argparse.Namespace) -> Outcome:
     name = _output_name(args, prefix, f"{prefix}.s2p")
     model = model_from_dict(_load_json(model_path))
     grid = _parse_grid(args.grid)
-    trace = synthesize_admittance(model, grid)
+    try:
+        trace = synthesize_admittance(model, grid)
+    except ValueError as exc:
+        raise ValueError(f"--grid {args.grid!r}: {exc}") from None
     net = series_element_network(trace, z0=args.z0)
     text = write_touchstone(y_to_s(net), fmt=args.fmt, unit=args.unit)
     return EXIT_OK, [str(model_path)], prefix, {name: text}
@@ -349,8 +349,18 @@ def _cmd_modes(args: argparse.Namespace) -> Outcome:
     layout = build_layout(geom)
     field_model = "delta" if args.delta_electrodes else "tophat"
     n_max = args.n_max if args.n_max is not None else 2 * layout.design_index
+    # modes 1..n_max in plain floats, which overflow to inf without a warning;
+    # a frequency below the normal range would merge with its neighbours
+    f_lo, f_hi = (_mode_frequency(layout, args.vp, n) for n in (1, n_max))
+    if not sys.float_info.min <= f_lo <= f_hi < np.inf:
+        raise ValueError(f"--vp {args.vp!r} and --lambda {args.wavelength!r} put the mode "
+                         f"frequencies outside the float range ({f_lo:.6g} to {f_hi:.6g} Hz)")
     spectrum = mode_couplings(layout, args.vp, n_max, field_model)
-    model = spectrum_to_mbvd(spectrum, c0=args.c0, kt2_total=args.kt2, q_assumed=args.q)
+    try:
+        model = spectrum_to_mbvd(spectrum, c0=args.c0, kt2_total=args.kt2, q_assumed=args.q)
+    except ValueError as exc:
+        raise ValueError(f"--c0 {args.c0!r} gives no representable motional branch at these "
+                         f"mode frequencies ({exc})") from None
     dominant = spectrum.dominant_modes()
     lo = 0.80 * min(m.f_n for m in dominant)
     hi = 1.25 * max(m.f_n for m in dominant)
@@ -499,7 +509,6 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
 def _add_fit_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--shunt", action="store_true",
                    help="device is embedded shunt-to-ground (default: series through)")
-    p.add_argument("--weighting", choices=WEIGHTINGS, default="complex")
     p.add_argument("--branches", type=int, default=None,
                    help="fix the motional branch count (default: automatic selection)")
     p.add_argument("--restarts", type=int, default=0,

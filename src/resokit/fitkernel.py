@@ -3,15 +3,16 @@
 The engine is a Levenberg-Marquardt loop over log-space parameters
 [ln c0, ln r0, ln rs] + per branch [ln rm, ln fs, ln cm], where lm is
 eliminated through lm = 1/((2 pi fs)^2 cm) so the branch frequency is a
-direct parameter.  Positivity is free in log space; the search box, a
-fixed function of the seed in which every parameter is free, is enforced
-by projection.  The Jacobian is analytic.
+direct parameter.  The residual is the complex admittance error, the
+least-squares choice under complex white measurement noise.  Positivity
+is free in log space; the search box, a fixed function of the seed in
+which every parameter is free, is enforced by projection.  The Jacobian
+is analytic.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -31,14 +32,11 @@ _MAX_ITER = 200
 _FTOL = 1e-10
 _XTOL = 1e-10
 
-WEIGHTINGS = ("complex", "log_mag_phase")
-
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Engine knobs: weighting is one of WEIGHTINGS, checked when the fit starts."""
-
-    weighting: str = "complex"
+    """Options of fit() and select_branch_count(): none, since the residual
+    and the search box are fixed; both functions still take an instance."""
 
 
 @dataclass(frozen=True)
@@ -155,54 +153,32 @@ def _search_box(trace: ComplexTrace, seed: MbvdModel) -> tuple[np.ndarray, np.nd
 
 
 class _Problem:
-    """One trace under one weighting.
+    """One trace against the circuit.
 
-    Holds the points that enter the residual, their normalization and the
-    admittance of the last parameter tuple scored by residuals(): the
-    Jacobian at an accepted step is taken at the tuple that scored the
-    step, so jacobian() reuses that forward pass instead of running it
-    again.  solve() takes the log-space search box from _search_box().
+    Holds the trace, the normalization of its residual and the admittance
+    of the last parameter tuple scored by residuals(): the Jacobian at an
+    accepted step is taken at the tuple that scored the step, so
+    jacobian() reuses that forward pass instead of running it again.
+    solve() takes the log-space search box from _search_box().
     """
 
-    def __init__(self, trace: ComplexTrace, weighting: str):
-        if weighting not in WEIGHTINGS:
-            raise ValueError(f"weighting must be one of {WEIGHTINGS}, got {weighting!r}")
-        mask = np.ones(trace.npoints, dtype=bool)
-        self.norm = 1.0
-        if weighting == "log_mag_phase":
-            mask = np.abs(trace.values) > 0
-            dropped = int(np.count_nonzero(~mask))
-            if dropped:
-                # blame the caller of the public function that built this problem
-                warnings.warn(
-                    f"log_mag_phase weighting dropped {dropped} zero-magnitude points",
-                    stacklevel=3,
-                )
-        elif trace.npoints:
-            self.norm = _median(np.abs(trace.values)) or 1.0
+    def __init__(self, trace: ComplexTrace):
         self.trace = trace
-        self.weighting = weighting
-        self.freqs = trace.freqs[mask]
-        self.ym = trace.values[mask]
+        self.norm = (_median(np.abs(trace.values)) or 1.0) if trace.npoints else 1.0
         self._params = None
         self._adm: Admittance | None = None
 
     def _admittance(self, params) -> Admittance:
         c0, r0, rs, rm, fs, cm = params
-        return admittance_arrays(self.freqs, c0, r0, rs, rm, _motional_l(fs, cm), cm)
+        return admittance_arrays(self.trace.freqs, c0, r0, rs, rm, _motional_l(fs, cm), cm)
 
     def residuals(self, params) -> np.ndarray:
         """Residual vector at (c0, r0, rs, rm, fs, cm); keeps its admittance."""
         self._params, self._adm = params, self._admittance(params)
-        y, ym = self._adm.y, self.ym
-        r = np.empty(2 * y.size)
-        if self.weighting == "complex":
-            d = (y - ym) / self.norm
-            r[0::2] = d.real
-            r[1::2] = d.imag
-        else:
-            r[0::2] = np.log(np.abs(y)) - np.log(np.abs(ym))
-            r[1::2] = np.angle(y * np.conj(ym))
+        d = (self._adm.y - self.trace.values) / self.norm
+        r = np.empty(2 * d.size)
+        r[0::2] = d.real
+        r[1::2] = d.imag
         return r
 
     def jacobian(self, params) -> np.ndarray:
@@ -236,13 +212,8 @@ class _Problem:
             grads[:, 5 + 3 * i] = dy_dg * (-yb_sq * dzb_dcm) * cm[i]
 
         jac = np.empty((2 * y.size, grads.shape[1]), order="F")
-        if self.weighting == "complex":
-            jac[0::2, :] = grads.real / self.norm
-            jac[1::2, :] = grads.imag / self.norm
-        else:
-            rel = grads / y[:, None]
-            jac[0::2, :] = rel.real
-            jac[1::2, :] = rel.imag
+        jac[0::2, :] = grads.real / self.norm
+        jac[1::2, :] = grads.imag / self.norm
         return jac
 
     def solve(self, seed: MbvdModel, lo: np.ndarray, hi: np.ndarray) -> FitResult:
@@ -319,23 +290,20 @@ class _Problem:
         )
 
 
-def residuals(model: MbvdModel, trace: ComplexTrace, weighting: str = "complex") -> np.ndarray:
-    """Residual vector between the model and a measured trace.
-
-    "complex" interleaves [Re, Im] of (Y_model - Y_meas) normalized by the
-    median measured magnitude; "log_mag_phase" interleaves [ln|Y| error,
-    wrapped phase error] and drops zero-magnitude measured points.
-    """
-    return _Problem(trace, weighting).residuals(_model_params(model))
+def residuals(model: MbvdModel, trace: ComplexTrace) -> np.ndarray:
+    """Residual vector between the model and a measured trace: [Re, Im] of
+    (Y_model - Y_meas) interleaved, normalized by the median measured
+    magnitude."""
+    return _Problem(trace).residuals(_model_params(model))
 
 
-def jacobian(model: MbvdModel, trace: ComplexTrace, weighting: str = "complex") -> np.ndarray:
+def jacobian(model: MbvdModel, trace: ComplexTrace) -> np.ndarray:
     """Analytic d(residual)/d(ln parameter) matrix.
 
     Columns follow param_names().  Matches 7-point central finite
     differences to better than 1e-5 relative.
     """
-    return _Problem(trace, weighting).jacobian(_model_params(model))
+    return _Problem(trace).jacobian(_model_params(model))
 
 
 def fit(
@@ -359,13 +327,14 @@ def fit(
     restarts > 0 adds deterministic perturbed fits and returns the lowest
     cost: restart i perturbs every log parameter with N(0, 0.05) drawn
     from a fixed seed, so repeated runs are identical.  The search box
-    stays anchored to the original seed.
+    stays anchored to the original seed.  A restart can reach a stronger
+    branch within the box that the seed missed, as when a one-branch seed
+    sits on the weaker of two nearby resonances.
     """
     if restarts < 0:
         raise ValueError(f"restarts must be >= 0, got {restarts}")
-    opts = options or FitOptions()
     lo, hi = _search_box(trace, seed)
-    problem = _Problem(trace, opts.weighting)
+    problem = _Problem(trace)
     best = problem.solve(seed, lo, hi)
     theta0 = _pack(seed)
     for i in range(1, restarts + 1):

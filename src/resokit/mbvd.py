@@ -168,12 +168,19 @@ def _model_y(model: MbvdModel, freqs: np.ndarray) -> np.ndarray:
 def synthesize_admittance(model: MbvdModel, freqs: np.ndarray) -> ComplexTrace:
     """Evaluate the model admittance on a frequency grid (Hz).
 
-    Passive for all non-negative resistances: Re(Y) >= 0 everywhere.
+    Passive for all non-negative resistances: Re(Y) >= 0 everywhere.  A
+    grid on which the admittance overflows is a ValueError naming the first
+    such frequency.
     """
     freqs = np.asarray(freqs, dtype=float).reshape(-1)
     if freqs.size and freqs[0] <= 0:
         raise ValueError("frequencies must be positive")
-    return ComplexTrace(freqs=freqs, values=_model_y(model, freqs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = _model_y(model, freqs)
+    bad = np.flatnonzero(~np.isfinite(y))
+    if bad.size:
+        raise ValueError(f"the model's admittance leaves the float range at {freqs[bad[0]]:.6g} Hz")
+    return ComplexTrace(freqs=freqs, values=y)
 
 
 def branch_from_metrics(fs: float, qm: float, kt2: float, c0: float) -> MotionalBranch:
@@ -199,7 +206,13 @@ def branch_from_metrics(fs: float, qm: float, kt2: float, c0: float) -> Motional
         raise DegenerateCouplingError(
             f"cm {cm:.3g} F below {CM_FLOOR:.0e} F floor (coupling too small)"
         )
-    lm = 1.0 / ((TWO_PI * fs) ** 2 * cm)
+    try:
+        lm = 1.0 / ((TWO_PI * fs) ** 2 * cm)
+    except (OverflowError, ZeroDivisionError):  # (2 pi fs)^2 left the float range
+        lm = math.nan
+    if not 0.0 < lm < math.inf:
+        raise ValueError(f"lm = 1/((2 pi fs)^2 cm) leaves the float range at fs {fs:.6g} Hz, "
+                         f"cm {cm:.6g} F")
     rm = TWO_PI * fs * lm / qm
     return MotionalBranch(rm=rm, lm=lm, cm=cm)
 

@@ -299,6 +299,11 @@ class ModeSpectrum:
         return tuple(sorted(ranked, key=lambda m: m.f_n))
 
 
+def _mode_frequency(layout: ElectrodeLayout, v_p: float, n):
+    """Frequency n v_p / (2 W) of plate mode n (an int or an index array)."""
+    return 0.5 * n * v_p / layout.plate_width
+
+
 def mode_couplings(
     layout: ElectrodeLayout,
     v_p: float,
@@ -330,7 +335,7 @@ def mode_couplings(
     n = idx[keep]
     modes = tuple(
         ModeCoupling(n=i, f_n=f, eta=e)
-        for i, f, e in zip(n.tolist(), (0.5 * n * v_p / layout.plate_width).tolist(),
+        for i, f, e in zip(n.tolist(), _mode_frequency(layout, v_p, n).tolist(),
                            eta_kept.tolist()))
     return ModeSpectrum(modes=modes)
 

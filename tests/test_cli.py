@@ -49,9 +49,9 @@ def test_fit_outputs_and_metrics(tmp_path):
     assert set(doc) == {"embedding", "fit", "metrics", "source"}
     assert doc["source"] == "rowL.s2p"
     assert doc["embedding"] == "series"
+    assert set(doc["fit"]) == {"converged", "cost", "iterations", "n_branches", "residual_rms"}
     assert doc["fit"]["converged"] is True
     assert doc["fit"]["n_branches"] == 1
-    assert doc["fit"]["weighting"] == "complex"
 
     truth = metrics_from_model(model, grid)
     got = doc["metrics"]
@@ -70,7 +70,7 @@ def test_fit_outputs_and_metrics(tmp_path):
     assert manifest["inputs"] == [str(src)]
     assert manifest["outputs"][-1] == "rowL_manifest.json"
     assert set(manifest["outputs"]) == names
-    assert manifest["options"]["weighting"] == "complex"
+    assert manifest["options"]["restarts"] == 0
 
     # fit csv carries measured and fitted columns over the same grid
     lines = (outdir / "rowL_fit.csv").read_text().splitlines()
@@ -142,6 +142,14 @@ def test_fit_flag_errors_come_before_the_input(tmp_path, capsys, command, flags,
     assert rc == 2
     assert capsys.readouterr().err == message + "\n"
     assert not outdir.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "batch"])
+def test_fit_has_one_residual_and_no_weighting_flag(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.run([command, str(tmp_path / "missing"), "--weighting", "complex"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --weighting complex" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["fit", "batch"])
@@ -314,6 +322,21 @@ def test_synth_bad_grid(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("spec, first", [("1e-300:2e-300:3", "1e-300"),
+                                         ("1e300:1.7e308:3", "8.5e+307")], ids=["bottom", "top"])
+def test_synth_grid_whose_admittance_overflows(tmp_path, capsys, spec, first):
+    # 1/(j w c0) overflows at the bottom, w at the top; the filter makes a
+    # numpy overflow warning an error, as CI's -W error::RuntimeWarning does
+    mj = tmp_path / "m.json"
+    mj.write_text(json.dumps(model_to_dict(display_model("L"))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.run(["synth", str(mj), "--outdir", str(tmp_path / "o"), "--grid", spec]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --grid {spec!r}: the model's admittance leaves the float range at {first} Hz\n")
+    assert not (tmp_path / "o").exists()
+
+
 def linspace_out_of_memory(monkeypatch):
     """np.linspace that fails as numpy does for a grid of 10**11 points or
     more, without trying to allocate it."""
@@ -444,6 +467,34 @@ def test_modes_rejects_non_positive_or_non_finite_vp_and_c0(tmp_path, capsys, fl
     assert cli.run([*MODES, f"{flag}={value}", "--outdir", str(outdir)]) == 2
     assert capsys.readouterr().err == (
         f"error: {flag} must be positive and finite, got {float(value)!r}\n")
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("wavelength, vp, span", [("1e-300", "1e300", "inf to inf"),
+                                                  ("1e300", "1e-300", "0 to 0")],
+                         ids=["overflow", "underflow"])
+def test_modes_frequencies_outside_the_float_range(tmp_path, capsys, wavelength, vp, span):
+    # v_p / plate width overflows to inf or underflows to 0
+    outdir = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = cli.run(["modes", "--topology", "dlvr", "--n", "5", "--lambda", wavelength,
+                      "--vp", vp, "--outdir", str(outdir)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: --vp {float(vp)!r} and --lambda {float(wavelength)!r} put the mode "
+        f"frequencies outside the float range ({span} Hz)\n")
+    assert not outdir.exists()
+
+
+def test_modes_c0_too_large_for_a_motional_branch(tmp_path, capsys):
+    # lm = 1/((2 pi fs)^2 cm) underflows to 0
+    outdir = tmp_path / "o"
+    assert cli.run([*MODES, "--c0", "1e300", "--outdir", str(outdir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --c0 1e+300 gives no representable motional branch at these "
+                          "mode frequencies (lm = 1/((2 pi fs)^2 cm) leaves the float range at fs ")
+    assert err.count("\n") == 1
     assert not outdir.exists()
 
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -133,6 +135,15 @@ def test_branch_rejects_non_finite_fs_or_c0(fs, c0, message):
     assert branch_from_metrics(1e9, math.inf, 0.05, 100e-15).rm == 0.0
 
 
+@pytest.mark.parametrize("fs, c0", [(1e200, 100e-15), (1e-160, 100e-15), (1e9, 1e300)],
+                         ids=["fs-squared-overflows", "fs-squared-underflows", "c0-huge"])
+def test_branch_rejects_an_inductance_outside_the_float_range(fs, c0):
+    # (2 pi fs)^2 overflows; (2 pi fs)^2 cm underflows to 0; lm underflows to 0
+    with pytest.raises(ValueError, match=re.escape(
+            f"lm = 1/((2 pi fs)^2 cm) leaves the float range at fs {fs:.6g} Hz, cm ")):
+        branch_from_metrics(fs, 100.0, 0.05, c0)
+
+
 def test_lossless_branch_qm_infinite():
     b = MotionalBranch(rm=0.0, lm=1e-9, cm=1e-14)
     assert math.isinf(b.qm)
@@ -211,6 +222,18 @@ def test_synthesize_rejects_nonpositive_frequency():
     m = single_branch_model(1e9, 500.0, 0.1, 100e-15)
     with pytest.raises(ValueError):
         synthesize_admittance(m, np.array([0.0, 1e9]))
+
+
+@pytest.mark.parametrize("freqs, first", [([1e-300, 2e-300], 1e-300), ([1e9, 1e300, 1.7e308], 1.7e308)],
+                         ids=["bottom", "top"])
+def test_synthesize_names_the_first_frequency_whose_admittance_overflows(freqs, first):
+    # 1/(j w c0) overflows at the bottom, w itself at the top
+    m = single_branch_model(1e9, 500.0, 0.1, 100e-15)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=re.escape(
+                f"the model's admittance leaves the float range at {first:.6g} Hz")):
+            synthesize_admittance(m, np.array(freqs))
 
 
 # --------------------------------------------------------------- metrics

@@ -91,12 +91,9 @@ SETTABLE_VALUES = [
     "designkit.render_table(labels)",
     "designkit.velocity_outliers(rel_threshold)",
     "extract.detect_resonances(threshold_db)",
-    "fitkernel.FitOptions.weighting",
     "fitkernel.FitResult.cost_trace",
     "fitkernel.fit(options)",
     "fitkernel.fit(restarts)",
-    "fitkernel.jacobian(weighting)",
-    "fitkernel.residuals(weighting)",
     "fitkernel.select_branch_count(options)",
     "mbvd.MbvdModel.branches",
     "mbvd.MbvdModel.r0",
