@@ -38,7 +38,8 @@ import numpy as np
 from ._digits import format_repr
 from .designkit import (DeviceGeometry, ProcessRules, _positive_number, calibrate_velocity,
                         plan_bank, render_table)
-from .errors import EstimationError, FitError, ToolkitError
+from .errors import (DegenerateCouplingError, EstimationError, FitError, SingularNetworkError,
+                     ToolkitError)
 from .extract import detect_resonances
 from .fitkernel import FitResult, fit, seed_from_strongest, select_branch_count
 from .mbvd import (
@@ -162,10 +163,6 @@ def _check_fit_flags(args: argparse.Namespace) -> None:
     _check_flags([("--threshold-db", args.threshold_db, _POSITIVE_FINITE)])
     if args.branches is not None and args.branches < 1:
         raise ValueError("--branches must be >= 1")
-    if args.restarts < 0:
-        raise ValueError(f"--restarts must be >= 0, got {args.restarts}")
-    if args.restarts and args.branches is None:
-        raise ValueError("--restarts needs --branches (automatic selection does not restart)")
 
 
 def _fit_trace(trace: ComplexTrace, args: argparse.Namespace) -> tuple[FitResult, list]:
@@ -177,8 +174,7 @@ def _fit_trace(trace: ComplexTrace, args: argparse.Namespace) -> tuple[FitResult
     k = args.branches
     if k > len(candidates):
         raise EstimationError(f"only {len(candidates)} candidate resonances for --branches {k}")
-    seed = seed_from_strongest(trace, candidates, k)
-    return fit(trace, seed, restarts=args.restarts), candidates
+    return fit(trace, seed_from_strongest(trace, candidates, k)), candidates
 
 
 def _db20(values: np.ndarray) -> np.ndarray:
@@ -314,8 +310,11 @@ def _cmd_synth(args: argparse.Namespace) -> Outcome:
         trace = synthesize_admittance(model, grid)
     except ValueError as exc:
         raise ValueError(f"--grid {args.grid!r}: {exc}") from None
-    net = series_element_network(trace, z0=args.z0)
-    text = write_touchstone(y_to_s(net), fmt=args.fmt, unit=args.unit)
+    try:
+        net = y_to_s(series_element_network(trace, z0=args.z0))
+    except SingularNetworkError as exc:
+        raise ValueError(f"--grid {args.grid!r} with --z0 {args.z0!r}: {exc}") from None
+    text = write_touchstone(net, fmt=args.fmt, unit=args.unit)
     return EXIT_OK, [str(model_path)], prefix, {name: text}
 
 
@@ -361,6 +360,8 @@ def _cmd_modes(args: argparse.Namespace) -> Outcome:
     except ValueError as exc:
         raise ValueError(f"--c0 {args.c0!r} gives no representable motional branch at these "
                          f"mode frequencies ({exc})") from None
+    except DegenerateCouplingError as exc:
+        raise ValueError(f"--c0 {args.c0!r} and --kt2 {args.kt2!r}: {exc}") from None
     dominant = spectrum.dominant_modes()
     lo = 0.80 * min(m.f_n for m in dominant)
     hi = 1.25 * max(m.f_n for m in dominant)
@@ -511,8 +512,6 @@ def _add_fit_flags(p: argparse.ArgumentParser) -> None:
                    help="device is embedded shunt-to-ground (default: series through)")
     p.add_argument("--branches", type=int, default=None,
                    help="fix the motional branch count (default: automatic selection)")
-    p.add_argument("--restarts", type=int, default=0,
-                   help="extra perturbed fits with --branches; best cost wins")
     p.add_argument("--threshold-db", type=float, default=3.0,
                    help="peak prominence threshold for resonance detection")
     p.add_argument("--trace-fit", action="store_true",

@@ -159,7 +159,6 @@ class _Problem:
     of the last parameter tuple scored by residuals(): the Jacobian at an
     accepted step is taken at the tuple that scored the step, so
     jacobian() reuses that forward pass instead of running it again.
-    solve() takes the log-space search box from _search_box().
     """
 
     def __init__(self, trace: ComplexTrace):
@@ -216,8 +215,9 @@ class _Problem:
         jac[1::2, :] = grads.imag / self.norm
         return jac
 
-    def solve(self, seed: MbvdModel, lo: np.ndarray, hi: np.ndarray) -> FitResult:
-        """Levenberg-Marquardt from seed, clipped into the log-space box [lo, hi]."""
+    def solve(self, seed: MbvdModel) -> FitResult:
+        """Levenberg-Marquardt from seed, clipped into its search box."""
+        lo, hi = _search_box(self.trace, seed)
         freqs = self.trace.freqs
         dom_fs = seed.branches[seed.dominant_index].fs
         if freqs.size < 2 or not (freqs[0] <= dom_fs <= freqs[-1]):
@@ -310,7 +310,6 @@ def fit(
     trace: ComplexTrace,
     seed: MbvdModel,
     options: FitOptions | None = None,
-    restarts: int = 0,
 ) -> FitResult:
     """Levenberg-Marquardt refinement of seed against trace.
 
@@ -323,38 +322,28 @@ def fit(
     resistances in [1e-3, 1e6] ohm (the floor lowered to cover a lossless
     seed), each branch fs within +-10% and cm within x1e4.  Every parameter
     is free in it.
-
-    restarts > 0 adds deterministic perturbed fits and returns the lowest
-    cost: restart i perturbs every log parameter with N(0, 0.05) drawn
-    from a fixed seed, so repeated runs are identical.  The search box
-    stays anchored to the original seed.  A restart can reach a stronger
-    branch within the box that the seed missed, as when a one-branch seed
-    sits on the weaker of two nearby resonances.
     """
-    if restarts < 0:
-        raise ValueError(f"restarts must be >= 0, got {restarts}")
-    lo, hi = _search_box(trace, seed)
-    problem = _Problem(trace)
-    best = problem.solve(seed, lo, hi)
-    theta0 = _pack(seed)
-    for i in range(1, restarts + 1):
-        rng = np.random.default_rng(1000 + i)
-        theta = np.clip(theta0 + rng.normal(0.0, 0.05, theta0.size), lo, hi)
-        try:
-            candidate = problem.solve(_model_from_theta(theta), lo, hi)
-        except (FitError, ValueError):
-            continue
-        if candidate.cost < best.cost:
-            best = candidate
-    return best
+    return _Problem(trace).solve(seed)
 
 
 def seed_from_strongest(
     trace: ComplexTrace, candidates: Sequence[ResonanceCandidate], k: int
 ) -> MbvdModel:
-    """Seed model from the k most prominent candidates (ties in prominence
-    go to the lower frequency); the rest play no part in the seed."""
-    ranked = sorted(candidates, key=lambda c: (-c.prominence_db, c.fs_est))
+    """Seed model from the k candidates of largest prominence in linear |Y|
+    (ties go to the lower frequency); the rest play no part in the seed.
+
+    A candidate's linear prominence is |Y| at the sample nearest its fs_est
+    times 1 - 10^(-prominence_db / 20): its height above the same base its
+    dB prominence is measured from.  Ranking in dB would favour a weak peak
+    that rises from a deep antiresonance notch over a stronger one.
+    """
+    mag = np.abs(trace.values)
+
+    def strength(c: ResonanceCandidate) -> float:
+        i = int(np.argmin(np.abs(trace.freqs - c.fs_est)))
+        return float(mag[i]) * (1.0 - 10.0 ** (-c.prominence_db / 20.0))
+
+    ranked = sorted(candidates, key=lambda c: (-strength(c), c.fs_est))
     return initial_guess(trace, sorted(ranked[:k], key=lambda c: c.fs_est))
 
 
@@ -365,10 +354,10 @@ def select_branch_count(
 ) -> FitResult:
     """Parsimonious branch-count selection.
 
-    Candidates are ranked by prominence; models with k = 1, 2, ... of the
-    strongest candidates are fitted until adding a branch improves the
-    residual rms by less than 10%, and the last materially better fit is
-    returned.
+    Candidates are ranked as seed_from_strongest ranks them; models with
+    k = 1, 2, ... of the strongest candidates are fitted until adding a
+    branch improves the residual rms by less than 10%, and the last
+    materially better fit is returned.
     """
     if not candidates:
         raise ValueError("need at least one resonance candidate")

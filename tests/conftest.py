@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from resokit import ComplexTrace
-from resokit.mbvd import synthesize_admittance
+from resokit.mbvd import MbvdModel, MotionalBranch, branch_from_metrics, synthesize_admittance
 from resokit.netparams import (
     device_admittance,
     parse_touchstone,
@@ -16,6 +18,19 @@ from resokit.netparams import (
     y_to_s,
 )
 from resokit.refdata import roundtrip_model, synthesis_grid
+
+
+def pair_model(coupling=5.0):
+    """Criterion 3's pair: 3.0 GHz (Q 500, kt2 0.10) and 3.3 GHz with
+    1/coupling of its motional capacitance."""
+    b1 = branch_from_metrics(3.0e9, 500.0, 0.10, 100e-15)
+    cm2 = b1.cm / coupling
+    lm2 = 1.0 / ((2 * math.pi * 3.3e9) ** 2 * cm2)
+    b2 = MotionalBranch(rm=2 * math.pi * 3.3e9 * lm2 / 500.0, lm=lm2, cm=cm2)
+    return MbvdModel(c0=100e-15, r0=0.0, rs=0.0, branches=(b1, b2))
+
+
+PAIR_GRID = np.linspace(2.5e9, 4.2e9, 3001)
 
 
 def noisy_trace(model, grid, noise_db=None, seed=0):

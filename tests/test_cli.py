@@ -19,7 +19,7 @@ from resokit.mbvd import metrics_from_model, model_to_dict
 from resokit.netparams import device_admittance, parse_touchstone, s_to_y
 from resokit.refdata import display_model, roundtrip_model, synthesis_grid
 
-from conftest import golden_text
+from conftest import PAIR_GRID, golden_text, pair_model
 
 
 def write_golden(path, label="L", fmt="RI", noise_db=-80.0, seed=3):
@@ -70,7 +70,6 @@ def test_fit_outputs_and_metrics(tmp_path):
     assert manifest["inputs"] == [str(src)]
     assert manifest["outputs"][-1] == "rowL_manifest.json"
     assert set(manifest["outputs"]) == names
-    assert manifest["options"]["restarts"] == 0
 
     # fit csv carries measured and fitted columns over the same grid
     lines = (outdir / "rowL_fit.csv").read_text().splitlines()
@@ -104,32 +103,37 @@ def test_fit_nonconvergence_exit_code(tmp_path, monkeypatch):
 def test_fit_branches_pins_the_count(tmp_path):
     src = tmp_path / "rowL.s2p"
     write_golden(src)
-    runs = {"auto": [], "pinned": ["--branches", "1"],
-            "restarts": ["--branches", "1", "--restarts", "2"]}
+    runs = {"auto": [], "pinned": ["--branches", "1"]}
     for sub, extra in runs.items():
         rc = cli.run(["fit", str(src), "--outdir", str(tmp_path / sub), "--prefix", "d", *extra])
         assert rc == 0
     # one candidate: automatic selection stops at the same single-branch fit
     auto = (tmp_path / "auto" / "d_model.json").read_bytes()
     assert (tmp_path / "pinned" / "d_model.json").read_bytes() == auto
-    cost = {sub: json.loads((tmp_path / sub / "d_metrics.json").read_text())["fit"]["cost"]
-            for sub in runs}
-    assert cost["restarts"] <= cost["pinned"]
     assert cli.run(["fit", str(src), "--outdir", str(tmp_path / "two"), "--branches", "2"]) == 2
 
 
+def test_fit_branches_1_returns_the_dominant_branch_of_a_pair(tmp_path):
+    # criterion 3's pair, clean: the weaker 3.3 GHz peak rises from the
+    # 3.0 GHz notch, so it has the larger dB prominence but not the larger
+    # height in linear |Y|
+    src = tmp_path / "pair.s2p"
+    src.write_text(golden_text(pair_model(), PAIR_GRID))
+    outdir = tmp_path / "o"
+    assert cli.run(["fit", str(src), "--branches", "1", "--outdir", str(outdir)]) == 0
+    got = json.loads((outdir / "pair_metrics.json").read_text())["metrics"]
+    assert got["fs_hz"] == pytest.approx(3.0e9, rel=1e-4)
+    assert got["kt2"] == pytest.approx(0.10, rel=0.02)
+
+
 FIT_FLAG_ERRORS = [
-    (["--restarts", "2"], "error: --restarts needs --branches (automatic selection does not restart)"),
-    (["--branches", "1", "--restarts", "-1"], "error: --restarts must be >= 0, got -1"),
-    (["--restarts", "-1"], "error: --restarts must be >= 0, got -1"),
     (["--branches", "0"], "error: --branches must be >= 1"),
-    (["--branches", "-3", "--restarts", "1"], "error: --branches must be >= 1"),
+    (["--branches", "-3"], "error: --branches must be >= 1"),
     (["--threshold-db", "nan"], "error: --threshold-db must be positive and finite, got nan"),
     (["--threshold-db", "0"], "error: --threshold-db must be positive and finite, got 0.0"),
     (["--threshold-db", "-5"], "error: --threshold-db must be positive and finite, got -5.0"),
 ]
-FIT_FLAG_IDS = ["restarts-without-branches", "negative-restarts", "negative-restarts-alone",
-                "zero-branches", "negative-branches", "nan-threshold", "zero-threshold",
+FIT_FLAG_IDS = ["zero-branches", "negative-branches", "nan-threshold", "zero-threshold",
                 "negative-threshold"]
 
 
@@ -153,9 +157,16 @@ def test_fit_has_one_residual_and_no_weighting_flag(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["fit", "batch"])
+def test_fit_has_no_restarts_flag(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.run([command, str(tmp_path / "missing"), "--branches", "1", "--restarts", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --restarts 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fit", "batch"])
 def test_fit_flag_errors_on_a_good_input(tmp_path, capsys, command):
-    # these used to run: --restarts without --branches was ignored, a negative
-    # --restarts meant none, and batch failed every file on --branches 0 (exit 1)
+    # these used to run: batch failed every file on --branches 0 (exit 1)
     d = tmp_path / "meas"
     d.mkdir()
     write_golden(d / "a.s2p")
@@ -337,6 +348,20 @@ def test_synth_grid_whose_admittance_overflows(tmp_path, capsys, spec, first):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("spec", ["1e300:1e301:3", "1e200:1e201:3"])
+def test_synth_grid_whose_s_parameters_overflow(tmp_path, capsys, spec):
+    # the admittance is finite, but z0 Y is too large for the S conversion
+    mj = tmp_path / "m.json"
+    mj.write_text(json.dumps(model_to_dict(display_model("L"))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.run(["synth", str(mj), "--outdir", str(tmp_path / "o"), "--grid", spec]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --grid {spec!r} with --z0 50.0: (I + z0 Y) is too large to invert "
+        f"at {float(spec.split(':')[0]):.6g} Hz\n")
+    assert not (tmp_path / "o").exists()
+
+
 def linspace_out_of_memory(monkeypatch):
     """np.linspace that fails as numpy does for a grid of 10**11 points or
     more, without trying to allocate it."""
@@ -495,6 +520,16 @@ def test_modes_c0_too_large_for_a_motional_branch(tmp_path, capsys):
     assert err.startswith("error: --c0 1e+300 gives no representable motional branch at these "
                           "mode frequencies (lm = 1/((2 pi fs)^2 cm) leaves the float range at fs ")
     assert err.count("\n") == 1
+    assert not outdir.exists()
+
+
+def test_modes_c0_too_small_for_any_motional_branch(tmp_path, capsys):
+    # every mode's cm = c0 r/(1 - r) falls below the 1e-21 F floor
+    outdir = tmp_path / "o"
+    assert cli.run([*MODES, "--c0", "1e-200", "--outdir", str(outdir)]) == 2
+    assert capsys.readouterr().err == (
+        "error: --c0 1e-200 and --kt2 0.2: every mode fell below the representable "
+        "coupling floor\n")
     assert not outdir.exists()
 
 

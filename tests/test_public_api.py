@@ -93,7 +93,6 @@ SETTABLE_VALUES = [
     "extract.detect_resonances(threshold_db)",
     "fitkernel.FitResult.cost_trace",
     "fitkernel.fit(options)",
-    "fitkernel.fit(restarts)",
     "fitkernel.select_branch_count(options)",
     "mbvd.MbvdModel.branches",
     "mbvd.MbvdModel.r0",
