@@ -514,8 +514,6 @@ def _add_fit_flags(p: argparse.ArgumentParser) -> None:
                    help="fix the motional branch count (default: automatic selection)")
     p.add_argument("--threshold-db", type=float, default=3.0,
                    help="peak prominence threshold for resonance detection")
-    p.add_argument("--trace-fit", action="store_true",
-                   help="dump the per-iteration cost trace as JSON")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -529,6 +527,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fit_flags(p)
     p.add_argument("--emit-candidates", action="store_true",
                    help="dump the detected resonance candidates as JSON")
+    p.add_argument("--trace-fit", action="store_true",
+                   help="dump the per-iteration cost trace as JSON")
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_fit)
 

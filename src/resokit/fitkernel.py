@@ -54,7 +54,7 @@ class FitResult:
     converged: bool
     covariance: np.ndarray
     residual_rms: float
-    cost_trace: tuple[float, ...] = field(repr=False, default=())
+    cost_trace: tuple[float, ...] = field(repr=False)
 
 
 def param_names(n_branches: int) -> list[str]:
@@ -62,31 +62,6 @@ def param_names(n_branches: int) -> list[str]:
     for k in range(n_branches):
         names += [f"b{k}.rm", f"b{k}.fs", f"b{k}.cm"]
     return names
-
-
-def _resistance_lo(r_seed: float) -> float:
-    # The box must contain the seed: a seed below the nominal 1e-3 ohm
-    # floor (for example a deliberately lossless generator) lowers the
-    # edge to an effective zero instead of displacing the seed.
-    if r_seed >= _R_FLOOR:
-        return _R_FLOOR
-    return max(r_seed, 1e-30)
-
-
-def _default_bounds(seed: MbvdModel) -> np.ndarray:
-    """fit()'s search box in natural units, one (lo, hi) row per packed
-    parameter."""
-    rows = [
-        (seed.c0 / 3.0, seed.c0 * 3.0),
-        (_resistance_lo(seed.r0), _R_CEIL),
-        (_resistance_lo(seed.rs), _R_CEIL),
-    ]
-    for b in seed.branches:
-        fs = b.fs
-        rows.append((_resistance_lo(b.rm), _R_CEIL))
-        rows.append((0.9 * fs, 1.1 * fs))
-        rows.append((b.cm / 1e4, b.cm * 1e4))
-    return np.asarray(rows, dtype=float)
 
 
 def _pack(model: MbvdModel) -> np.ndarray:
@@ -132,18 +107,28 @@ def _motional_l(fs: np.ndarray, cm: np.ndarray) -> np.ndarray:
 
 
 def _search_box(trace: ComplexTrace, seed: MbvdModel) -> tuple[np.ndarray, np.ndarray]:
-    """Log-space (lo, hi) box for fitting seed to trace.
+    """Log-space (lo, hi) box for fitting seed to trace, one row per packed
+    parameter: a fixed function of the seed.
 
-    Every row must be open, 0 < lo < hi < inf in natural units, so every
-    parameter is free; a seed that gives no such box (a non-finite c0, say)
-    is a ValueError naming the first parameter that has none.
+    c0 lies within x3 of the seed, each branch fs within +-10% and cm within
+    x1e4; resistances lie in [1e-3, 1e6] ohm, where a resistance seeded
+    below the floor (a deliberately lossless generator, say) lowers its
+    floor to the seed, down to an effective zero of 1e-30, so the box holds
+    the seed.  Every row must be open, 0 < lo < hi < inf in natural units,
+    so every parameter is free; a seed that gives no such box (a non-finite
+    c0, say) is a ValueError naming the first parameter that has none.
     """
     if not seed.branches:
         raise ValueError("seed model needs at least one motional branch")
     nparams = 3 + 3 * len(seed.branches)
     if 2 * trace.npoints < nparams:
         raise ValueError(f"{trace.npoints} points cannot constrain {nparams} parameters")
-    lo, hi = _default_bounds(seed).T
+    rows = [(seed.c0 / 3.0, seed.c0 * 3.0), (seed.r0, _R_CEIL), (seed.rs, _R_CEIL)]
+    for b in seed.branches:
+        rows += [(b.rm, _R_CEIL), (0.9 * b.fs, 1.1 * b.fs), (b.cm / 1e4, b.cm * 1e4)]
+    lo, hi = np.asarray(rows, dtype=float).T
+    resistances = np.r_[1, 2, 3:nparams:3]
+    lo[resistances] = np.clip(lo[resistances], 1e-30, _R_FLOOR)
     shut = np.flatnonzero(~((0.0 < lo) & (lo < hi) & (hi < np.inf)))
     if shut.size:
         i = int(shut[0])
@@ -152,149 +137,66 @@ def _search_box(trace: ComplexTrace, seed: MbvdModel) -> tuple[np.ndarray, np.nd
     return np.log(lo), np.log(hi)
 
 
-class _Problem:
-    """One trace against the circuit.
+def _norm(trace: ComplexTrace) -> float:
+    """The residual's scale: the median measured magnitude (1 where that is
+    zero or the trace is empty)."""
+    return (_median(np.abs(trace.values)) or 1.0) if trace.npoints else 1.0
 
-    Holds the trace, the normalization of its residual and the admittance
-    of the last parameter tuple scored by residuals(): the Jacobian at an
-    accepted step is taken at the tuple that scored the step, so
-    jacobian() reuses that forward pass instead of running it again.
+
+def _admittance(freqs: np.ndarray, params) -> Admittance:
+    """The circuit at (c0, r0, rs, rm, fs, cm) on freqs."""
+    c0, r0, rs, rm, fs, cm = params
+    return admittance_arrays(freqs, c0, r0, rs, rm, _motional_l(fs, cm), cm)
+
+
+def _residuals(adm: Admittance, trace: ComplexTrace, norm: float) -> np.ndarray:
+    """[Re, Im] of (adm.y - trace.values) / norm, interleaved."""
+    d = (adm.y - trace.values) / norm
+    r = np.empty(2 * d.size)
+    r[0::2] = d.real
+    r[1::2] = d.imag
+    return r
+
+
+def _jacobian(adm: Admittance, params, norm: float) -> np.ndarray:
+    """d(residual)/d(ln p) at params, whose admittance is adm; columns in
+    packed-parameter order.
+
+    Built column-major: the order in which numpy sums jac.T @ r follows the
+    memory layout, and a row-major matrix moves the last bits of every fit.
     """
+    c0, r0, rs, rm, fs, cm = params
+    w, yst, yb, g, y = adm
+    jw = 1j * w
+    k = rm.size
+    lm = _motional_l(fs, cm)
+    # dY/dG for parameters inside the parallel section, dY/drs outside.
+    y_sq = y * y
+    dy_dg = y_sq / (g * g)
+    grads = np.empty((w.size, 3 + 3 * k), dtype=complex)
+    yst_sq = yst * yst
+    grads[:, 0] = dy_dg * (yst_sq / (jw * c0 * c0)) * c0          # d/d ln c0
+    grads[:, 1] = dy_dg * (-yst_sq) * r0                           # d/d ln r0
+    grads[:, 2] = (-y_sq) * rs                                     # d/d ln rs
+    for i in range(k):
+        yb_sq = yb[:, i] * yb[:, i]
+        dzb_dfs = -2j * w * lm[i] / fs[i]
+        dzb_dcm = 1j * (-w * lm[i] / cm[i] + 1.0 / (w * cm[i] ** 2))
+        grads[:, 3 + 3 * i] = dy_dg * (-yb_sq) * rm[i]
+        grads[:, 4 + 3 * i] = dy_dg * (-yb_sq * dzb_dfs) * fs[i]
+        grads[:, 5 + 3 * i] = dy_dg * (-yb_sq * dzb_dcm) * cm[i]
 
-    def __init__(self, trace: ComplexTrace):
-        self.trace = trace
-        self.norm = (_median(np.abs(trace.values)) or 1.0) if trace.npoints else 1.0
-        self._params = None
-        self._adm: Admittance | None = None
-
-    def _admittance(self, params) -> Admittance:
-        c0, r0, rs, rm, fs, cm = params
-        return admittance_arrays(self.trace.freqs, c0, r0, rs, rm, _motional_l(fs, cm), cm)
-
-    def residuals(self, params) -> np.ndarray:
-        """Residual vector at (c0, r0, rs, rm, fs, cm); keeps its admittance."""
-        self._params, self._adm = params, self._admittance(params)
-        d = (self._adm.y - self.trace.values) / self.norm
-        r = np.empty(2 * d.size)
-        r[0::2] = d.real
-        r[1::2] = d.imag
-        return r
-
-    def jacobian(self, params) -> np.ndarray:
-        """d(residual)/d(ln p), columns in packed-parameter order.
-
-        Reuses the admittance of the last residuals() call when it scored
-        this very tuple.  Built column-major: the order in which numpy sums
-        jac.T @ r follows the memory layout, and a row-major matrix moves
-        the last bits of every fit.
-        """
-        c0, r0, rs, rm, fs, cm = params
-        adm = self._adm if params is self._params else self._admittance(params)
-        w, yst, yb, g, y = adm
-        jw = 1j * w
-        k = rm.size
-        lm = _motional_l(fs, cm)
-        # dY/dG for parameters inside the parallel section, dY/drs outside.
-        y_sq = y * y
-        dy_dg = y_sq / (g * g)
-        grads = np.empty((w.size, 3 + 3 * k), dtype=complex)
-        yst_sq = yst * yst
-        grads[:, 0] = dy_dg * (yst_sq / (jw * c0 * c0)) * c0          # d/d ln c0
-        grads[:, 1] = dy_dg * (-yst_sq) * r0                           # d/d ln r0
-        grads[:, 2] = (-y_sq) * rs                                     # d/d ln rs
-        for i in range(k):
-            yb_sq = yb[:, i] * yb[:, i]
-            dzb_dfs = -2j * w * lm[i] / fs[i]
-            dzb_dcm = 1j * (-w * lm[i] / cm[i] + 1.0 / (w * cm[i] ** 2))
-            grads[:, 3 + 3 * i] = dy_dg * (-yb_sq) * rm[i]
-            grads[:, 4 + 3 * i] = dy_dg * (-yb_sq * dzb_dfs) * fs[i]
-            grads[:, 5 + 3 * i] = dy_dg * (-yb_sq * dzb_dcm) * cm[i]
-
-        jac = np.empty((2 * y.size, grads.shape[1]), order="F")
-        jac[0::2, :] = grads.real / self.norm
-        jac[1::2, :] = grads.imag / self.norm
-        return jac
-
-    def solve(self, seed: MbvdModel) -> FitResult:
-        """Levenberg-Marquardt from seed, clipped into its search box."""
-        lo, hi = _search_box(self.trace, seed)
-        freqs = self.trace.freqs
-        dom_fs = seed.branches[seed.dominant_index].fs
-        if freqs.size < 2 or not (freqs[0] <= dom_fs <= freqs[-1]):
-            raise ValueError("trace does not span the seed's dominant resonance")
-
-        theta = np.clip(_pack(seed), lo, hi)
-        params = _unpack(theta)
-        r = self.residuals(params)
-        cost = float(r @ r)
-        if not math.isfinite(cost):
-            raise FitError("cost is non-finite at the seed")
-
-        cost_trace = [cost]
-        lam = _LAMBDA0
-        iterations = 0
-        converged = cost < 1e-300
-
-        while not converged and iterations < _MAX_ITER:
-            iterations += 1
-            jac = self.jacobian(params)
-            g = jac.T @ r
-            h = jac.T @ jac
-            d = np.diag(h).copy()
-            d = np.maximum(d, 1e-14 * max(float(d.max(initial=0.0)), 1e-300))
-
-            accepted = False
-            while lam <= _LAMBDA_MAX:
-                a = h + lam * np.diag(d)
-                try:
-                    step = np.linalg.solve(a, -g)
-                except np.linalg.LinAlgError:
-                    step, *_ = np.linalg.lstsq(a, -g, rcond=None)
-                theta_new = np.clip(theta + step, lo, hi)
-                params_new = _unpack(theta_new)
-                r_new = self.residuals(params_new)
-                cost_new = float(r_new @ r_new)
-                if not math.isfinite(cost_new):
-                    raise FitError("cost became non-finite", iteration=iterations)
-                if cost_new <= cost:
-                    accepted = True
-                    lam = max(lam / 3.0, _LAMBDA_MIN)
-                    break
-                lam *= 10.0
-            if not accepted:
-                break
-
-            rel_dec = (cost - cost_new) / max(cost, 1e-300)
-            step_rel = float(np.linalg.norm(theta_new - theta)) / max(
-                float(np.linalg.norm(theta)), 1e-300
-            )
-            theta, params, r, cost = theta_new, params_new, r_new, cost_new
-            cost_trace.append(cost)
-            if cost < 1e-300 or rel_dec < _FTOL or step_rel < _XTOL:
-                converged = True
-
-        model_out = _model_from_theta(theta)
-        jac_final = self.jacobian(params)
-        m = r.size
-        sigma_sq = cost / max(m - theta.size, 1)
-        cov = np.linalg.pinv(jac_final.T @ jac_final) * sigma_sq
-
-        return FitResult(
-            model=model_out,
-            cost=cost,
-            iterations=iterations,
-            converged=converged,
-            covariance=cov,
-            residual_rms=math.sqrt(cost / m) if m else 0.0,
-            cost_trace=tuple(cost_trace),
-        )
+    jac = np.empty((2 * y.size, grads.shape[1]), order="F")
+    jac[0::2, :] = grads.real / norm
+    jac[1::2, :] = grads.imag / norm
+    return jac
 
 
 def residuals(model: MbvdModel, trace: ComplexTrace) -> np.ndarray:
     """Residual vector between the model and a measured trace: [Re, Im] of
     (Y_model - Y_meas) interleaved, normalized by the median measured
     magnitude."""
-    return _Problem(trace).residuals(_model_params(model))
+    return _residuals(_admittance(trace.freqs, _model_params(model)), trace, _norm(trace))
 
 
 def jacobian(model: MbvdModel, trace: ComplexTrace) -> np.ndarray:
@@ -303,7 +205,8 @@ def jacobian(model: MbvdModel, trace: ComplexTrace) -> np.ndarray:
     Columns follow param_names().  Matches 7-point central finite
     differences to better than 1e-5 relative.
     """
-    return _Problem(trace).jacobian(_model_params(model))
+    params = _model_params(model)
+    return _jacobian(_admittance(trace.freqs, params), params, _norm(trace))
 
 
 def fit(
@@ -311,19 +214,86 @@ def fit(
     seed: MbvdModel,
     options: FitOptions | None = None,
 ) -> FitResult:
-    """Levenberg-Marquardt refinement of seed against trace.
+    """Levenberg-Marquardt refinement of seed against trace, from the seed
+    clipped into _search_box's box.
 
     Multiplicative damping: x10 on a rejected step, /3 on an accepted
     one.  Terminates when the relative cost decrease drops below 1e-10,
     the relative step below 1e-10, or after 200 iterations.  The accepted
-    cost sequence is non-increasing by construction.
-
-    The search box is a fixed function of the seed: c0 within x3,
-    resistances in [1e-3, 1e6] ohm (the floor lowered to cover a lossless
-    seed), each branch fs within +-10% and cm within x1e4.  Every parameter
-    is free in it.
+    cost sequence is non-increasing by construction.  Each accepted point
+    keeps the admittance that scored it, and its Jacobian, the last one
+    behind the covariance included, is built from that admittance.
     """
-    return _Problem(trace).solve(seed)
+    lo, hi = _search_box(trace, seed)
+    freqs = trace.freqs
+    if not (freqs[0] <= seed.branches[seed.dominant_index].fs <= freqs[-1]):
+        raise ValueError("trace does not span the seed's dominant resonance")
+    norm = _norm(trace)
+
+    theta = np.clip(_pack(seed), lo, hi)
+    params = _unpack(theta)
+    adm = _admittance(freqs, params)
+    r = _residuals(adm, trace, norm)
+    cost = float(r @ r)
+    if not math.isfinite(cost):
+        raise FitError("cost is non-finite at the seed")
+
+    cost_trace = [cost]
+    lam = _LAMBDA0
+    iterations = 0
+    converged = cost < 1e-300
+
+    while not converged and iterations < _MAX_ITER:
+        iterations += 1
+        jac = _jacobian(adm, params, norm)
+        g = jac.T @ r
+        h = jac.T @ jac
+        d = np.diag(h).copy()
+        d = np.maximum(d, 1e-14 * max(float(d.max(initial=0.0)), 1e-300))
+
+        accepted = False
+        while lam <= _LAMBDA_MAX:
+            a = h + lam * np.diag(d)
+            try:
+                step = np.linalg.solve(a, -g)
+            except np.linalg.LinAlgError:
+                step, *_ = np.linalg.lstsq(a, -g, rcond=None)
+            theta_new = np.clip(theta + step, lo, hi)
+            params_new = _unpack(theta_new)
+            adm_new = _admittance(freqs, params_new)
+            r_new = _residuals(adm_new, trace, norm)
+            cost_new = float(r_new @ r_new)
+            if not math.isfinite(cost_new):
+                raise FitError("cost became non-finite", iteration=iterations)
+            if cost_new <= cost:
+                accepted = True
+                lam = max(lam / 3.0, _LAMBDA_MIN)
+                break
+            lam *= 10.0
+        if not accepted:
+            break
+
+        rel_dec = (cost - cost_new) / max(cost, 1e-300)
+        step_rel = float(np.linalg.norm(theta_new - theta)) / max(
+            float(np.linalg.norm(theta)), 1e-300
+        )
+        theta, params, adm, r, cost = theta_new, params_new, adm_new, r_new, cost_new
+        cost_trace.append(cost)
+        if cost < 1e-300 or rel_dec < _FTOL or step_rel < _XTOL:
+            converged = True
+
+    jac = _jacobian(adm, params, norm)
+    m = r.size
+    sigma_sq = cost / max(m - theta.size, 1)
+    return FitResult(
+        model=_model_from_theta(theta),
+        cost=cost,
+        iterations=iterations,
+        converged=converged,
+        covariance=np.linalg.pinv(jac.T @ jac) * sigma_sq,
+        residual_rms=math.sqrt(cost / m),
+        cost_trace=tuple(cost_trace),
+    )
 
 
 def seed_from_strongest(

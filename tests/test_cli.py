@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from resokit import cli, transduce
+from resokit.errors import FitError
 from resokit.fitkernel import FitResult
 from resokit.mbvd import metrics_from_model, model_to_dict
 from resokit.netparams import device_admittance, parse_touchstone, s_to_y
@@ -89,15 +90,46 @@ def test_fit_corrupt_file(tmp_path):
     assert rc == 2
 
 
+def stuck_fit():
+    """A fit of row L's displayed model that stopped unconverged after 40
+    iterations."""
+    return FitResult(model=display_model("L"), cost=1.0, iterations=40,
+                     converged=False, covariance=None, residual_rms=1.0,
+                     cost_trace=(1.0,))
+
+
 def test_fit_nonconvergence_exit_code(tmp_path, monkeypatch):
     src = tmp_path / "rowL.s2p"
     write_golden(src)
-    stuck = FitResult(model=display_model("L"), cost=1.0, iterations=40,
-                      converged=False, covariance=None, residual_rms=1.0,
-                      cost_trace=(1.0,))
-    monkeypatch.setattr(cli, "select_branch_count", lambda *a, **k: stuck)
+    monkeypatch.setattr(cli, "select_branch_count", lambda *a, **k: stuck_fit())
     rc = cli.run(["fit", str(src), "--outdir", str(tmp_path / "o")])
     assert rc == 3
+
+
+def test_fit_error_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    src = tmp_path / "rowL.s2p"
+    write_golden(src)
+
+    def fail(*args, **kwargs):
+        raise FitError("cost became non-finite", iteration=7)
+
+    monkeypatch.setattr(cli, "select_branch_count", fail)
+    outdir = tmp_path / "o"
+    assert cli.run(["fit", str(src), "--outdir", str(outdir)]) == 3
+    assert capsys.readouterr().err == "error: iteration 7: cost became non-finite\n"
+    assert not outdir.exists()
+
+
+def test_fit_without_a_peak_is_an_input_error(tmp_path, capsys):
+    # a model with no motional branch: |Y| of c0 alone rises without a peak
+    model = tmp_path / "flat.json"
+    model.write_text(json.dumps({"topology": "mbvd/1", "c0_f": 5e-14, "r0_ohm": 0.0,
+                                 "rs_ohm": 0.0, "branches": []}))
+    assert cli.run(["synth", str(model), "--grid", "1e9:5e9:401", "--outdir", str(tmp_path)]) == 0
+    outdir = tmp_path / "o"
+    assert cli.run(["fit", str(tmp_path / "flat.s2p"), "--outdir", str(outdir)]) == 2
+    assert capsys.readouterr().err == "error: no resonant peaks found above the prominence threshold\n"
+    assert not outdir.exists()
 
 
 def test_fit_branches_pins_the_count(tmp_path):
@@ -162,6 +194,14 @@ def test_fit_has_no_restarts_flag(tmp_path, capsys, command):
         cli.run([command, str(tmp_path / "missing"), "--branches", "1", "--restarts", "2"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --restarts 2" in capsys.readouterr().err
+
+
+def test_batch_has_no_trace_fit_flag(tmp_path, capsys):
+    # batch recorded the flag in its manifest and wrote no trace
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["batch", str(tmp_path / "missing"), "--trace-fit"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --trace-fit" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["fit", "batch"])
@@ -291,6 +331,18 @@ def test_batch_all_good(tmp_path):
     write_golden(d / "a.s2p", label="L")
     rc = cli.run(["batch", str(d), "--outdir", str(tmp_path / "o")])
     assert rc == 0
+
+
+def test_batch_lists_a_fit_that_did_not_converge(tmp_path, monkeypatch):
+    d = tmp_path / "meas"
+    d.mkdir()
+    write_golden(d / "a.s2p")
+    monkeypatch.setattr(cli, "select_branch_count", lambda *a, **k: stuck_fit())
+    outdir = tmp_path / "o"
+    assert cli.run(["batch", str(d), "--outdir", str(outdir)]) == 1
+    doc = json.loads((outdir / "batch_batch.json").read_text())
+    assert doc == {"rows": [],
+                   "failures": [{"file": "a.s2p", "error": "iteration 40: fit did not converge"}]}
 
 
 def test_batch_rejects_non_directory(tmp_path):
@@ -590,6 +642,17 @@ def test_design_plan(tmp_path):
                       "coverage", "findings", "error"}
     assert e["topology"] == "lvr"
     assert e["error"] is None
+
+
+def test_design_frequency_threshold_policy(tmp_path):
+    # a target below the threshold gets lvr, one above it dlvr
+    tj = tmp_path / "t.json"
+    tj.write_text(json.dumps([3e9, 6e9]))
+    outdir = tmp_path / "o"
+    assert cli.run(["design", str(tj), "--vp", "5382", "--topology-policy", "4e9",
+                    "--outdir", str(outdir)]) == 0
+    lines = (outdir / "t_plan.csv").read_text().splitlines()
+    assert lines[1:] == ["3000000000.0,1794,lvr,ok,", "6000000000.0,897,dlvr,ok,"]
 
 
 def test_design_partial_on_out_of_range_target(tmp_path):

@@ -214,7 +214,8 @@ def test_fit_subsampling_stability():
 
 def test_default_bounds_layout():
     m = one_branch(r0=0.0, rs=0.0)
-    bd = fitkernel._default_bounds(m)
+    tr = noisy_trace(m, np.linspace(1.7e9, 3.9e9, 401))
+    bd = np.exp(np.column_stack(fitkernel._search_box(tr, m)))
     names = param_names(1)
     assert bd.shape == (len(names), 2)
     assert np.all(bd[:, 0] < bd[:, 1])
@@ -251,40 +252,41 @@ def test_fit_covariance_sane():
 
 
 @pytest.mark.parametrize("exhaust_damping", [False, True])
-def test_fit_jacobian_reuse_never_stale(monkeypatch, exhaust_damping):
+def test_fit_jacobian_is_taken_where_it_is_used(monkeypatch, exhaust_damping):
     m = one_branch()
     tr = noisy_trace(m, np.linspace(1.7e9, 3.9e9, 401), noise_db=-60.0, seed=10)
     seed = perturb_param(m, 3, 2.0)
+    norm = fitkernel._norm(tr)
     taken = []  # (parameters, matrix) of every Jacobian the fit takes
-    jacobian_at = fitkernel._Problem.jacobian
+    jacobian_at = fitkernel._jacobian
 
-    def spy(self, params):
-        jac = jacobian_at(self, params)
+    def spy(adm, params, norm):
+        jac = jacobian_at(adm, params, norm)
         taken.append((params, jac.copy()))
         return jac
 
-    monkeypatch.setattr(fitkernel._Problem, "jacobian", spy)
+    monkeypatch.setattr(fitkernel, "_jacobian", spy)
     if exhaust_damping:
         # every point scored after the first Jacobian looks worse than the
         # seed, so damping runs out and the last point scored is a rejected one
-        score = fitkernel._Problem.residuals
+        score = fitkernel._residuals
 
-        def worse(self, params):
-            r = score(self, params)
+        def worse(adm, trace, norm):
+            r = score(adm, trace, norm)
             return r if not taken else np.full_like(r, 1e3)
 
-        monkeypatch.setattr(fitkernel._Problem, "residuals", worse)
+        monkeypatch.setattr(fitkernel, "_residuals", worse)
 
     res = fit(tr, seed)
     monkeypatch.undo()
     if exhaust_damping:
         assert (res.iterations, res.converged) == (1, False)
     for params, jac in taken:
-        fresh = fitkernel._Problem(tr).jacobian(params)
+        fresh = fitkernel._jacobian(fitkernel._admittance(tr.freqs, params), params, norm)
         assert jac.tobytes() == fresh.tobytes()
     # the covariance comes from the Jacobian at the accepted point
     params, jac = taken[-1]
-    r = fitkernel._Problem(tr).residuals(params)
+    r = fitkernel._residuals(fitkernel._admittance(tr.freqs, params), tr, norm)
     assert float(r @ r) == res.cost
     cov = np.linalg.pinv(jac.T @ jac) * (res.cost / (r.size - jac.shape[1]))
     assert cov.tobytes() == res.covariance.tobytes()

@@ -25,6 +25,8 @@ from resokit.mbvd import (
 )
 from resokit.refdata import SURVEY, roundtrip_model, synthesis_grid
 
+from conftest import pair_model
+
 
 def single_branch_model(fs, qm, kt2, c0):
     return MbvdModel(c0=c0, r0=0.0, rs=0.0, branches=(branch_from_metrics(fs, qm, kt2, c0),))
@@ -299,6 +301,27 @@ def test_fp_search_brackets_root_to_1e12():
         fp = _fp_search(m, 0, [b.fs for b in m.branches])
         im_y = synthesize_admittance(m, fp * np.array([1 - 1e-12, 1 + 1e-12])).values.imag
         assert im_y[0] < 0.0 < im_y[1], r.label
+
+
+@pytest.mark.parametrize("coupling", [5.0, 20.0, 100.0])
+def test_fp_search_stops_below_the_next_branch(coupling):
+    # criterion 3's pair: the window ends just below the 3.3 GHz branch, and
+    # the search lands on the lossless root of
+    # c0 + sum cm_j / (1 - (f / fs_j)^2) between the two branches
+    m = pair_model(coupling)
+    fs_list = [b.fs for b in m.branches]
+
+    def susceptance(f):
+        return m.c0 + sum(b.cm / (1.0 - (f / b.fs) ** 2) for b in m.branches)
+
+    lo, hi = fs_list[0] * (1 + 1e-12), fs_list[1] * (1 - 1e-12)
+    assert susceptance(lo) < 0.0 < susceptance(hi)
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if susceptance(mid) < 0.0 else (lo, mid)
+    fp = _fp_search(m, 0, fs_list)
+    assert fp == pytest.approx(lo, rel=1e-4)
+    assert fp < fs_list[1] * (1.0 - 1e-3)
 
 
 def test_metrics_narrow_grid_flags_unbracketed():

@@ -91,7 +91,6 @@ SETTABLE_VALUES = [
     "designkit.render_table(labels)",
     "designkit.velocity_outliers(rel_threshold)",
     "extract.detect_resonances(threshold_db)",
-    "fitkernel.FitResult.cost_trace",
     "fitkernel.fit(options)",
     "fitkernel.select_branch_count(options)",
     "mbvd.MbvdModel.branches",
