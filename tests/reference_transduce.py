@@ -1,11 +1,13 @@
-"""Per-gap reference implementations of the electrode-overlap kernel.
+"""Reference implementations of the electrode-overlap kernel.
 
-``strain_overlaps`` here is the loop over field gaps that the mode-blocked
-kernel in ``resokit.transduce`` replaced, and ``mode_couplings`` builds each
-``ModeCoupling`` from numpy scalars one mode at a time.  Tests require the
-library to match them bit for bit, so keep them unchanged when the library
-changes.  ``strain_overlaps_numeric`` is the trapezoid-quadrature check of
-the closed-form overlaps.
+``strain_overlaps`` here is the float64 loop over field gaps that the closed
+form in ``resokit.transduce`` replaced, kept as the comparator whose error
+the closed form must not exceed, and ``mode_couplings`` builds each
+``ModeCoupling`` from numpy scalars one mode at a time on top of it.
+``strain_overlaps_ideal`` is the same gap sum in ``np.longdouble`` over the
+ideal geometry, the yardstick both are measured against.
+``strain_overlaps_numeric`` is the trapezoid-quadrature check of the
+closed-form overlaps.  Keep them unchanged when the library changes.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from resokit.designkit import DeviceGeometry
 from resokit.errors import DegenerateCouplingError
 from resokit.transduce import (
     FIELD_MODELS,
@@ -22,7 +25,6 @@ from resokit.transduce import (
     ElectrodeLayout,
     ModeCoupling,
     ModeSpectrum,
-    _gap_edges,
     _indices_array,
 )
 
@@ -77,6 +79,36 @@ def strain_overlaps(
     return out
 
 
+def strain_overlaps_ideal(
+    geom: DeviceGeometry,
+    indices: Sequence[int],
+    field_model: str = "tophat",
+) -> np.ndarray:
+    """The gap sum of ``strain_overlaps`` in np.longdouble over the geometry
+    ``build_layout`` realises, not over its float64 layout.
+
+    In quarter wavelengths the plate is 2M wide (M = N for dlvr, N - 1 for
+    lvr), gap j is centred on 2j + 2 (dlvr) or 2j + 1 (lvr) and spans 1 - c
+    to either side, so every position is exact; c is the float64 coverage
+    and pi is taken in longdouble."""
+    if field_model not in FIELD_MODELS:
+        raise ValueError(f"field_model must be one of {FIELD_MODELS}")
+    n_el = geom.n_elements
+    m = n_el if geom.topology == "dlvr" else n_el - 1
+    pi = np.longdouble("3.14159265358979323846264338327950288")
+    k = _indices_array(indices).astype(np.longdouble) * pi / np.longdouble(2 * m)
+    half = 1 - np.longdouble(geom.coverage)
+    out = np.zeros(k.size, dtype=np.longdouble)
+    for j in range(n_el - 1):
+        x = np.longdouble(2 * j + 2 if geom.topology == "dlvr" else 2 * j + 1)
+        if field_model == "tophat":
+            contrib = np.cos(k * (x + half)) - np.cos(k * (x - half))
+        else:
+            contrib = -(2 * half) * k * np.sin(k * x)
+        out += contrib if j % 2 == 0 else -contrib
+    return out
+
+
 def strain_overlaps_numeric(
     layout: ElectrodeLayout,
     indices: Sequence[int],
@@ -89,11 +121,11 @@ def strain_overlaps_numeric(
     idx = _indices_array(indices)
     w = layout.plate_width
     out = np.zeros(idx.size)
-    for left, right, sign in zip(*(a.tolist() for a in _gap_edges(layout))):
-        x = np.linspace(left, right, points_per_gap)
+    for gap in field_gaps(layout):
+        x = np.linspace(gap.left, gap.right, points_per_gap)
         # du_n/dx = -(n pi / W) sin(n pi x / W), one row per mode index
         integrand = -(idx[:, None] * np.pi / w) * np.sin(idx[:, None] * np.pi * x[None, :] / w)
-        out += sign * np.sum(np.diff(x) * (integrand[:, 1:] + integrand[:, :-1]) / 2.0, axis=1)
+        out += gap.sign * np.sum(np.diff(x) * (integrand[:, 1:] + integrand[:, :-1]) / 2.0, axis=1)
     return out
 
 

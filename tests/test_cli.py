@@ -7,13 +7,12 @@ import json
 import os
 import subprocess
 import sys
-import threading
 import warnings
 
 import numpy as np
 import pytest
 
-from resokit import cli, transduce
+from resokit import cli
 from resokit.errors import FitError
 from resokit.fitkernel import FitResult
 from resokit.mbvd import metrics_from_model, model_to_dict
@@ -452,29 +451,6 @@ def test_out_of_memory_is_an_input_error(tmp_path, capsys, monkeypatch):
         assert capsys.readouterr().err == err
 
 
-def test_out_of_memory_in_an_overlap_worker_thread(tmp_path, capsys, monkeypatch):
-    # the sweep's large geometries split their modes across threads; an error
-    # in a worker thread reaches cli.run, and modes writes nothing
-    fill = transduce._fill_overlaps
-    raised = []
-
-    def fill_or_fail(*args):
-        if threading.current_thread() is not threading.main_thread():
-            raised.append(args)
-            raise MemoryError("Unable to allocate 1.0 GiB")
-        fill(*args)
-
-    monkeypatch.setattr(transduce, "_WORKERS", 2)
-    monkeypatch.setattr(transduce, "_fill_overlaps", fill_or_fail)
-    outdir = tmp_path / "o"
-    rc = cli.run(["modes", "--outdir", str(outdir), "--topology", "dlvr", "--n", "5",
-                  "--lambda", "1.8e-6", "--vp", "3426", "--sweep-n", "5:400:5"])
-    assert rc == 2
-    assert raised
-    assert capsys.readouterr().err == "error: out of memory: Unable to allocate 1.0 GiB\n"
-    assert not outdir.exists()
-
-
 # --------------------------------------------------------------------- modes
 
 MODES = ["modes", "--topology", "dlvr", "--n", "5", "--lambda", "1.8e-6", "--vp", "3426"]
@@ -614,6 +590,25 @@ def test_modes_grid_points_too_large(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == (
         "error: --grid-points: 100000000000 grid points do not fit in memory\n")
     # the admittance grid is built before any output is written
+    assert not outdir.exists()
+
+
+def test_modes_n_max_too_large(tmp_path, capsys, monkeypatch):
+    # the mode indices 1..n_max are one array; numpy's allocation error for
+    # it is one error line and exit 2, and modes writes nothing
+    arange = np.arange
+
+    def fake(start, stop=None, *args, **kwargs):
+        n = 0 if stop is None else stop - start
+        if n >= 10**11:
+            raise MemoryError(f"Unable to allocate {8 * n / 2**30:.0f} GiB for an array")
+        return arange(start, stop, *args, **kwargs)
+
+    monkeypatch.setattr(np, "arange", fake)
+    outdir = tmp_path / "o"
+    assert cli.run([*MODES, "--outdir", str(outdir), "--n-max", "100000000000"]) == 2
+    assert capsys.readouterr().err == (
+        "error: out of memory: Unable to allocate 745 GiB for an array\n")
     assert not outdir.exists()
 
 

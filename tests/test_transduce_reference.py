@@ -1,17 +1,15 @@
-"""Electrode-overlap kernel against its per-gap reference.
+"""Closed-form electrode overlaps against their gap-sum references.
 
-``reference_transduce`` holds the loop over field gaps and the per-mode
-``ModeCoupling`` generator.  Overlaps must match it bit for bit (compared as
-uint64 so that signed zeros count), and coupling spectra and split studies
-must carry the same values of the same types.
+``reference_transduce`` holds the float64 loop over field gaps, the same sum
+in np.longdouble over the ideal geometry, and the per-mode ``ModeCoupling``
+generator.  The closed form must be at least as accurate as the float64 loop
+against the longdouble sum, give its exact zeros and limits exactly for any
+index, and leave coupling spectra and split studies with the same modes.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -19,6 +17,7 @@ import pytest
 import reference_transduce as ref
 from resokit import transduce
 from resokit.designkit import DeviceGeometry
+from resokit.errors import GeometryError
 from resokit.transduce import (
     ElectrodeLayout,
     build_layout,
@@ -32,38 +31,31 @@ V_P = 3426.0
 COUNTS = (*range(2, 41), 337, 338, 400, 800)
 # the modes-sweep benchmark: N = 5..400 in steps of 5 at coverage 0.5
 SWEEP_COUNTS = range(5, 401, 5)
+TOPOLOGIES = ("lvr", "dlvr")
 
 
-def assert_bits_equal(a: np.ndarray, b: np.ndarray) -> None:
-    assert a.shape == b.shape and a.dtype == b.dtype
-    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+def geometry(topology, n, coverage=0.5):
+    return DeviceGeometry(wavelength=LAM, topology=topology, n_elements=n, coverage=coverage)
 
 
 def index_sets(d: int) -> list[list[int]]:
     return [list(range(1, 2 * d + 7)), [d], [d - 1, d, d + 1], [7, 3, 3, 9000]]
 
 
-@pytest.mark.parametrize("coverage", (0.2, 0.5, 0.8))
+def is_positive_zero(a: np.ndarray) -> np.ndarray:
+    return np.asarray(a, dtype=float).view(np.uint64) == 0
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                    reason="np.longdouble is no wider than float64 here")
+@pytest.mark.parametrize("coverage", (0.2, 0.35, 0.5, 0.8))
 @pytest.mark.parametrize("field", transduce.FIELD_MODELS)
-@pytest.mark.parametrize("topology", ("lvr", "dlvr"))
-def test_strain_overlaps_bit_equal_to_gap_loop(topology, field, coverage):
-    check_against_gap_loop(topology, field, coverage)
-
-
-@pytest.mark.parametrize("workers", (1, 2, 3))
-def test_strain_overlaps_bit_equal_with_forced_worker_count(workers, monkeypatch):
-    # 1 takes the serial path on any host, 2 and 3 the threaded one for the
-    # large counts; 3 splits the modes into unequal spans
-    monkeypatch.setattr(transduce, "_WORKERS", workers)
-    for topology in ("lvr", "dlvr"):
-        for field in transduce.FIELD_MODELS:
-            check_against_gap_loop(topology, field, 0.5)
-
-
-def check_against_gap_loop(topology, field, coverage):
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_strain_overlaps_as_accurate_as_gap_loop(topology, field, coverage):
+    # error relative to the largest overlap, against the longdouble gap sum
     for n in COUNTS:
-        layout = build_layout(DeviceGeometry(
-            wavelength=LAM, topology=topology, n_elements=n, coverage=coverage))
+        geom = geometry(topology, n, coverage)
+        layout = build_layout(geom)
         for idx in index_sets(layout.design_index):
             if min(idx) < 1:
                 # lvr N=2 has design index 1, so its neighbour set holds 0
@@ -72,111 +64,103 @@ def check_against_gap_loop(topology, field, coverage):
                 with pytest.raises(ValueError, match="start at 1"):
                     strain_overlaps(layout, idx, field)
                 continue
-            assert_bits_equal(strain_overlaps(layout, idx, field),
-                              ref.strain_overlaps(layout, idx, field))
-
-
-def _fields(spectrum) -> list[str]:
-    # repr keeps signed zeros and shows a numpy scalar where a Python one belongs
-    return [repr(dataclasses.astuple(m)) for m in spectrum.modes]
-
-
-def _recorded(spectra: list, fn):
-    def wrapper(*args, **kwargs):
-        spectrum = fn(*args, **kwargs)
-        spectra.append(_fields(spectrum))
-        return spectrum
-    return wrapper
+            want = ref.strain_overlaps_ideal(geom, idx, field)
+            scale = np.max(np.abs(want))
+            closed = strain_overlaps(layout, idx, field)
+            assert scale > 0.0
+            err = float(np.max(np.abs(closed - want)) / scale)
+            loop_err = float(np.max(np.abs(ref.strain_overlaps(layout, idx, field) - want)) / scale)
+            assert err <= max(loop_err, 1e-14), (n, idx[:4], err, loop_err)
 
 
 @pytest.mark.parametrize("field", transduce.FIELD_MODELS)
-@pytest.mark.parametrize("topology", ("lvr", "dlvr"))
-def test_mode_couplings_and_split_study_match_reference(topology, field, monkeypatch):
-    geoms = [DeviceGeometry(wavelength=LAM, topology=topology, n_elements=n, coverage=0.5)
-             for n in SWEEP_COUNTS]
-    runs = []
-    for couplings in (mode_couplings, ref.mode_couplings):
-        spectra: list = []
-        monkeypatch.setattr(transduce, "mode_couplings", _recorded(spectra, couplings))
-        records = split_study(geoms, V_P, field_model=field)
-        runs.append((spectra, [repr(rec.as_dict()) for rec in records]))
-    assert len(runs[0][0]) == len(geoms)
-    assert runs[0] == runs[1]
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_dark_modes_are_positive_zero(topology, field):
+    # in both topologies phi is a multiple of pi exactly when n + N is even;
+    # an lvr kernel also vanishes for every other mode but n = M mod 2M
+    for n in COUNTS:
+        for coverage in (0.35, 0.5):
+            layout = build_layout(geometry(topology, n, coverage))
+            m = layout.design_index
+            idx = np.arange(1, 2 * m + 7)
+            s = strain_overlaps(layout, idx, field)
+            dark = (idx + n) % 2 == 0
+            if topology == "lvr":
+                dark |= idx % (2 * m) != m
+            assert np.all(is_positive_zero(s[dark]))
+            assert not is_positive_zero(s[idx == m + 1 if topology == "dlvr" else idx == m])
 
 
-def test_strain_overlaps_zero_sum_is_positive_zero():
-    # one gap symmetric about the plate centre: even modes cancel exactly, and
-    # a negative first finger turns that 0.0 into -0.0 before the sum
-    layout = ElectrodeLayout(
-        topology="lvr", plate_width=1.0,
-        centers=(0.2, 0.8), widths=(0.2, 0.2), polarities=(-1, 1))
-    idx = np.arange(1, 201)
-    want = ref.strain_overlaps(layout, idx)
-    assert np.count_nonzero(want == 0.0) > 2
-    assert_bits_equal(strain_overlaps(layout, idx), want)
-    for n in (2, 4):  # a single mode takes the one-column sum
-        assert_bits_equal(strain_overlaps(layout, [n]), want[n - 1:n])
+@pytest.mark.parametrize("field", transduce.FIELD_MODELS)
+def test_dlvr_design_index_overlap_is_exactly_zero(field):
+    for n in (*COUNTS, 10**5):
+        for coverage in (0.2, 0.35, 0.5, 0.8):
+            layout = build_layout(geometry("dlvr", n, coverage))
+            assert is_positive_zero(strain_overlaps(layout, [n], field)).all()
 
 
-@pytest.mark.parametrize("workers", (2, 3, 5))
-def test_strain_overlaps_threaded_spans_of_any_size(workers, monkeypatch):
-    # every call goes parallel, so spans of one or two modes (summed by the
-    # single-column branch) and more spans than modes both occur
-    monkeypatch.setattr(transduce, "_WORKERS", workers)
-    monkeypatch.setattr(transduce, "_PARALLEL_ELEMENTS", 0)
-    for topology in ("lvr", "dlvr"):
-        for field in transduce.FIELD_MODELS:
-            for n in (3, 4, 17, 40):
-                layout = build_layout(DeviceGeometry(
-                    wavelength=LAM, topology=topology, n_elements=n, coverage=0.35))
-                for idx in ([n], [n, n + 1], [7, 3, 3, 9000], list(range(1, 2 * n + 8))):
-                    assert_bits_equal(strain_overlaps(layout, idx, field),
-                                      ref.strain_overlaps(layout, idx, field))
+def test_lvr_design_mode_takes_the_kernel_limit():
+    # at n = M = G, psi/2 = pi and sin(phi) = (-1)^(G - 1): every gap adds
+    # the same -2 sin(pi (1 - c) / 2) (top-hat) or -pi (1 - c) (delta)
+    for n in (*COUNTS, 10**5):
+        for coverage in (0.2, 0.35, 0.5, 0.8):
+            layout = build_layout(geometry("lvr", n, coverage))
+            g = n - 1
+            assert strain_overlaps(layout, [g])[0] == pytest.approx(
+                -2.0 * g * np.sin(0.5 * np.pi * (1.0 - coverage)), rel=1e-15)
+            assert strain_overlaps(layout, [g], "delta")[0] == pytest.approx(
+                -np.pi * (1.0 - coverage) * g, rel=1e-15)
 
 
-def test_strain_overlaps_with_more_threads_than_cpus(monkeypatch):
-    # disjoint slices of one output array, written by eight threads that the
-    # interpreter switches between as often as it can
-    monkeypatch.setattr(transduce, "_WORKERS", 8)
-    layout = build_layout(DeviceGeometry(wavelength=LAM, topology="dlvr", n_elements=400))
-    idx = np.arange(1, 2 * layout.design_index + 1)
-    want = ref.strain_overlaps(layout, idx)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(5):
-            assert_bits_equal(strain_overlaps(layout, idx), want)
-    finally:
-        sys.setswitchinterval(interval)
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_index_near_2_62_matches_its_residue(topology):
+    # every integer phase depends on n mod 4M only, and no int64 product wraps
+    for n in (5, 6, 40, 337):
+        layout = build_layout(geometry(topology, n, 0.35))
+        period = 4 * layout.design_index
+        small = np.arange(1, period + 1)
+        big = (2**62 // period) * period + small
+        assert np.all(big % period == small % period)
+        # the delta overlap is n times D sin(phi), a function of n mod 4M
+        delta_small = strain_overlaps(layout, small, "delta")
+        delta_big = strain_overlaps(layout, big, "delta")
+        dark = is_positive_zero(delta_small)
+        assert np.count_nonzero(dark) >= period // 2
+        assert np.array_equal(is_positive_zero(delta_big), dark)
+        np.testing.assert_allclose(delta_big / big, delta_small / small, rtol=1e-13, atol=0.0)
+        # the top-hat half-gap factor sin(n pi (1 - c) / (2M)) has no float
+        # value at such n, but it cannot light a dark mode
+        tophat_big = strain_overlaps(layout, big)
+        assert np.all(np.isfinite(tophat_big))
+        assert np.all(is_positive_zero(tophat_big[dark]))
 
 
-def test_threads_start_only_for_large_calls(monkeypatch):
-    started = []
-
-    class Recorded(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
-
-    monkeypatch.setattr(transduce, "_WORKERS", 3)
-    monkeypatch.setattr(threading, "Thread", Recorded)
-    for n, threads in ((20, 0), (400, 2)):
-        layout = build_layout(DeviceGeometry(wavelength=LAM, topology="dlvr", n_elements=n))
-        strain_overlaps(layout, np.arange(1, 2 * n + 1))
-        assert len(started) == threads
-        assert not any(t.is_alive() for t in started)
+def test_hand_built_layouts_have_no_overlaps():
+    hand = ElectrodeLayout(topology="lvr", plate_width=1.0,
+                           centers=(0.2, 0.8), widths=(0.2, 0.2), polarities=(1, -1))
+    # a copy of a build_layout pattern may no longer be periodic
+    copied = dataclasses.replace(build_layout(geometry("dlvr", 5)), plate_width=5e-6)
+    for layout in (hand, copied):
+        with pytest.raises(GeometryError, match="needs a layout from build_layout"):
+            strain_overlaps(layout, [1, 2])
+        with pytest.raises(GeometryError, match="needs a layout from build_layout"):
+            mode_couplings(layout, V_P, 2 * layout.design_index)
 
 
-def test_worker_count_falls_back_without_affinity(monkeypatch):
-    if hasattr(os, "sched_getaffinity"):
-        assert transduce._usable_cpus() == len(os.sched_getaffinity(0))
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    assert transduce._usable_cpus() == (os.cpu_count() or 1)
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert transduce._usable_cpus() == 1
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(transduce, "_WORKERS", transduce._usable_cpus())
-    layout = build_layout(DeviceGeometry(wavelength=LAM, topology="lvr", n_elements=338))
-    idx = np.arange(1, 2 * layout.design_index + 7)
-    for field in transduce.FIELD_MODELS:
-        assert_bits_equal(strain_overlaps(layout, idx, field), ref.strain_overlaps(layout, idx, field))
+@pytest.mark.parametrize("counts", (COUNTS, SWEEP_COUNTS), ids=("counts", "sweep"))
+@pytest.mark.parametrize("field", transduce.FIELD_MODELS)
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_mode_couplings_and_split_study_keep_the_reference_modes(topology, field, counts):
+    geoms = [geometry(topology, n) for n in counts]
+    records = split_study(geoms, V_P, field_model=field)
+    assert len(records) == len(geoms)
+    for geom, record in zip(geoms, records):
+        layout = build_layout(geom)
+        n_max = 2 * layout.design_index
+        got = mode_couplings(layout, V_P, n_max, field)
+        want = ref.mode_couplings(layout, V_P, n_max, field)
+        assert [m.n for m in got.modes] == [m.n for m in want.modes]
+        np.testing.assert_allclose(got.weights, want.weights, rtol=0.0, atol=1e-12)
+        pair = [m.n for m in want.dominant_modes()]
+        assert [m.n for m in got.dominant_modes()] == pair
+        assert [m.n for m in record.modes] == pair
