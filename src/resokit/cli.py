@@ -154,6 +154,7 @@ def _candidates_doc(candidates) -> list[dict]:
         "fs_est_hz": c.fs_est,
         "fp_est_hz": c.fp_est,
         "prominence_db": c.prominence_db,
+        "significance": c.significance if c.significance < np.inf else "inf",
         "span": list(c.span),
     } for c in candidates]
 

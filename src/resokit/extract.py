@@ -1,11 +1,11 @@
 """Direct estimators that turn a measured admittance trace into fit seeds.
 
 No iteration here: resonance candidates come from prominence-based peak
-picking on |Y| in dB, the static capacitance from a linear fit of the
-off-resonance susceptance with the seeded resonances as fixed poles, and
-the motional elements from the candidates' fs/fp pairs and peak heights.
-Output quality only needs to land inside the fit engine's basin of
-attraction.
+picking on |Y| in dB, scored by their height over the trace's noise, the
+static capacitance from a linear fit of the off-resonance susceptance with
+the seeded resonances as fixed poles, and the motional elements from the
+candidates' fs/fp pairs and peak heights.  Output quality only needs to
+land inside the fit engine's basin of attraction.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EstimationError, InductiveBackgroundError
-from .mbvd import TWO_PI, MbvdModel, MotionalBranch
+from .mbvd import TWO_PI, MbvdModel, MotionalBranch, _median
 from .netparams import ComplexTrace
 
 # Half-prominence widths are inflated by this factor to form exclusion
@@ -29,13 +29,15 @@ _SPAN_WIDEN = 8.0
 class ResonanceCandidate:
     """One detected resonance: estimates plus the grid span it occupies.
 
-    span is an inclusive (lo, hi) pair of grid indices covering the
-    feature, used to mask resonant points out of baseline estimates.
+    significance is the height over the noise (see detect_resonances); span
+    is an inclusive (lo, hi) pair of grid indices covering the feature, used
+    to mask resonant points out of baseline estimates.
     """
 
     fs_est: float
     fp_est: float | None
     prominence_db: float
+    significance: float
     span: tuple[int, int]
 
     def __post_init__(self):
@@ -43,6 +45,8 @@ class ResonanceCandidate:
             raise ValueError("fs_est must be positive")
         if self.fp_est is not None and not self.fp_est > self.fs_est:
             raise ValueError("fp_est must exceed fs_est when present")
+        if not self.significance >= 0:
+            raise ValueError("significance must be >= 0")
         lo, hi = self.span
         if lo > hi or lo < 0:
             raise ValueError(f"bad span {self.span!r}")
@@ -112,24 +116,36 @@ def _prominent_peaks(x: np.ndarray, min_prominence: float):
     return peaks, prominences, left_ips, right_ips
 
 
+def _noise_sigma(trace: ComplexTrace) -> float:
+    """Rms of complex white noise: median |third difference| / sqrt(20 ln 2)
+    (Donoho & Johnstone 1994), blind to a smooth trace's quadratic part.
+    The exact 1/32 scaling keeps differences of a finite |Y| from overflowing."""
+    return 32.0 * _median(np.abs(np.diff(trace.values / 32.0, 3))) / math.sqrt(20.0 * math.log(2.0))
+
+
 def detect_resonances(trace: ComplexTrace, threshold_db: float = 3.0) -> list[ResonanceCandidate]:
     """Find resonance candidates as prominent maxima of |Y|.
 
     Each local maximum of 20 log10 |Y| with prominence >= threshold_db
     becomes a candidate; the nearest following prominent minimum (the
     antiresonance notch) supplies fp_est when present.  Candidates are
-    returned sorted by frequency.  A featureless trace yields [].
+    returned sorted by frequency.  A featureless trace yields [].  The
+    significance is the linear rise above the prominence's base, |Y| at the
+    peak times 1 - 10^(-prominence_db / 20), over _noise_sigma (inf when that
+    is 0): in dB a weak peak rising from a deep notch would outrank strong ones.
     """
     if trace.npoints < 16:
         raise ValueError(f"need at least 16 points, got {trace.npoints}")
     if not threshold_db > 0:
         raise ValueError("threshold_db must be positive")
-    mag_db = 20.0 * np.log10(np.maximum(np.abs(trace.values), 1e-300))
+    mag = np.abs(trace.values)
+    mag_db = 20.0 * np.log10(np.maximum(mag, 1e-300))
 
     peaks, prominences, left_ips, right_ips = _prominent_peaks(mag_db, threshold_db)
     if peaks.size == 0:
         return []
     mins, _, _, m_right = _prominent_peaks(-mag_db, threshold_db)
+    sigma = _noise_sigma(trace)
 
     n = trace.npoints
     out: list[ResonanceCandidate] = []
@@ -143,11 +159,13 @@ def detect_resonances(trace: ComplexTrace, threshold_db: float = 3.0) -> list[Re
             m_idx = int(mins[j])
             fp_est = float(trace.freqs[m_idx])
             hi = max(hi, int(math.ceil(m_idx + _SPAN_WIDEN * max(m_right[j] - m_idx, 1.0))))
+        height = float(mag[p]) * (1.0 - 10.0 ** (-float(prominences[i]) / 20.0))
         out.append(
             ResonanceCandidate(
                 fs_est=float(trace.freqs[p]),
                 fp_est=fp_est,
                 prominence_db=float(prominences[i]),
+                significance=height / sigma if sigma > 0 else math.inf,
                 span=(max(lo, 0), min(hi, n - 1)),
             )
         )

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import FitError
+from .errors import EstimationError, FitError
 from .extract import ResonanceCandidate, initial_guess
 from .mbvd import TWO_PI, Admittance, MbvdModel, MotionalBranch, _median, admittance_arrays
 from .netparams import ComplexTrace
@@ -31,6 +31,9 @@ _LAMBDA_MIN = 1e-12
 _MAX_ITER = 200
 _FTOL = 1e-10
 _XTOL = 1e-10
+# The significance that admits a candidate: the largest of n noise peaks is
+# about sqrt(2 ln n) sigma, and was at most 5.1 sigma on 396 survey traces.
+_ADMIT = 7.0
 
 
 @dataclass(frozen=True)
@@ -299,21 +302,9 @@ def fit(
 def seed_from_strongest(
     trace: ComplexTrace, candidates: Sequence[ResonanceCandidate], k: int
 ) -> MbvdModel:
-    """Seed model from the k candidates of largest prominence in linear |Y|
-    (ties go to the lower frequency); the rest play no part in the seed.
-
-    A candidate's linear prominence is |Y| at the sample nearest its fs_est
-    times 1 - 10^(-prominence_db / 20): its height above the same base its
-    dB prominence is measured from.  Ranking in dB would favour a weak peak
-    that rises from a deep antiresonance notch over a stronger one.
-    """
-    mag = np.abs(trace.values)
-
-    def strength(c: ResonanceCandidate) -> float:
-        i = int(np.argmin(np.abs(trace.freqs - c.fs_est)))
-        return float(mag[i]) * (1.0 - 10.0 ** (-c.prominence_db / 20.0))
-
-    ranked = sorted(candidates, key=lambda c: (-strength(c), c.fs_est))
+    """Seed model from the k candidates of largest significance (ties go to
+    the lower frequency); the rest play no part in the seed."""
+    ranked = sorted(candidates, key=lambda c: (-c.significance, c.fs_est))
     return initial_guess(trace, sorted(ranked[:k], key=lambda c: c.fs_est))
 
 
@@ -322,19 +313,9 @@ def select_branch_count(
     candidates: Sequence[ResonanceCandidate],
     options: FitOptions | None = None,
 ) -> FitResult:
-    """Parsimonious branch-count selection.
-
-    Candidates are ranked as seed_from_strongest ranks them; models with
-    k = 1, 2, ... of the strongest candidates are fitted until adding a
-    branch improves the residual rms by less than 10%, and the last
-    materially better fit is returned.
-    """
-    if not candidates:
-        raise ValueError("need at least one resonance candidate")
-    best: FitResult | None = None
-    for k in range(1, len(candidates) + 1):
-        result = fit(trace, seed_from_strongest(trace, candidates, k), options)
-        if best is not None and result.residual_rms > 0.9 * best.residual_rms:
-            return best
-        best = result
-    return best
+    """One fit, a branch per candidate at least 7 sigma high: the largest of n
+    noise peaks is about sigma sqrt(2 ln n).  EstimationError if none is."""
+    k = sum(c.significance >= _ADMIT for c in candidates)
+    if not k:
+        raise EstimationError("no resonance candidate clears the noise")
+    return fit(trace, seed_from_strongest(trace, candidates, k), options)

@@ -14,10 +14,11 @@ import pytest
 
 from resokit import cli
 from resokit.errors import FitError
+from resokit.extract import detect_resonances
 from resokit.fitkernel import FitResult
 from resokit.mbvd import metrics_from_model, model_to_dict
-from resokit.netparams import device_admittance, parse_touchstone, s_to_y
-from resokit.refdata import display_model, roundtrip_model, synthesis_grid
+from resokit.netparams import ComplexTrace, device_admittance, parse_touchstone, s_to_y
+from resokit.refdata import SURVEY, display_model, roundtrip_model, synthesis_grid
 
 from conftest import PAIR_GRID, golden_text, pair_model
 
@@ -62,8 +63,9 @@ def test_fit_outputs_and_metrics(tmp_path):
 
     cands = json.loads((outdir / "rowL_candidates.json").read_text())
     assert len(cands) == 1
-    assert set(cands[0]) == {"fs_est_hz", "fp_est_hz", "prominence_db", "span"}
+    assert set(cands[0]) == {"fs_est_hz", "fp_est_hz", "prominence_db", "significance", "span"}
     assert cands[0]["fs_est_hz"] == pytest.approx(truth.fs, rel=2e-3)
+    assert cands[0]["significance"] > 1e4
 
     manifest = json.loads((outdir / "rowL_manifest.json").read_text())
     assert manifest["command"] == "fit"
@@ -242,8 +244,9 @@ def test_fit_outputs_in_manifest_order(tmp_path):
 
 
 def test_fit_off_span_resonance_is_an_input_error(tmp_path, capsys):
-    # survey row V on a grid ending 0.05% above f_s, at -20 dB: the fitted
-    # dominant branch lands below the grid, so no metrics can be reported
+    # survey row V on a grid ending 0.05% above f_s, at -20 dB: no candidate
+    # clears the noise, and with --branches 1 the fitted dominant branch
+    # lands below the grid, so no metrics can be reported
     model = roundtrip_model("V")
     fs = model.branches[model.dominant_index].fs
     d = tmp_path / "meas"
@@ -252,15 +255,51 @@ def test_fit_off_span_resonance_is_an_input_error(tmp_path, capsys):
                                          noise_db=-20.0, seed=1048))
     outdir = tmp_path / "o"
     assert cli.run(["fit", str(d / "v.s2p"), "--emit-candidates", "--outdir", str(outdir)]) == 2
+    assert capsys.readouterr().err == "error: no resonance candidate clears the noise\n"
+    assert not outdir.exists()
+    assert cli.run(["fit", str(d / "v.s2p"), "--branches", "1", "--emit-candidates",
+                    "--outdir", str(outdir)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: fitted dominant resonance ")
     assert err.endswith(" Hz lies outside the measured span [8.082e+09, 8.98449e+09] Hz\n")
     assert err.count("\n") == 1
     assert not outdir.exists()
     # in a batch the same file is one failure
-    assert cli.run(["batch", str(d), "--outdir", str(outdir)]) == 1
+    assert cli.run(["batch", str(d), "--branches", "1", "--outdir", str(outdir)]) == 1
     failures = json.loads((outdir / "batch_batch.json").read_text())["failures"]
     assert [(f["file"], f["error"]) for f in failures] == [("v.s2p", err[len("error: "):-1])]
+
+
+@pytest.mark.parametrize("label", ["B", "F", "H", "N"])
+def test_fit_refuses_a_grid_edge_resonance_that_makes_no_peak(tmp_path, capsys, label):
+    # the grid starts at 0.999 fs (-40 dB, criterion 2's seed): the
+    # resonance makes no peak and only noise candidates are left, which
+    # once seeded a fit 5-20% above fs with exit 0 and no flag
+    i = [r.label for r in SURVEY].index(label)
+    model, top = roundtrip_model(label), synthesis_grid(label)
+    fs = metrics_from_model(model, top).fs
+    src = tmp_path / f"{label}.s2p"
+    src.write_text(golden_text(model, np.linspace(0.999 * fs, top[-1], top.size),
+                               noise_db=-40.0, seed=100 + i))
+    outdir = tmp_path / "o"
+    assert cli.run(["fit", str(src), "--emit-candidates", "--outdir", str(outdir)]) == 2
+    assert capsys.readouterr().err == "error: no resonance candidate clears the noise\n"
+    assert not outdir.exists()
+
+
+def test_candidates_file_writes_an_infinite_significance_as_strict_json():
+    # on a noiseless plateau most third differences are exactly 0, and so is
+    # the noise estimate: the significance is inf, with no warning
+    f = np.linspace(1e9, 2e9, 64)
+    y = np.full(f.size, 1e-3 + 0j)
+    y[30:33] = [2e-3, 3e-3, 2e-3]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cands = detect_resonances(ComplexTrace(freqs=f, values=y))
+    assert [(c.fs_est, c.significance) for c in cands] == [(f[31], float("inf"))]
+    doc = cli._candidates_doc(cands)
+    assert [c["significance"] for c in doc] == ["inf"]
+    json.dumps(doc, allow_nan=False)
 
 
 @pytest.mark.parametrize("entry", ["1.5e308 1.5e308", "2e154 0", "0 -1e200"])

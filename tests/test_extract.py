@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,13 @@ import pytest
 
 from resokit import ComplexTrace
 from resokit.errors import EstimationError, InductiveBackgroundError, PhaseUnwrapError
-from resokit.extract import _c0_from_offresonance, _prominent_peaks, detect_resonances, initial_guess
+from resokit.extract import (
+    _c0_from_offresonance,
+    _noise_sigma,
+    _prominent_peaks,
+    detect_resonances,
+    initial_guess,
+)
 from resokit.mbvd import (
     MbvdModel,
     MotionalBranch,
@@ -110,6 +117,38 @@ def test_detect_matches_frozen_survey_candidates(noise_db):
         for c, (fs, fp, prom, span) in zip(got, want):
             assert (c.fs_est, c.fp_est, c.span) == (fs, fp, tuple(span)), r.label
             assert c.prominence_db == pytest.approx(prom, rel=1e-12, abs=0.0), r.label
+
+
+@pytest.mark.parametrize("noise_db", [-80.0, -40.0, -20.0, -10.0])
+def test_noise_sigma_matches_the_injected_noise(noise_db):
+    for i, r in enumerate(SURVEY):
+        model, grid = roundtrip_model(r.label), synthesis_grid(r.label)
+        clean = synthesize_admittance(model, grid).values
+        tr = noisy_trace(model, grid, noise_db=noise_db, seed=100 + i)
+        injected = math.sqrt(np.mean(np.abs(tr.values - clean) ** 2))
+        assert _noise_sigma(tr) == pytest.approx(injected, rel=0.1), r.label
+
+
+def test_noise_sigma_near_the_float_limit_does_not_overflow():
+    # third differences of a finite |Y| can pass the float range: the noise
+    # estimate is inf, with no warning, and no candidate is significant
+    f = np.linspace(1e9, 2e9, 201)
+    y = np.where(np.arange(f.size) % 2 == 0, 1.5e308, 1e306) + 0j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cands = detect_resonances(ComplexTrace(freqs=f, values=y))
+    assert cands and all(c.significance == 0.0 for c in cands)
+
+
+def test_clean_resonances_are_far_above_the_noise():
+    # on a clean trace the 3 dB floor alone decides what is a candidate
+    traces = [synthesize_admittance(roundtrip_model(r.label), synthesis_grid(r.label))
+              for r in SURVEY]
+    traces.append(synthesize_admittance(two_branch_model(), np.linspace(2.5e9, 4.2e9, 3001)))
+    for tr in traces:
+        cands = detect_resonances(tr)
+        assert cands
+        assert min(c.significance for c in cands) > 1e3 * 7
 
 
 def _noisy_db_trace():
@@ -285,8 +324,8 @@ def test_initial_guess_cm_fallback_without_notch():
     m = roundtrip_model("A")
     tr = synthesize_admittance(m, synthesis_grid("A"))
     cand = detect_resonances(tr)[0]
-    blind = type(cand)(fs_est=cand.fs_est, fp_est=None,
-                       prominence_db=cand.prominence_db, span=cand.span)
+    blind = type(cand)(fs_est=cand.fs_est, fp_est=None, prominence_db=cand.prominence_db,
+                       significance=cand.significance, span=cand.span)
     seed = initial_guess(tr, [blind])
     assert seed.branches[0].cm == pytest.approx(0.05 * seed.c0, rel=1e-9)
 

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from resokit import fitkernel
+from resokit.errors import EstimationError
 from resokit.extract import detect_resonances, initial_guess
 from resokit.fitkernel import (
     fit,
@@ -300,10 +302,57 @@ def test_select_branch_count_ignores_spurious_candidate():
     tr = noisy_trace(m, grid, noise_db=-80.0, seed=12)
     real = detect_resonances(tr)
     assert len(real) == 1
+    # a noise-sized ghost: 3 sigma high, under the 7 sigma admission level
     ghost = type(real[0])(fs_est=3.5e9, fp_est=None, prominence_db=1.0,
-                          span=(1000, 1040))
+                          significance=3.0, span=(1000, 1040))
     res = select_branch_count(tr, [real[0], ghost])
     assert len(res.model.branches) == 1
+
+
+def test_select_branch_count_admits_none_of_the_detectors_noise_candidates(monkeypatch):
+    # at -20 dB every survey trace has dozens of 3 dB noise candidates, and
+    # exactly one candidate, on the resonance, clears the noise
+    for i, r in enumerate(SURVEY):
+        model, grid = roundtrip_model(r.label), synthesis_grid(r.label)
+        cands = detect_resonances(noisy_trace(model, grid, noise_db=-20.0, seed=100 + i))
+        admitted = [c for c in cands if c.significance >= 7.0]
+        assert len(cands) > 10 and len(admitted) == 1, r.label
+        # within the resonance's half width fs / (2 Q)
+        truth = metrics_from_model(model, grid)
+        assert abs(admitted[0].fs_est - truth.fs) <= truth.fs / (2 * truth.qm), r.label
+    # one fit of one branch, whatever the number of candidates
+    calls = []
+    monkeypatch.setattr(fitkernel, "fit", lambda *a: calls.append(a) or fit(*a))
+    tr = noisy_trace(one_branch(), np.linspace(1.7e9, 3.9e9, 1201), noise_db=-20.0, seed=12)
+    cands = detect_resonances(tr)
+    assert len(cands) > 10
+    res = select_branch_count(tr, cands)
+    assert len(res.model.branches) == 1 and len(calls) == 1
+    assert metrics_from_model(res.model, tr.freqs).fs == pytest.approx(1.87e9, rel=1e-4)
+
+
+def test_automatic_fits_at_the_grid_edge_are_right_or_refused():
+    # each survey row on a grid starting at 0.999 fs, at -40 dB: the real
+    # resonance sits on the first samples and makes no peak on most rows,
+    # where noise candidates once seeded fits 5-20% above fs (rows B F H N)
+    refused = []
+    for i, r in enumerate(SURVEY):
+        model = roundtrip_model(r.label)
+        top = synthesis_grid(r.label)
+        fs = metrics_from_model(model, top).fs
+        grid = np.linspace(0.999 * fs, top[-1], top.size)
+        tr = noisy_trace(model, grid, noise_db=-40.0, seed=100 + i)
+        cands = detect_resonances(tr)
+        if not cands:
+            continue
+        try:
+            res = select_branch_count(tr, cands)
+        except EstimationError:
+            refused.append(r.label)
+            continue
+        assert abs(metrics_from_model(res.model, tr.freqs).fs - fs) <= 1e-3 * fs, r.label
+    # G's resonance is a 1.05 sigma candidate: refused, though it once fitted
+    assert refused == ["B", "F", "G", "H", "N"]
 
 
 def test_one_branch_seed_lands_on_the_dominant_branch_of_a_pair():
@@ -337,7 +386,8 @@ def test_seed_ignores_the_spans_of_candidates_it_does_not_seed():
     m = one_branch()
     tr = noisy_trace(m, np.linspace(1.7e9, 3.9e9, 1201), noise_db=-80.0, seed=12)
     real = detect_resonances(tr)[0]
-    wide = type(real)(fs_est=3.5e9, fp_est=None, prominence_db=1.0, span=(0, 1150))
+    wide = type(real)(fs_est=3.5e9, fp_est=None, prominence_db=1.0, significance=1.0,
+                      span=(0, 1150))
     assert seed_from_strongest(tr, [real, wide], 1) == initial_guess(tr, [real])
 
 
@@ -385,5 +435,8 @@ def test_survey_b_at_minus_20_db_seeds_on_its_resonance(draw):
 def test_select_branch_count_requires_candidates():
     m = one_branch()
     tr = noisy_trace(m, np.linspace(1.7e9, 3.9e9, 401))
-    with pytest.raises(ValueError):
-        select_branch_count(tr, [])
+    weak = [replace(c, significance=6.99) for c in detect_resonances(tr)]
+    assert weak
+    for cands in ([], weak):
+        with pytest.raises(EstimationError, match="^no resonance candidate clears the noise$"):
+            select_branch_count(tr, cands)
