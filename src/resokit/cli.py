@@ -27,6 +27,7 @@ Exit codes: 0 success, 1 partial batch/plan failure, 2 input error
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -38,8 +39,8 @@ import numpy as np
 from ._digits import format_repr
 from .designkit import (DeviceGeometry, ProcessRules, _positive_number, calibrate_velocity,
                         plan_bank, render_table)
-from .errors import (DegenerateCouplingError, EstimationError, FitError, SingularNetworkError,
-                     ToolkitError)
+from .errors import (DegenerateCouplingError, EstimationError, FitError, GeometryError,
+                     SingularNetworkError, ToolkitError)
 from .extract import detect_resonances
 from .fitkernel import FitResult, fit, seed_from_strongest, select_branch_count
 from .mbvd import (
@@ -62,7 +63,8 @@ from .netparams import (
 )
 from .refdata import velocity_observations
 from .svgplot import Series, line_plot, stem_series
-from .transduce import _mode_frequency, build_layout, mode_couplings, spectrum_to_mbvd, split_study
+from .transduce import (ElectrodeLayout, _mode_frequency, build_layout, mode_couplings,
+                        spectrum_to_mbvd, split_study)
 
 EXIT_OK = 0
 EXIT_PARTIAL = 1
@@ -327,26 +329,42 @@ def _mode_rows(n_elements: int, modes, tail: str = "") -> list[str]:
     return [f"{n_elements},{m.n},{m.f_n!r},{m.eta!r},{m.nodes}{tail}" for m in modes]
 
 
+def _layout(geom: DeviceGeometry, flags: str) -> ElectrodeLayout:
+    """build_layout(geom); a geometry it refuses is an input error naming flags."""
+    try:
+        return build_layout(geom)
+    except GeometryError as exc:
+        raise ValueError(f"{flags}: {exc}") from None
+
+
 def _cmd_modes(args: argparse.Namespace) -> Outcome:
-    sweep = _parse_sweep(args.sweep_n) if args.sweep_n else None
-    # ElectrodeLayout.design_index of the geometry the flags describe
-    design_index = args.n - 1 if args.topology == "lvr" else args.n
+    sweep = _parse_sweep(args.sweep_n) if args.sweep_n else range(0)
     _check_flags([
         ("--n", args.n, _ELECTRODE_COUNT),
         ("--lambda", args.wavelength, _POSITIVE_FINITE),
         ("--c", args.coverage, _FRACTION),
         ("--vp", args.vp, _POSITIVE_FINITE),
-        ("--n-max", args.n_max, (lambda v: v is None or v >= 2 * design_index,
-                                 f"must be at least twice the design index ({design_index})")),
+    ])
+    geom = DeviceGeometry(
+        wavelength=args.wavelength, topology=args.topology,
+        n_elements=args.n, coverage=args.coverage)
+    layout = _layout(geom, f"--lambda {args.wavelength!r}, --n {args.n} and --c {args.coverage!r}")
+    geoms = [dataclasses.replace(geom, n_elements=n) for n in sweep]
+    # only the plate width grows with the count, so only it can fail here
+    sweep_index = max((_layout(g, f"--lambda {args.wavelength!r} and --sweep-n "
+                                  f"{args.sweep_n!r}").design_index for g in geoms), default=0)
+    _check_flags([
+        ("--n-max", args.n_max, (lambda v: v is None or v >= 2 * layout.design_index,
+                                 f"must be at least twice the design index "
+                                 f"({layout.design_index})")),
+        ("--n-max", args.n_max, (lambda v: v is None or v >= 2 * sweep_index,
+                                 f"must be at least twice the largest design index over "
+                                 f"--sweep-n ({sweep_index})")),
         ("--c0", args.c0, _POSITIVE_FINITE),
         ("--kt2", args.kt2, _FRACTION),
         ("--q", args.q, (lambda v: v > 0.0, "must be > 0")),  # inf is lossless
         ("--grid-points", args.grid_points, (lambda v: v >= 2, "needs at least 2 points")),
     ])
-    geom = DeviceGeometry(
-        wavelength=args.wavelength, topology=args.topology,
-        n_elements=args.n, coverage=args.coverage)
-    layout = build_layout(geom)
     field_model = "delta" if args.delta_electrodes else "tophat"
     n_max = args.n_max if args.n_max is not None else 2 * layout.design_index
     # modes 1..n_max in plain floats, which overflow to inf without a warning;
@@ -355,7 +373,11 @@ def _cmd_modes(args: argparse.Namespace) -> Outcome:
     if not sys.float_info.min <= f_lo <= f_hi < np.inf:
         raise ValueError(f"--vp {args.vp!r} and --lambda {args.wavelength!r} put the mode "
                          f"frequencies outside the float range ({f_lo:.6g} to {f_hi:.6g} Hz)")
-    spectrum = mode_couplings(layout, args.vp, n_max, field_model)
+    try:
+        spectrum = mode_couplings(layout, args.vp, n_max, field_model)
+    except ValueError as exc:  # n_max beyond the mode-index range
+        flag = f"--n-max {args.n_max}" if args.n_max is not None else f"--n {args.n}"
+        raise ValueError(f"{flag}: {exc}") from None
     try:
         model = spectrum_to_mbvd(spectrum, c0=args.c0, kt2_total=args.kt2, q_assumed=args.q)
     except ValueError as exc:
@@ -368,12 +390,8 @@ def _cmd_modes(args: argparse.Namespace) -> Outcome:
     hi = 1.25 * max(m.f_n for m in dominant)
     grid = _linspace(lo, hi, args.grid_points, "--grid-points")
     ytrace = synthesize_admittance(model, grid)
-    records = None
-    if sweep is not None:
-        geoms = [DeviceGeometry(wavelength=geom.wavelength, topology=geom.topology,
-                                n_elements=n, coverage=geom.coverage)
-                 for n in sweep]
-        records = split_study(geoms, args.vp, n_max=args.n_max, field_model=field_model)
+    records = split_study(geoms, args.vp, n_max=args.n_max,
+                          field_model=field_model) if geoms else None
     prefix = args.prefix or f"modes_{geom.topology}_n{geom.n_elements}"
     title = f"{geom.topology} N={geom.n_elements}"
     out = {

@@ -5,11 +5,11 @@ at f_n = n v_p / (2 W). The interdigitated electrodes excite each mode in
 proportion to the overlap of the lateral drive field with the mode strain
 du_n/dx. The drive field lives in the gaps between adjacent fingers and
 alternates sign with the finger polarity, so the overlap reduces to a signed
-sum of closed-form cosine differences, one per gap. The finger patterns of
-``build_layout`` are periodic, and over them that sum is a Dirichlet kernel:
-``strain_overlaps`` evaluates it in a fixed number of operations per mode,
-whatever the electrode count, within 1e-14 of the largest overlap. A
-layout built by hand has no such form and raises GeometryError there.
+sum of closed-form cosine differences, one per gap. A layout is derived
+from its ``DeviceGeometry`` alone, and its finger pattern is periodic, so
+that sum is a Dirichlet kernel: ``strain_overlaps`` evaluates it in a fixed
+number of operations per mode, whatever the electrode count, within 1e-14
+of the largest overlap.
 
 This reproduces the boundary-condition physics of the two electrode
 configurations without FEA: the edge-anchored layout samples its design mode
@@ -24,7 +24,8 @@ independent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -36,78 +37,10 @@ from .mbvd import MbvdModel, branch_from_metrics
 PRUNE_REL = 1e-12
 FIELD_MODELS = ("tophat", "delta")
 
-_OVERLAP_TOL = 1e-12
 
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ElectrodeLayout:
-    """Realized finger pattern on a plate of width ``plate_width``: finger
-    centres and widths in metres and polarities (+1 or -1), one array
-    element per finger in order along the plate. The arrays are read-only
-    copies of what was passed. Only a layout from ``build_layout`` has
-    strain overlaps: it keeps the geometry its closed form needs."""
-
-    topology: str
-    plate_width: float
-    centers: np.ndarray
-    widths: np.ndarray
-    polarities: np.ndarray
-    # the geometry build_layout placed these fingers from; None for a layout
-    # built by hand or copied with dataclasses.replace
-    _geometry: DeviceGeometry | None = field(default=None, init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        center = np.array(self.centers, dtype=float)
-        width = np.array(self.widths, dtype=float)
-        polarity = np.array(self.polarities)
-        if not center.ndim == width.ndim == polarity.ndim == 1:
-            raise GeometryError("electrode centres, widths and polarities must be 1-D")
-        if not center.size == width.size == polarity.size:
-            raise GeometryError(
-                f"got {center.size} centres, {width.size} widths and {polarity.size} polarities")
-        if center.size < 2:
-            raise GeometryError("layout needs at least two electrodes")
-        if not math.isfinite(self.plate_width) or self.plate_width <= 0.0:
-            raise GeometryError(f"plate width must be positive and finite, got {self.plate_width!r}")
-        _first_fault(~np.isfinite(center), "electrode {} centre is not finite")
-        _first_fault(~np.isfinite(width), "electrode {} width is not finite")
-        _first_fault(width <= 0.0, "electrode {} width must be positive")
-        _first_fault((polarity != 1) & (polarity != -1), "electrode {} polarity must be +1 or -1")
-        tol = _OVERLAP_TOL * self.plate_width
-        left = center - 0.5 * width
-        right = center + 0.5 * width
-        _first_fault((left < -tol) | (right > self.plate_width + tol),
-                     "electrode {} extends outside the plate")
-        _first_fault(left[1:] <= right[:-1] + tol, "electrodes {} and {} overlap or touch", pair=True)
-        _first_fault(polarity[1:] == polarity[:-1], "electrodes {} and {} have the same polarity",
-                     pair=True)
-        for name, column in (("centers", center), ("widths", width),
-                             ("polarities", polarity.astype(int))):
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
-
-    @property
-    def n_electrodes(self) -> int:
-        return self.centers.size
-
-    @property
-    def design_index(self) -> int:
-        """Mode index whose wavelength matches the finger pitch."""
-        n = self.n_electrodes
-        return n - 1 if self.topology == "lvr" else n
-
-
-def _first_fault(fault: np.ndarray, message: str, pair: bool = False) -> None:
-    """Raise GeometryError naming the first finger (or the first adjacent
-    pair of fingers) where ``fault`` holds."""
-    hits = np.flatnonzero(fault)
-    if hits.size:
-        i = int(hits[0])
-        raise GeometryError(message.format(i, i + 1) if pair else message.format(i))
-
-
-def build_layout(geom: DeviceGeometry) -> ElectrodeLayout:
-    """Place the fingers for either topology.
+    """The finger pattern of one geometry, derived from it on each read.
 
     lvr: plate width (N-1)*lambda/2; interior fingers of width c*lambda/2
     centred on x = i*lambda/2, plus half-width fingers (c*lambda/4) flush
@@ -117,29 +50,78 @@ def build_layout(geom: DeviceGeometry) -> ElectrodeLayout:
     dlvr: plate width N*lambda/2; N full-width fingers with the outermost
     centres lambda/4 in from each edge, adjacent centres lambda/2 apart.
 
-    Polarity alternates, positive first, in both.
+    Polarity alternates, positive first, in both. ``centers``, ``widths``
+    (metres) and ``polarities`` (+1 or -1) hold one element per finger in
+    order along the plate. A geometry whose plate width overflows a float,
+    or whose narrowest finger or gap falls below the normal float range,
+    raises GeometryError; every other geometry has a layout.
     """
-    lam = geom.wavelength
-    c = geom.coverage
-    n = geom.n_elements
-    full = 0.5 * c * lam
-    i = np.arange(n)
-    # 0.5 * i is exact, so each element is the scalar expression's product
-    width = np.full(n, full)
-    if geom.topology == "lvr":
-        plate = 0.5 * (n - 1) * lam
+
+    geometry: DeviceGeometry
+
+    def __post_init__(self) -> None:
+        geom = self.geometry
+        try:
+            plate = self.plate_width
+        except OverflowError:  # an electrode count beyond the float range
+            plate = math.inf
+        if not plate < math.inf:
+            raise GeometryError(f"plate width overflows a float for {geom.n_elements} "
+                                f"electrodes at wavelength {geom.wavelength!r} m")
+        # a subnormal length keeps fewer than 53 bits, and the centres and
+        # widths derived from it would no longer agree to rounding
+        finger = geom.edge_width if self.topology == "lvr" else geom.interior_width
+        for name, width in (("finger", finger), ("gap", geom.gap_width)):
+            if width < sys.float_info.min:
+                raise GeometryError(f"{name} width {width!r} m is below the normal float range")
+
+    @property
+    def topology(self) -> str:
+        return self.geometry.topology
+
+    @property
+    def n_electrodes(self) -> int:
+        return self.geometry.n_elements
+
+    @property
+    def design_index(self) -> int:
+        """Mode index whose wavelength matches the finger pitch."""
+        n = self.n_electrodes
+        return n - 1 if self.topology == "lvr" else n
+
+    @property
+    def plate_width(self) -> float:
+        """``design_index`` half wavelengths."""
+        return 0.5 * self.design_index * self.geometry.wavelength
+
+    @property
+    def centers(self) -> np.ndarray:
+        lam = self.geometry.wavelength
+        i = np.arange(self.n_electrodes)
+        # 0.5 * i is exact, so each element is the scalar expression's product
+        if self.topology == "dlvr":
+            return 0.25 * lam + 0.5 * i * lam
         center = 0.5 * i * lam
-        center[0] = 0.125 * c * lam
-        center[-1] = plate - 0.125 * c * lam
-        width[[0, -1]] = 0.5 * full
-    else:
-        plate = 0.5 * n * lam
-        center = 0.25 * lam + 0.5 * i * lam
-    layout = ElectrodeLayout(
-        topology=geom.topology, plate_width=plate,
-        centers=center, widths=width, polarities=1 - 2 * (i % 2))
-    object.__setattr__(layout, "_geometry", geom)
-    return layout
+        inset = 0.125 * self.geometry.coverage * lam
+        center[0] = inset
+        center[-1] = self.plate_width - inset
+        return center
+
+    @property
+    def widths(self) -> np.ndarray:
+        width = np.full(self.n_electrodes, self.geometry.interior_width)
+        if self.topology == "lvr":
+            width[[0, -1]] = self.geometry.edge_width
+        return width
+
+    @property
+    def polarities(self) -> np.ndarray:
+        return 1 - 2 * (np.arange(self.n_electrodes) % 2)
+
+
+def build_layout(geom: DeviceGeometry) -> ElectrodeLayout:
+    """The finger pattern of ``geom``; see ElectrodeLayout."""
+    return ElectrodeLayout(geom)
 
 
 def _indices_array(indices: Sequence[int]) -> np.ndarray:
@@ -162,8 +144,8 @@ def strain_overlaps(
     du_n/dx over it; the top-hat field gives (-1)^j * (cos(n pi b / W) -
     cos(n pi a / W)), and the delta field samples the strain at the gap
     centre and scales by the gap width (the narrow-gap limit of the same
-    integral). ``build_layout`` puts every gap centre on a lambda/4 grid
-    with width g = (1 - c) lambda/2 and pitch lambda/2 on a plate of
+    integral). Every layout puts its gap centres on a lambda/4 grid with
+    width g = (1 - c) lambda/2 and pitch lambda/2 on a plate of
     M = ``design_index`` half wavelengths, so the alternating sum is a
     Dirichlet kernel:
 
@@ -181,17 +163,10 @@ def strain_overlaps(
     geometry, the error relative to the largest overlap is at most 1e-14,
     or the float64 gap loop's error over the same layout where that is
     larger (N = 2..40, 337, 338, 400 and 800; c = 0.2 to 0.8).
-
-    The closed form holds for ``build_layout``'s patterns only: a layout
-    built by hand, or copied with ``dataclasses.replace``, raises
-    GeometryError.
     """
     if field_model not in FIELD_MODELS:
         raise ValueError(f"field_model must be one of {FIELD_MODELS}")
-    geom = layout._geometry
-    if geom is None:
-        raise GeometryError("strain_overlaps needs a layout from build_layout: its closed "
-                            "form holds for that periodic finger pattern only")
+    geom = layout.geometry
     idx = _indices_array(indices)
     m = layout.design_index
     gaps = geom.n_elements - 1
@@ -305,6 +280,10 @@ def mode_couplings(
         raise ValueError(
             f"n_max={n_max} too small; need at least twice the design index "
             f"({layout.design_index}) to capture the coupled neighbourhood")
+    # np.arange's int64 indices end at 2**63 - 1; past that, numpy versions
+    # differ (an empty float array or an error), so refuse first
+    if n_max >= np.iinfo(np.int64).max:
+        raise ValueError(f"n_max={n_max} is beyond the int64 mode-index range")
     idx = np.arange(1, n_max + 1)
     s = strain_overlaps(layout, idx, field_model)
     raw = s * s

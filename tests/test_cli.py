@@ -651,6 +651,29 @@ def test_modes_n_max_too_large(tmp_path, capsys, monkeypatch):
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["--topology", "dlvr", "--n", "5", "--lambda", "1e308", "--vp", "3426"],
+     "--lambda 1e+308, --n 5 and --c 0.5: plate width overflows a float for 5 electrodes at "
+     "wavelength 1e+308 m"),
+    (["--topology", "dlvr", "--n", "5", "--lambda", "5e-324", "--vp", "3426"],
+     "--lambda 5e-324, --n 5 and --c 0.5: finger width 0.0 m is below the normal float range"),
+    (["--topology", "dlvr", "--n", "5", "--lambda", "2e-323", "--c", "0.9", "--vp", "3426"],
+     "--lambda 2e-323, --n 5 and --c 0.9: finger width 1e-323 m is below the normal float "
+     "range"),
+    (["--topology", "lvr", "--n", "5", "--lambda", "1e307", "--vp", "1e170",
+      "--sweep-n", "5:100:5"],
+     "--lambda 1e+307 and --sweep-n '5:100:5': plate width overflows a float for 40 "
+     "electrodes at wavelength 1e+307 m"),
+], ids=["plate", "finger", "narrow-gap-finger", "sweep-plate"])
+def test_modes_layout_outside_the_float_range(tmp_path, capsys, argv, err):
+    outdir = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.run(["modes", *argv, "--outdir", str(outdir)]) == 2
+    assert capsys.readouterr().err == f"error: {err}\n"
+    assert not outdir.exists()
+
+
 def test_modes_bad_geometry(tmp_path):
     rc = cli.run(["modes", "--outdir", str(tmp_path), "--topology", "dlvr",
                   "--n", "1", "--lambda", "1.8e-6", "--vp", "3426"])
@@ -976,6 +999,14 @@ def test_output_may_not_take_the_manifest_name(tmp_path, capsys, command, name):
     ("modes", "--lambda", "inf", "must be positive and finite, got inf"),
     ("modes", "--n", "1", "must be >= 2, got 1"),
     ("modes", "--n-max", "9", "must be at least twice the design index (5), got 9"),
+    # enough for --n 5, too few for the sweep's N = 20
+    ("modes", "--n-max", "10",
+     "must be at least twice the largest design index over --sweep-n (20), got 10"),
+    # refused before any index array is made, alike on every numpy
+    ("modes", "--n-max", "9223372036854775808",
+     "9223372036854775808: n_max=9223372036854775808 is beyond the int64 mode-index range"),
+    ("modes", "--n-max", "100000000000000000000",
+     "100000000000000000000: n_max=100000000000000000000 is beyond the int64 mode-index range"),
     ("design", "--n", "1", "must be >= 2, got 1"),
     ("design", "--coverage", "1", "must lie in (0, 1), got 1.0"),
     ("design", "--vp", "-1", "must be positive and finite, got -1.0"),

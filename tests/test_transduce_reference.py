@@ -9,17 +9,13 @@ index, and leave coupling spectra and split studies with the same modes.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 import reference_transduce as ref
 from resokit import transduce
 from resokit.designkit import DeviceGeometry
-from resokit.errors import GeometryError
 from resokit.transduce import (
-    ElectrodeLayout,
     build_layout,
     mode_couplings,
     split_study,
@@ -135,16 +131,20 @@ def test_index_near_2_62_matches_its_residue(topology):
         assert np.all(is_positive_zero(tophat_big[dark]))
 
 
-def test_hand_built_layouts_have_no_overlaps():
-    hand = ElectrodeLayout(topology="lvr", plate_width=1.0,
-                           centers=(0.2, 0.8), widths=(0.2, 0.2), polarities=(1, -1))
-    # a copy of a build_layout pattern may no longer be periodic
-    copied = dataclasses.replace(build_layout(geometry("dlvr", 5)), plate_width=5e-6)
-    for layout in (hand, copied):
-        with pytest.raises(GeometryError, match="needs a layout from build_layout"):
-            strain_overlaps(layout, [1, 2])
-        with pytest.raises(GeometryError, match="needs a layout from build_layout"):
-            mode_couplings(layout, V_P, 2 * layout.design_index)
+@pytest.mark.parametrize("coverage", (0.2, 0.35, 0.5, 0.8, 0.123456789))
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_widths_are_the_geometry_widths(topology, coverage):
+    # the finger widths the gap loops read are DeviceGeometry's, and those
+    # are bit for bit the c lambda / 2 fingers and their halves at the edges
+    # that the layout once stored
+    full = 0.5 * coverage * LAM
+    for n in COUNTS:
+        geom = geometry(topology, n, coverage)
+        assert (geom.interior_width, geom.edge_width) == (full, 0.5 * full)
+        want = np.full(n, full)
+        if topology == "lvr":
+            want[[0, -1]] = 0.5 * full
+        assert np.array_equal(build_layout(geom).widths.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("counts", (COUNTS, SWEEP_COUNTS), ids=("counts", "sweep"))
