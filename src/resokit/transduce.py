@@ -55,6 +55,12 @@ class ElectrodeLayout:
     order along the plate. A geometry whose plate width overflows a float,
     or whose narrowest finger or gap falls below the normal float range,
     raises GeometryError; every other geometry has a layout.
+
+    The finger arrays carry the rounding of their coordinates: for coverages
+    within about 1e-12*N of 1 the gap is below that rounding, and adjacent
+    fingers touch or overlap (dlvr N = 400, lambda = 1.8 um, c = 1 - 2**-53).
+    ``strain_overlaps`` reads only N, c and the topology, so the couplings
+    of such a geometry are unaffected; refusing it is a lithography rule.
     """
 
     geometry: DeviceGeometry
@@ -234,6 +240,12 @@ class ModeSpectrum:
     def __post_init__(self) -> None:
         if not self.modes:
             raise ValueError("spectrum must retain at least one mode")
+        for m in self.modes:
+            if not 0.0 < m.f_n < math.inf:
+                raise ValueError(f"mode {m.n} frequency must be positive and finite, got {m.f_n!r}")
+            if not 0.0 <= m.eta < math.inf:
+                raise ValueError(
+                    f"mode {m.n} weight must be non-negative and finite, got {m.eta!r}")
         freqs = [m.f_n for m in self.modes]
         if any(b <= a for a, b in zip(freqs, freqs[1:])):
             raise ValueError("mode frequencies must increase with index")
@@ -252,8 +264,15 @@ class ModeSpectrum:
     def dominant_modes(self) -> tuple[ModeCoupling, ...]:
         """The two largest-weight modes (one if only one is retained),
         ordered by frequency."""
-        ranked = sorted(self.modes, key=lambda m: (-m.eta, m.n))[:2]
-        return tuple(sorted(ranked, key=lambda m: m.f_n))
+        pick = _dominant(np.array([m.n for m in self.modes]), self.frequencies, self.weights)
+        return tuple(self.modes[i] for i in pick.tolist())
+
+
+def _dominant(n: np.ndarray, f_n: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """Positions of the two largest weights, ties going to the lower index,
+    ordered by frequency."""
+    top = np.lexsort((n, -eta))[:2]
+    return top[np.argsort(f_n[top], kind="stable")]
 
 
 def _mode_frequency(layout: ElectrodeLayout, v_p: float, n):
@@ -274,6 +293,12 @@ def mode_couplings(
     renormalized; the pruned tail always carries negligible weight, so the
     retained sum exceeds 0.999 before renormalization.
     """
+    n, f_n, eta = _couplings(layout, v_p, n_max, field_model)
+    return ModeSpectrum(modes=tuple(map(ModeCoupling, n.tolist(), f_n.tolist(), eta.tolist())))
+
+
+def _couplings(layout: ElectrodeLayout, v_p: float, n_max: int, field_model: str):
+    """Index, frequency and weight arrays of the modes ``mode_couplings`` retains."""
     if not 0.0 < v_p < math.inf:
         raise ValueError(f"phase velocity must be positive and finite, got {v_p!r}")
     if n_max < 2 * layout.design_index:
@@ -292,13 +317,8 @@ def mode_couplings(
         raise DegenerateCouplingError("no plate mode couples to this electrode configuration")
     eta = raw / total
     keep = eta >= PRUNE_REL * eta.max()
-    eta_kept = eta[keep] / eta[keep].sum()
     n = idx[keep]
-    modes = tuple(
-        ModeCoupling(n=i, f_n=f, eta=e)
-        for i, f, e in zip(n.tolist(), _mode_frequency(layout, v_p, n).tolist(),
-                           eta_kept.tolist()))
-    return ModeSpectrum(modes=modes)
+    return n, _mode_frequency(layout, v_p, n), eta[keep] / eta[keep].sum()
 
 
 def spectrum_to_mbvd(
@@ -356,9 +376,10 @@ def split_study(
 ) -> list[SplitRecord]:
     """Mode-splitting convergence across an element-count sweep.
 
-    For each geometry: build the layout, compute the coupling spectrum, and
-    record the two dominant modes together with the fractional offset of the
-    strongest mode from the design frequency v_p/lambda. ``n_max`` defaults
+    For each geometry: build the layout, weigh its modes as
+    ``mode_couplings`` does, and record only the two dominant modes (as
+    ``ModeSpectrum.dominant_modes`` ranks them) with the fractional offset of
+    the strongest from the design frequency v_p/lambda. ``n_max`` defaults
     to twice the design index per geometry.
     """
     if not geoms:
@@ -370,9 +391,11 @@ def split_study(
     for geom in geoms:
         layout = build_layout(geom)
         local_max = n_max if n_max is not None else 2 * layout.design_index
-        spectrum = mode_couplings(layout, v_p, local_max, field_model)
+        n, f_n, eta = _couplings(layout, v_p, local_max, field_model)
+        pick = _dominant(n, f_n, eta)
+        dominant = tuple(map(ModeCoupling, n[pick].tolist(), f_n[pick].tolist(),
+                             eta[pick].tolist()))
         f_design = v_p / geom.wavelength
-        dominant = spectrum.dominant_modes()
         top = max(dominant, key=lambda m: m.eta)
         records.append(SplitRecord(
             n_elements=geom.n_elements,

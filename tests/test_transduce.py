@@ -14,6 +14,8 @@ from resokit.mbvd import KT2_PREFACTOR
 from resokit.transduce import (
     PRUNE_REL,
     DeviceGeometry,
+    ModeCoupling,
+    ModeSpectrum,
     build_layout,
     mode_couplings,
     spectrum_to_mbvd,
@@ -254,6 +256,35 @@ def test_mode_couplings_and_split_study_reject_non_finite_velocity(v_p):
         split_study([dlvr(5), dlvr(10)], v_p)
 
 
+# each passes the ordering and sum checks; NaN fails every comparison, so the
+# per-mode checks must be written as not (lo < x < hi)
+BAD_MODES = [
+    pytest.param((ModeCoupling(1, 1e9, math.nan),), "mode 1 weight", id="nan-weight"),
+    pytest.param((ModeCoupling(1, 1e9, 2.0), ModeCoupling(2, 2e9, -1.0)), "mode 2 weight",
+                 id="negative-weight"),
+    pytest.param((ModeCoupling(3, math.nan, 1.0),), "mode 3 frequency", id="nan-frequency"),
+    pytest.param((ModeCoupling(3, -1e9, 1.0),), "mode 3 frequency", id="negative-frequency"),
+    pytest.param((ModeCoupling(3, math.inf, 1.0),), "mode 3 frequency", id="infinite-frequency"),
+]
+
+
+@pytest.mark.parametrize("modes, message", BAD_MODES)
+def test_spectrum_rejects_non_physical_modes(modes, message):
+    with pytest.raises(ValueError, match=f"^{message} must be"):
+        ModeSpectrum(modes=modes)
+
+
+@pytest.mark.parametrize("weights, pair", [
+    ((0.1, 0.2, 0.4, 0.2, 0.1), (2, 3)),
+    ((0.25, 0.25, 0.25, 0.25), (1, 2)),
+    ((0.1, 0.3, 0.3, 0.3), (2, 3)),
+])
+def test_dominant_modes_ties_go_to_the_lower_index(weights, pair):
+    spec = ModeSpectrum(modes=tuple(
+        ModeCoupling(n, n * 1e9, eta) for n, eta in enumerate(weights, start=1)))
+    assert tuple(m.n for m in spec.dominant_modes()) == pair
+
+
 # ------------------------------------------------------------ model export
 
 def test_spectrum_to_mbvd_partitions_coupling():
@@ -310,3 +341,15 @@ def test_split_study_convergence():
     assert all(b < a for a, b in zip(offs, offs[1:]))
     for a, b in zip(offs, offs[1:]):
         assert a / b == pytest.approx(2.0, rel=1e-9)
+
+
+def test_split_study_when_fingers_touch():
+    # the gap (1e-22 m) is below the rounding of the finger coordinates, so
+    # the derived arrays put fingers in contact; the couplings read only N and c
+    geom = dlvr(400, c=1.0 - 2.0**-53)
+    lay = build_layout(geom)
+    assert np.any(lay.centers[1:] - lay.widths[1:] / 2 <= lay.centers[:-1] + lay.widths[:-1] / 2)
+    for field in ("tophat", "delta"):
+        (rec,) = split_study([geom], v_p=5382.0, field_model=field)
+        assert [m.n for m in rec.modes] == [399, 401]
+        assert rec.offset == pytest.approx(1.0 / 400, rel=1e-12)

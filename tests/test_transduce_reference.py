@@ -164,3 +164,23 @@ def test_mode_couplings_and_split_study_keep_the_reference_modes(topology, field
         pair = [m.n for m in want.dominant_modes()]
         assert [m.n for m in got.dominant_modes()] == pair
         assert [m.n for m in record.modes] == pair
+        assert record.modes == got.dominant_modes()
+
+
+@pytest.mark.parametrize("coverage", (0.2, 0.35, 0.5, 0.8))
+@pytest.mark.parametrize("field", transduce.FIELD_MODELS)
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_split_study_pair_is_the_spectrum_pair(topology, field, coverage):
+    # split_study builds only the dominant pair; it must equal the one the
+    # whole spectrum gives, bit for bit, and hold Python numbers for JSON
+    geoms = [geometry(topology, n, coverage) for n in range(2, 401)]
+    runs = [(None, split_study(geoms, V_P, field_model=field))]
+    if coverage == 0.5:
+        runs.append((801, split_study(geoms, V_P, n_max=801, field_model=field)))
+    for n_max, records in runs:
+        for geom, record in zip(geoms, records):
+            layout = build_layout(geom)
+            spectrum = mode_couplings(layout, V_P, n_max or 2 * layout.design_index, field)
+            assert record.modes == spectrum.dominant_modes()
+            assert all(type(m.n) is int and type(m.f_n) is float and type(m.eta) is float
+                       for m in record.modes)
