@@ -37,8 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from ._digits import format_repr
-from .designkit import (DeviceGeometry, ProcessRules, _positive_number, calibrate_velocity,
-                        plan_bank, render_table)
+from .designkit import DeviceGeometry, ProcessRules, calibrate_velocity, plan_bank, render_table
 from .errors import (DegenerateCouplingError, EstimationError, FitError, GeometryError,
                      SingularNetworkError, ToolkitError)
 from .extract import detect_resonances
@@ -46,6 +45,7 @@ from .fitkernel import FitResult, fit, seed_from_strongest, select_branch_count
 from .mbvd import (
     MbvdModel,
     ResonatorMetrics,
+    _json_number,
     metrics_from_model,
     model_from_dict,
     model_to_dict,
@@ -89,9 +89,11 @@ def _write_outputs(args: argparse.Namespace, inputs: Sequence[str], prefix: str,
     for key, value in sorted(vars(args).items()):
         if key in ("handler", "command"):
             continue
-        if isinstance(value, (str, int, float, bool)) or value is None:
+        if isinstance(value, (str, int)) or value is None or (
+                isinstance(value, float) and np.isfinite(value)):
             options[key] = value
         else:
+            # a non-finite float as "inf"/"-inf", which strict JSON can hold
             options[key] = str(value)
     manifest_name = f"{prefix}_manifest.json"
     manifest = {
@@ -307,7 +309,7 @@ def _cmd_synth(args: argparse.Namespace) -> Outcome:
     model_path = Path(args.model)
     prefix = args.prefix or model_path.stem
     name = _output_name(args, prefix, f"{prefix}.s2p")
-    model = model_from_dict(_load_json(model_path))
+    model = _config_entry(model_path, model_from_dict, _load_json(model_path))
     grid = _parse_grid(args.grid)
     try:
         trace = synthesize_admittance(model, grid)
@@ -424,8 +426,8 @@ def _cmd_modes(args: argparse.Namespace) -> Outcome:
 
 
 def _config_entry(path: Path, read, *args):
-    """read(*args) on an entry of the --config file at path, whose
-    ValueError becomes a ToolkitError that names the file."""
+    """read(*args) on an entry of the JSON file at path (a --config file or
+    a model), whose ValueError becomes a ToolkitError that names the file."""
     try:
         return read(*args)
     except ValueError as exc:
@@ -467,7 +469,7 @@ def _cmd_design(args: argparse.Namespace) -> Outcome:
     if args.vp is not None:
         v_p = args.vp
     elif args.mode in velocity_map:
-        v_p = _config_entry(cfg_path, _positive_number, f"velocity.{args.mode}",
+        v_p = _config_entry(cfg_path, _json_number, f"velocity.{args.mode}",
                             velocity_map[args.mode], "m/s")
     else:
         # fall back to the bundled survey; the median is robust to its outliers

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import GeometryError
-from .mbvd import ResonatorMetrics, _median
+from .mbvd import ResonatorMetrics, _json_number, _median
 
 TOPOLOGIES = ("lvr", "dlvr")
 
@@ -87,32 +87,19 @@ class ProcessRules:
         finite number of m, got 'x'``."""
         if not isinstance(data, dict):
             raise ValueError(f"rules must be an object of lengths in m, got {data!r}")
-        kwargs = {key: _positive_number(f"rules.{key}", data[key], "m")
+        kwargs = {key: _json_number(f"rules.{key}", data[key], "m")
                   for key in ("min_feature", "min_gap") if key in data}
         if "lambda_range" in data:
             span = data["lambda_range"]
             if not (isinstance(span, (list, tuple)) and len(span) == 2):
                 raise ValueError(f"rules.lambda_range must be a list of two lengths in m, "
                                  f"got {span!r}")
-            lo, hi = (_positive_number(f"rules.lambda_range[{i}]", v, "m")
+            lo, hi = (_json_number(f"rules.lambda_range[{i}]", v, "m")
                       for i, v in enumerate(span))
             if lo > hi:
                 raise ValueError(f"rules.lambda_range must not decrease, got {span!r}")
             kwargs["lambda_range"] = (lo, hi)
         return cls(**kwargs)
-
-
-def _positive_number(key: str, value, unit: str) -> float:
-    """value as a float if it is a positive finite JSON number of unit;
-    otherwise a ValueError that names key."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    try:
-        x = float(value) if number else math.nan
-    except OverflowError:  # an integer beyond float range
-        x = math.inf
-    if not 0.0 < x < math.inf:
-        raise ValueError(f"{key} must be a positive finite number of {unit}, got {value!r}")
-    return x
 
 
 @dataclass(frozen=True)
@@ -135,38 +122,22 @@ def check_lithography(geom: DeviceGeometry, rules: ProcessRules) -> tuple[Findin
     Returns findings, not failures; an empty tuple means the geometry is
     manufacturable. Values exactly at a limit pass.
     """
-    findings: list[Finding] = []
-    interior = geom.interior_width
-    if interior < rules.min_feature:
-        findings.append(Finding(
-            "interior-width",
-            f"electrode width {_nm(interior)} below min feature {_nm(rules.min_feature)}",
-            interior, rules.min_feature))
-    if geom.topology == "lvr":
-        edge = geom.edge_width
-        if edge < rules.min_feature:
-            findings.append(Finding(
-                "edge-width",
-                f"edge electrode width {_nm(edge)} below min feature {_nm(rules.min_feature)}",
-                edge, rules.min_feature))
-    gap = geom.gap_width
-    if gap < rules.min_gap:
-        findings.append(Finding(
-            "gap-width",
-            f"electrode gap {_nm(gap)} below min gap {_nm(rules.min_gap)}",
-            gap, rules.min_gap))
     lo, hi = rules.lambda_range
-    if geom.wavelength < lo:
-        findings.append(Finding(
-            "lambda-range",
-            f"wavelength {_nm(geom.wavelength)} below allowed range start {_nm(lo)}",
-            geom.wavelength, lo))
-    elif geom.wavelength > hi:
-        findings.append(Finding(
-            "lambda-range",
-            f"wavelength {_nm(geom.wavelength)} above allowed range end {_nm(hi)}",
-            geom.wavelength, hi))
-    return tuple(findings)
+    # (code, what, value, limit, relation): a finding where value lies on
+    # the relation's side ("below" or "above") of limit; only lvr has
+    # half-width edge fingers, and lo <= hi, so at most one range rule fires
+    checks = [
+        ("interior-width", "electrode width", geom.interior_width, rules.min_feature,
+         "below min feature"),
+        *([("edge-width", "edge electrode width", geom.edge_width, rules.min_feature,
+            "below min feature")] if geom.topology == "lvr" else []),
+        ("gap-width", "electrode gap", geom.gap_width, rules.min_gap, "below min gap"),
+        ("lambda-range", "wavelength", geom.wavelength, lo, "below allowed range start"),
+        ("lambda-range", "wavelength", geom.wavelength, hi, "above allowed range end"),
+    ]
+    return tuple(Finding(code, f"{what} {_nm(value)} {relation} {_nm(limit)}", value, limit)
+                 for code, what, value, limit, relation in checks
+                 if (value < limit if relation.startswith("below") else value > limit))
 
 
 def calibrate_velocity(observations: Iterable[tuple[float, float]]) -> tuple[float, float]:

@@ -46,16 +46,14 @@ class FitOptions:
 class FitResult:
     """Refined model plus convergence bookkeeping.
 
-    cost is the sum of squared residuals at the solution, cost_trace the
-    accepted-step history (non-increasing), covariance the linearized
-    parameter covariance in log space, residual_rms = sqrt(cost / nresiduals).
+    cost is the sum of squared residuals at the solution, residual_rms =
+    sqrt(cost / nresiduals), cost_trace the accepted-step history (non-increasing).
     """
 
     model: MbvdModel
     cost: float
     iterations: int
     converged: bool
-    covariance: np.ndarray
     residual_rms: float
     cost_trace: tuple[float, ...] = field(repr=False)
 
@@ -224,8 +222,8 @@ def fit(
     one.  Terminates when the relative cost decrease drops below 1e-10,
     the relative step below 1e-10, or after 200 iterations.  The accepted
     cost sequence is non-increasing by construction.  Each accepted point
-    keeps the admittance that scored it, and its Jacobian, the last one
-    behind the covariance included, is built from that admittance.
+    keeps the admittance that scored it, and each iteration builds one
+    Jacobian, from the admittance of the point it starts at.
     """
     lo, hi = _search_box(trace, seed)
     freqs = trace.freqs
@@ -285,16 +283,12 @@ def fit(
         if cost < 1e-300 or rel_dec < _FTOL or step_rel < _XTOL:
             converged = True
 
-    jac = _jacobian(adm, params, norm)
-    m = r.size
-    sigma_sq = cost / max(m - theta.size, 1)
     return FitResult(
         model=_model_from_theta(theta),
         cost=cost,
         iterations=iterations,
         converged=converged,
-        covariance=np.linalg.pinv(jac.T @ jac) * sigma_sq,
-        residual_rms=math.sqrt(cost / m),
+        residual_rms=math.sqrt(cost / r.size),
         cost_trace=tuple(cost_trace),
     )
 

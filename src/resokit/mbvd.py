@@ -467,18 +467,48 @@ def model_to_dict(model: MbvdModel) -> dict:
     }
 
 
+def _json_number(key: str, value, unit: str, zero: bool = False) -> float:
+    """value as a float if it is a finite JSON number (not a boolean) of unit, positive or,
+    where zero is allowed, non-negative; otherwise a ValueError that names key."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    try:
+        x = float(value) if number else math.nan
+    except OverflowError:  # an integer beyond float range
+        x = math.inf
+    above_floor = 0.0 <= x if zero else 0.0 < x
+    if not (above_floor and x < math.inf):
+        sign = "non-negative" if zero else "positive"
+        raise ValueError(f"{key} must be a {sign} finite number of {unit}, got {value!r}")
+    return x
+
+
+def _entry(obj: dict, path: str, key: str, unit: str, zero: bool = False) -> float:
+    """obj[key] through _json_number, named path + key; it must be present."""
+    if key not in obj:
+        raise ValueError(f"{path}{key} is missing")
+    return _json_number(path + key, obj[key], unit, zero)
+
+
 def model_from_dict(d: dict) -> MbvdModel:
+    """The model of a model_to_dict document, where r0_ohm and rs_ohm default to 0.  A bad
+    document is a ValueError naming the key path at fault, e.g. ``branches[0].rm_ohm must be
+    a non-negative finite number of ohm, got 'x'``."""
+    if not isinstance(d, dict):
+        raise ValueError(f"expected a model object, got {d!r}")
     tag = d.get("topology")
     if tag != "mbvd/1":
         raise ValueError(f"unsupported model topology tag {tag!r}")
-    branches = tuple(
-        MotionalBranch(rm=float(b["rm_ohm"]), lm=float(b["lm_h"]), cm=float(b["cm_f"]))
-        for b in d.get("branches", ())
-    )
-    branches = tuple(sorted(branches, key=lambda b: b.fs))
-    return MbvdModel(
-        c0=float(d["c0_f"]),
-        r0=float(d.get("r0_ohm", 0.0)),
-        rs=float(d.get("rs_ohm", 0.0)),
-        branches=branches,
-    )
+    c0 = _entry(d, "", "c0_f", "F")
+    r0, rs = (_json_number(key, d.get(key, 0.0), "ohm", zero=True) for key in ("r0_ohm", "rs_ohm"))
+    rows = d.get("branches", [])
+    if not isinstance(rows, list):
+        raise ValueError(f"branches must be a list of branch objects, got {rows!r}")
+    branches = []
+    for i, b in enumerate(rows):
+        path = f"branches[{i}]."
+        if not isinstance(b, dict):
+            raise ValueError(f"branches[{i}] must be a branch object, got {b!r}")
+        branches.append(MotionalBranch(rm=_entry(b, path, "rm_ohm", "ohm", zero=True),
+                                       lm=_entry(b, path, "lm_h", "H"),
+                                       cm=_entry(b, path, "cm_f", "F")))
+    return MbvdModel(c0=c0, r0=r0, rs=rs, branches=tuple(sorted(branches, key=lambda b: b.fs)))

@@ -17,10 +17,12 @@ from resokit.errors import FitError
 from resokit.extract import detect_resonances
 from resokit.fitkernel import FitResult
 from resokit.mbvd import metrics_from_model, model_to_dict
-from resokit.netparams import ComplexTrace, device_admittance, parse_touchstone, s_to_y
+from resokit.netparams import (ComplexTrace, NetworkRecord, device_admittance, parse_touchstone,
+                               s_to_y, series_element_network, write_touchstone, y_to_s)
 from resokit.refdata import SURVEY, display_model, roundtrip_model, synthesis_grid
 
-from conftest import PAIR_GRID, golden_text, pair_model
+from conftest import PAIR_GRID, golden_text, noisy_trace, pair_model
+from test_acceptance import TOL_C0, TOL_FS, TOL_KT2, TOL_QM
 
 
 def write_golden(path, label="L", fmt="RI", noise_db=-80.0, seed=3):
@@ -95,8 +97,7 @@ def stuck_fit():
     """A fit of row L's displayed model that stopped unconverged after 40
     iterations."""
     return FitResult(model=display_model("L"), cost=1.0, iterations=40,
-                     converged=False, covariance=None, residual_rms=1.0,
-                     cost_trace=(1.0,))
+                     converged=False, residual_rms=1.0, cost_trace=(1.0,))
 
 
 def test_fit_nonconvergence_exit_code(tmp_path, monkeypatch):
@@ -383,6 +384,31 @@ def test_batch_lists_a_fit_that_did_not_converge(tmp_path, monkeypatch):
                    "failures": [{"file": "a.s2p", "error": "iteration 40: fit did not converge"}]}
 
 
+def test_fit_and_batch_read_a_shunt_embedding(tmp_path):
+    # row A at -80 dB with criterion 2's seed, written once as the series
+    # element and once as a shunt element at port 1: Y11 = Y_dev, the rest 0
+    trace = noisy_trace(roundtrip_model("A"), synthesis_grid("A"), noise_db=-80.0, seed=100)
+    shunt = np.zeros((trace.npoints, 2, 2), dtype=complex)
+    shunt[:, 0, 0] = trace.values
+    texts = {"series": write_touchstone(y_to_s(series_element_network(trace))),
+             "shunt": write_touchstone(y_to_s(NetworkRecord(trace.freqs, shunt, "Y")))}
+    metrics = {}
+    for embedding, text in texts.items():
+        d = tmp_path / embedding
+        d.mkdir()
+        (d / "A.s2p").write_text(text)
+        flags = ["--shunt"] if embedding == "shunt" else []
+        assert cli.run(["fit", str(d / "A.s2p"), *flags, "--outdir", str(d / "fit")]) == 0
+        assert cli.run(["batch", str(d), *flags, "--outdir", str(d / "batch")]) == 0
+        doc = json.loads((d / "fit" / "A_metrics.json").read_text())
+        assert doc["embedding"] == embedding
+        [row] = json.loads((d / "batch" / "batch_batch.json").read_text())["rows"]
+        assert row["metrics"] == doc["metrics"]
+        metrics[embedding] = doc["metrics"]
+    for key, tol in [("fs_hz", TOL_FS), ("kt2", TOL_KT2), ("q_m", TOL_QM), ("c0_f", TOL_C0)]:
+        assert metrics["shunt"][key] == pytest.approx(metrics["series"][key], rel=tol, abs=0.0)
+
+
 def test_batch_rejects_non_directory(tmp_path):
     f = tmp_path / "a.s2p"
     write_golden(f)
@@ -421,6 +447,33 @@ def test_synth_bad_grid(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: --grid lo:hi:n ") and repr(spec) in err
     assert not (tmp_path / "o").exists()
+
+
+MODEL_L = model_to_dict(display_model("L"))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[]", "expected a model object, got []"),
+    (json.dumps({**MODEL_L, "branches": {"a": 1}}),
+     "branches must be a list of branch objects, got {'a': 1}"),
+    (json.dumps({**MODEL_L, "branches": [3]}), "branches[0] must be a branch object, got 3"),
+    (json.dumps({k: v for k, v in MODEL_L.items() if k != "c0_f"}), "c0_f is missing"),
+    (json.dumps({**MODEL_L, "branches": [{**MODEL_L["branches"][0], "rm_ohm": "x"}]}),
+     "branches[0].rm_ohm must be a non-negative finite number of ohm, got 'x'"),
+    (json.dumps({**MODEL_L, "c0_f": True}), "c0_f must be a positive finite number of F, got True"),
+    # JSON's 1e400 parses to inf, which the grid check would otherwise blame
+    (json.dumps({**MODEL_L, "c0_f": "X"}).replace('"X"', "1e400"),
+     "c0_f must be a positive finite number of F, got inf"),
+], ids=["document", "branches-object", "branch-number", "c0-missing", "rm-text", "c0-boolean",
+        "c0-overflow"])
+def test_synth_malformed_model_is_an_input_error_naming_file_and_key(tmp_path, capsys, text,
+                                                                     message):
+    mj = tmp_path / "m.json"
+    mj.write_text(text)
+    outdir = tmp_path / "o"
+    assert cli.run(["synth", str(mj), "--outdir", str(outdir), "--grid", "1e9:3e9:11"]) == 2
+    assert capsys.readouterr().err == f"error: {mj}: {message}\n"
+    assert not outdir.exists()
 
 
 @pytest.mark.parametrize("spec, first", [("1e-300:2e-300:3", "1e-300"),
@@ -1038,7 +1091,14 @@ def test_flag_errors_come_before_the_input(tmp_path, capsys, command, flag, valu
 
 
 def test_modes_accepts_lossless_q(tmp_path):
-    assert cli.run([*MODES, "--q", "inf", "--outdir", str(tmp_path / "o")]) == 0
+    outdir = tmp_path / "o"
+    assert cli.run([*MODES, "--q", "inf", "--sweep-n", "5:9:2", "--outdir", str(outdir)]) == 0
+    # every JSON file is strict JSON: the manifest records --q as "inf"
+    docs = {p.name: json.loads(p.read_text(), parse_constant=pytest.fail)
+            for p in outdir.glob("*.json")}
+    assert len(docs) == 2
+    [manifest] = [d for name, d in docs.items() if name.endswith("_manifest.json")]
+    assert manifest["options"]["q"] == "inf"
 
 
 def test_cli_is_deterministic(tmp_path):
