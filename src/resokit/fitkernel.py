@@ -180,7 +180,7 @@ def _jacobian(adm: Admittance, params, norm: float) -> np.ndarray:
     grads[:, 1] = dy_dg * (-yst_sq) * r0                           # d/d ln r0
     grads[:, 2] = (-y_sq) * rs                                     # d/d ln rs
     for i in range(k):
-        yb_sq = yb[:, i] * yb[:, i]
+        yb_sq = yb[i] * yb[i]
         dzb_dfs = -2j * w * lm[i] / fs[i]
         dzb_dcm = 1j * (-w * lm[i] / cm[i] + 1.0 / (w * cm[i] ** 2))
         grads[:, 3 + 3 * i] = dy_dg * (-yb_sq) * rm[i]

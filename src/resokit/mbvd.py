@@ -16,6 +16,7 @@ and mechanical quality qm = 2 pi fs lm / rm.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -49,7 +50,11 @@ def _median(a: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class MotionalBranch:
-    """One series RLC branch: rm (ohm), lm (H), cm (F)."""
+    """One series RLC branch: rm (ohm), lm (H), cm (F).
+
+    lm*cm must be a positive, finite, normal float, so that the series
+    resonance 1/(2 pi sqrt(lm cm)) is a positive finite frequency.
+    """
 
     rm: float
     lm: float
@@ -62,6 +67,9 @@ class MotionalBranch:
             raise ValueError(f"lm must be > 0, got {self.lm!r}")
         if not self.cm > 0:
             raise ValueError(f"cm must be > 0, got {self.cm!r}")
+        if not sys.float_info.min <= self.lm * self.cm < math.inf:
+            raise ValueError(f"lm*cm = {self.lm * self.cm!r} is not a positive finite normal "
+                             f"float, so the series resonance is not representable")
 
     @property
     def fs(self) -> float:
@@ -114,9 +122,10 @@ class Admittance(NamedTuple):
     """Circuit admittance on a grid, with the intermediates its derivatives need.
 
     w is the angular frequency, yst the static-arm admittance, yb the
-    (nfreq, nbranch) motional-branch admittances (None without branches),
-    g the parallel section yst + sum(yb) and y the terminal admittance
-    seen through rs.
+    (nbranch, nfreq) motional-branch admittances, one contiguous row per
+    branch in the order given (None without branches), g the parallel
+    section yst + (((0 + yb[0]) + yb[1]) + ...) and y the terminal
+    admittance seen through rs.
     """
 
     w: np.ndarray
@@ -141,6 +150,11 @@ def admittance_arrays(
     search, metric extraction and the fit engine (which derives lm from
     fs and cm and builds its Jacobian from the returned intermediates)
     all call it, so they see bitwise identical values.
+
+    Branch quantities are (nbranch, nfreq) rows over contiguous frequency,
+    added one at a time from 0 in the order of rm/lm/cm (the model's fs
+    order, as _model_y passes them), then the static arm: an order fixed
+    for any branch count, where np.sum pairs four or more rows up.
     """
     w = TWO_PI * np.asarray(freqs, dtype=float)
     jw = 1j * w
@@ -149,11 +163,12 @@ def admittance_arrays(
         yst = 1.0 / (r0 + 1.0 / (jw * c0))
         g = yst
         if rm.size:
-            zb = rm[None, :] + 1j * (
-                w[:, None] * lm[None, :] - 1.0 / (w[:, None] * cm[None, :])
-            )
+            zb = rm[:, None] + 1j * (lm[:, None] * w - 1.0 / (cm[:, None] * w))
             yb = 1.0 / zb
-            g = yst + np.sum(yb, axis=1)
+            total = 0.0
+            for row in yb:
+                total = total + row
+            g = yst + total
         y = 1.0 / (rs + 1.0 / g) if rs != 0.0 else g
     return Admittance(w, yst, yb, g, y)
 
@@ -508,7 +523,15 @@ def model_from_dict(d: dict) -> MbvdModel:
         path = f"branches[{i}]."
         if not isinstance(b, dict):
             raise ValueError(f"branches[{i}] must be a branch object, got {b!r}")
-        branches.append(MotionalBranch(rm=_entry(b, path, "rm_ohm", "ohm", zero=True),
-                                       lm=_entry(b, path, "lm_h", "H"),
-                                       cm=_entry(b, path, "cm_f", "F")))
-    return MbvdModel(c0=c0, r0=r0, rs=rs, branches=tuple(sorted(branches, key=lambda b: b.fs)))
+        rm, lm, cm = (_entry(b, path, "rm_ohm", "ohm", zero=True), _entry(b, path, "lm_h", "H"),
+                      _entry(b, path, "cm_f", "F"))
+        try:
+            branches.append(MotionalBranch(rm=rm, lm=lm, cm=cm))
+        except ValueError as exc:
+            raise ValueError(f"branches[{i}]: {exc}") from None
+    order = sorted(range(len(branches)), key=lambda i: branches[i].fs)
+    for i, j in zip(order, order[1:]):
+        if branches[i].fs == branches[j].fs:
+            raise ValueError(f"branches[{i}] and branches[{j}] share the series resonance "
+                             f"{branches[i].fs!r} Hz")
+    return MbvdModel(c0=c0, r0=r0, rs=rs, branches=tuple(branches[i] for i in order))

@@ -464,8 +464,17 @@ MODEL_L = model_to_dict(display_model("L"))
     # JSON's 1e400 parses to inf, which the grid check would otherwise blame
     (json.dumps({**MODEL_L, "c0_f": "X"}).replace('"X"', "1e400"),
      "c0_f must be a positive finite number of F, got inf"),
+    # lm*cm underflows to 0 (fs divided by zero) or overflows (fs read 0 Hz)
+    (json.dumps({**MODEL_L, "branches": [{"rm_ohm": 1.0, "lm_h": 1e-200, "cm_f": 1e-200}]}),
+     "branches[0]: lm*cm = 0.0 is not a positive finite normal float, so the series "
+     "resonance is not representable"),
+    (json.dumps({**MODEL_L, "branches": [{"rm_ohm": 1.0, "lm_h": 1e200, "cm_f": 1e200}]}),
+     "branches[0]: lm*cm = inf is not a positive finite normal float, so the series "
+     "resonance is not representable"),
+    (json.dumps({**MODEL_L, "branches": MODEL_L["branches"] * 2}),
+     f"branches[0] and branches[1] share the series resonance {display_model('L').branches[0].fs!r} Hz"),
 ], ids=["document", "branches-object", "branch-number", "c0-missing", "rm-text", "c0-boolean",
-        "c0-overflow"])
+        "c0-overflow", "lm-cm-underflow", "lm-cm-overflow", "equal-fs"])
 def test_synth_malformed_model_is_an_input_error_naming_file_and_key(tmp_path, capsys, text,
                                                                      message):
     mj = tmp_path / "m.json"

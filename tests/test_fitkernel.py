@@ -140,6 +140,24 @@ def test_jacobian_matches_finite_differences():
     assert worst < 1e-5
 
 
+@pytest.mark.parametrize("n_b", [3, 5])
+def test_jacobian_matches_finite_differences_for_more_branches(n_b):
+    # each branch's columns read its own row of the admittance; five branches
+    # also sum in the fixed fs order that np.sum would have paired up
+    rng = np.random.default_rng(100 + n_b)
+    worst = 0.0
+    for trial in range(10):
+        m = random_model(rng, n_branches=n_b)
+        grid = np.linspace(0.85 * m.branches[0].fs, 1.35 * m.branches[-1].fs, 96)
+        tr = noisy_trace(m, grid, noise_db=-70.0, seed=trial)
+        j_an = jacobian(m, tr)
+        j_fd = fd_jacobian(m, tr)
+        assert j_an.shape == (2 * grid.size, 3 + 3 * n_b)
+        rel = np.max(np.abs(j_an - j_fd)) / max(np.max(np.abs(j_fd)), 1e-30)
+        worst = max(worst, rel)
+    assert worst < 1e-5
+
+
 def test_jacobian_shape():
     m = random_model(np.random.default_rng(1), n_branches=2)
     grid = np.linspace(1e9, 7e9, 33)

@@ -14,6 +14,7 @@ from resokit.mbvd import (
     KT2_PREFACTOR,
     _fp_search,
     _median,
+    admittance_arrays,
     MbvdModel,
     MotionalBranch,
     branch_from_metrics,
@@ -146,6 +147,31 @@ def test_branch_rejects_an_inductance_outside_the_float_range(fs, c0):
         branch_from_metrics(fs, 100.0, 0.05, c0)
 
 
+@pytest.mark.parametrize("lm, cm, product", [
+    (1e-200, 1e-200, "0.0"),        # underflows: fs would divide by zero
+    (1e200, 1e200, "inf"),          # overflows: fs would read 0 Hz
+    (1e-154, 1e-154, "1e-308"),     # subnormal
+], ids=["underflow", "overflow", "subnormal"])
+def test_branch_rejects_an_unrepresentable_series_resonance(lm, cm, product):
+    message = f"lm*cm = {product} is not a positive finite normal float"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        MotionalBranch(rm=1.0, lm=lm, cm=cm)
+    doc = model_to_dict(single_branch_model(1e9, 500.0, 0.1, 100e-15))
+    doc["branches"].append({"rm_ohm": 1.0, "lm_h": lm, "cm_f": cm})
+    with pytest.raises(ValueError, match=re.escape(f"branches[1]: {message}")):
+        model_from_dict(doc)
+
+
+def test_model_from_dict_names_branches_sharing_a_series_resonance():
+    b = branch_from_metrics(1.87e9, 1000.0, 0.1, 100e-15)
+    doc = model_to_dict(MbvdModel(c0=100e-15, branches=(b, branch_from_metrics(
+        2.5e9, 1000.0, 0.01, 100e-15))))
+    doc["branches"].append({"rm_ohm": 2 * b.rm, "lm_h": b.lm, "cm_f": b.cm})
+    with pytest.raises(ValueError, match=re.escape(
+            f"branches[0] and branches[2] share the series resonance {b.fs!r} Hz")):
+        model_from_dict(doc)
+
+
 def test_lossless_branch_qm_infinite():
     b = MotionalBranch(rm=0.0, lm=1e-9, cm=1e-14)
     assert math.isinf(b.qm)
@@ -218,6 +244,40 @@ def test_weak_far_branch_barely_perturbs():
     y1 = synthesize_admittance(extra, f).values
     # normalize by the trace scale; pointwise division blows up in the notch
     assert np.max(np.abs(y1 - y0)) / np.median(np.abs(y0)) < 1e-3
+
+
+@pytest.mark.parametrize("lossless_only", [False, True], ids=["lossy", "lossless-r0-0"])
+@pytest.mark.parametrize("k", range(1, 7))
+def test_admittance_adds_branch_rows_one_at_a_time_in_fs_order(k, lossless_only):
+    # one row per branch over contiguous frequency; g = yst + (((0 + row_0) + row_1) + ...),
+    # a fixed order whatever the branch count (np.sum pairs up 4 or more).  Compared as
+    # uint64, so a signed zero (lossless rows below resonance with r0 = 0) counts too.
+    rng = np.random.default_rng(40 + k)
+    c0, r0, rs = (100e-15, 0.0, 0.0) if lossless_only else (100e-15, 0.4, 0.9)
+    fs = 1.0001e9 * (1.0 + 0.1 * np.arange(k))  # off the grid: no lossless pole on it
+    qms = [math.inf] * k if lossless_only else [math.inf, *rng.uniform(50.0, 2000.0, k - 1)]
+    branches = [branch_from_metrics(f, q, float(rng.uniform(0.001, 0.05)), c0)
+                for f, q in zip(fs, qms)]
+    rm, lm, cm = (np.array([getattr(b, name) for b in branches]) for name in ("rm", "lm", "cm"))
+    freqs = np.linspace(0.8e9, 1.2e9 + 0.1e9 * k, 998)
+    adm = admittance_arrays(freqs, c0, r0, rs, rm, lm, cm)
+
+    w = 2 * math.pi * freqs
+    assert np.array_equal(adm.w, w)
+    yst = 1.0 / (r0 + 1.0 / (1j * w * c0))
+    rows = [1.0 / (b.rm + 1j * (b.lm * w - 1.0 / (b.cm * w))) for b in branches]
+    total = 0.0
+    for row in rows:
+        total = total + row
+    g = yst + total
+    assert adm.yb.shape == (k, freqs.size)
+    assert adm.yb.flags.c_contiguous
+    for got, want in [(adm.yst, yst), (adm.yb, np.array(rows)), (adm.g, g)]:
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    y = g if rs == 0.0 else 1.0 / (rs + 1.0 / g)
+    assert np.array_equal(adm.y.view(np.uint64), y.view(np.uint64))
+    if lossless_only:  # the rows hold -0.0, so the sum's start at 0 shows in g's sign bits
+        assert np.any(np.signbit(adm.yb.real))
 
 
 def test_synthesize_rejects_nonpositive_frequency():
