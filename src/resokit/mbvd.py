@@ -155,15 +155,29 @@ def admittance_arrays(
     added one at a time from 0 in the order of rm/lm/cm (the model's fs
     order, as _model_y passes them), then the static arm: an order fixed
     for any branch count, where np.sum pairs four or more rows up.
+
+    Each arm's impedance is built from its parts and inverted with one
+    complex division: the static arm's r0 + j x with x = -1/(w c0), a
+    branch's rm + j v with v = lm w - 1/(cm w). Each real part also adds
+    0.0 times the reactance (0.0 w x, 0.0 v), so a non-finite intermediate
+    (w, x or v out of the float range) stays non-finite in the arm, as it
+    did in the complex products 1/(r0 + 1/(jw c0)) and rm + 1j v, whose
+    values these equal bit for bit.
     """
     w = TWO_PI * np.asarray(freqs, dtype=float)
-    jw = 1j * w
     yb = None
     with np.errstate(divide="ignore", invalid="ignore"):
-        yst = 1.0 / (r0 + 1.0 / (jw * c0))
+        x = -(1.0 / (w * c0))
+        zst = np.empty(w.shape, dtype=complex)
+        zst.real = r0 + 0.0 * w * x
+        zst.imag = x
+        yst = 1.0 / zst
         g = yst
         if rm.size:
-            zb = rm[:, None] + 1j * (lm[:, None] * w - 1.0 / (cm[:, None] * w))
+            v = lm[:, None] * w - 1.0 / (cm[:, None] * w)
+            zb = np.empty(v.shape, dtype=complex)
+            zb.real = rm[:, None] + 0.0 * v
+            zb.imag = v
             yb = 1.0 / zb
             total = 0.0
             for row in yb:
@@ -192,9 +206,10 @@ def synthesize_admittance(model: MbvdModel, freqs: np.ndarray) -> ComplexTrace:
         raise ValueError("frequencies must be positive")
     with np.errstate(over="ignore", invalid="ignore"):
         y = _model_y(model, freqs)
-    bad = np.flatnonzero(~np.isfinite(y))
-    if bad.size:
-        raise ValueError(f"the model's admittance leaves the float range at {freqs[bad[0]]:.6g} Hz")
+    finite = np.isfinite(y)
+    if not finite.all():
+        raise ValueError(f"the model's admittance leaves the float range at "
+                         f"{freqs[finite.argmin()]:.6g} Hz")
     return ComplexTrace(freqs=freqs, values=y)
 
 

@@ -24,6 +24,7 @@ independent.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Sequence
@@ -36,6 +37,7 @@ from .mbvd import MbvdModel, branch_from_metrics
 
 PRUNE_REL = 1e-12
 FIELD_MODELS = ("tophat", "delta")
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -131,12 +133,35 @@ def build_layout(geom: DeviceGeometry) -> ElectrodeLayout:
 
 
 def _indices_array(indices: Sequence[int]) -> np.ndarray:
-    idx = np.asarray(indices, dtype=int).reshape(-1)
+    idx = np.asarray(indices).reshape(-1)
     if idx.size == 0:
         raise ValueError("no mode indices given")
-    if np.any(idx < 1):
-        raise ValueError("mode indices start at 1")
-    return idx
+    # a float index would be truncated, and NaN or an integer past int64
+    # has no int64 value: only integer arrays within int64 are counted (the
+    # bound is a uint64, since uint64 against a signed integer can promote
+    # to float64, where 2**63 - 1 rounds to 2**63)
+    if idx.dtype.kind not in "iu" or idx.dtype == np.uint64 and idx.max() > np.uint64(_INT64_MAX):
+        raise ValueError(f"mode index {_first_non_index(idx.tolist())!r} is not an int64 integer")
+    if idx.min() < 1:
+        raise ValueError(f"mode indices start at 1, got {idx.min()}")
+    return idx.astype(np.int64, copy=False)
+
+
+def _first_non_index(values: list):
+    """The first of ``values`` that is not a whole number in the int64
+    range, else the first (a whole-number float)."""
+    for v in values:
+        if not (isinstance(v, (int, float)) and -_INT64_MAX - 1 <= v <= _INT64_MAX and v == int(v)):
+            return v
+    return values[0]
+
+
+def _mode_count(n_max) -> int:
+    """``n_max`` as an int; a float or other non-integer is refused."""
+    try:
+        return operator.index(n_max)
+    except TypeError:
+        raise ValueError(f"n_max={n_max!r} is not an integer") from None
 
 
 def strain_overlaps(
@@ -164,17 +189,29 @@ def strain_overlaps(
     integer multiple of pi / (2M), reduced mod 4M from n mod 4M before it
     is scaled, so for any index the dark modes (phi a multiple of pi, every
     n + N even) come out exactly +0.0 and the modes at psi/2 a multiple of
-    pi (the lvr design mode among them) take D's limit +-G. The cost does
-    not grow with N. Against the gap sum in np.longdouble over the ideal
-    geometry, the error relative to the largest overlap is at most 1e-14,
-    or the float64 gap loop's error over the same layout where that is
-    larger (N = 2..40, 337, 338, 400 and 800; c = 0.2 to 0.8).
+    pi (the lvr design mode among them) take D's limit +-G. Here each of
+    those sines is evaluated for its own phase, so the cost per mode grows
+    with neither N nor the largest index; ``mode_couplings`` and
+    ``split_study``, which weigh every mode up to n_max >= 2M, read them
+    instead from one table of the 4M lattice sines built per geometry, the
+    same np.sin values bit for bit. Against the gap sum in np.longdouble
+    over the ideal geometry, the error relative to the largest overlap is
+    at most 1e-14, or the float64 gap loop's error over the same layout
+    where that is larger (N = 2..40, 337, 338, 400 and 800; c = 0.2 to
+    0.8). Indices are integers from 1 within int64; a float, NaN or larger
+    index is a ValueError naming it.
     """
-    if field_model not in FIELD_MODELS:
-        raise ValueError(f"field_model must be one of {FIELD_MODELS}")
-    geom = layout.geometry
     idx = _indices_array(indices)
     m = layout.design_index
+    return _overlaps(layout.geometry, m, idx, field_model, lambda x: _sin_steps(x, m))
+
+
+def _overlaps(geom: DeviceGeometry, m: int, idx: np.ndarray, field_model: str, sine) -> np.ndarray:
+    """The closed form of ``strain_overlaps`` for valid int64 indices, on a
+    plate of m half wavelengths, with sine(x) = sin(x pi / (2m)) for whole
+    steps x in [0, 4m)."""
+    if field_model not in FIELD_MODELS:
+        raise ValueError(f"field_model must be one of {FIELD_MODELS}")
     gaps = geom.n_elements - 1
     period = 4 * m  # 2 pi in steps of pi / (2M)
     r = idx % period
@@ -183,8 +220,8 @@ def strain_overlaps(
     pole = half_psi % (2 * m) == 0
     # D, with its limit G (-1)^(k (G - 1)) where psi/2 = k pi
     kernel = np.where(pole, np.where(half_psi == 0, gaps, (-1) ** (gaps - 1) * gaps),
-                      _sin_steps(gaps * half_psi, m) / np.where(pole, 1.0, _sin_steps(half_psi, m)))
-    drive = kernel * _sin_steps(phi, m)
+                      sine(gaps * half_psi % period) / np.where(pole, 1.0, sine(half_psi)))
+    drive = kernel * sine(phi)
     if field_model == "tophat":
         out = -2.0 * drive * _sin_steps(_half_gap_steps(idx, r, geom.coverage, period), m)
     else:
@@ -203,6 +240,15 @@ def _sin_steps(x, m: int) -> np.ndarray:
     sign = np.where(x < 2 * m, 1.0, -1.0)
     x = np.mod(x, 2 * m)
     return sign * np.sin(np.minimum(x, 2 * m - x) * (np.pi / (2 * m)))
+
+
+def _sine_table(m: int) -> np.ndarray:
+    """``_sin_steps`` over one period, x = 0..4m-1: np.sin of the quarter
+    wave's m + 1 folded angles, mirrored and negated as _sin_steps folds
+    them, so every entry is its value bit for bit (-0.0 at x = 2m)."""
+    q = np.sin(np.arange(m + 1) * (np.pi / (2 * m)))
+    mirror = q[m - 1:0:-1]
+    return np.concatenate((q, mirror, -q, -mirror))
 
 
 def _half_gap_steps(idx: np.ndarray, r: np.ndarray, c: float, period: int) -> np.ndarray:
@@ -293,32 +339,34 @@ def mode_couplings(
     renormalized; the pruned tail always carries negligible weight, so the
     retained sum exceeds 0.999 before renormalization.
     """
-    n, f_n, eta = _couplings(layout, v_p, n_max, field_model)
+    n, f_n, eta = _couplings(layout, v_p, _mode_count(n_max), field_model)
     return ModeSpectrum(modes=tuple(map(ModeCoupling, n.tolist(), f_n.tolist(), eta.tolist())))
 
 
 def _couplings(layout: ElectrodeLayout, v_p: float, n_max: int, field_model: str):
-    """Index, frequency and weight arrays of the modes ``mode_couplings`` retains."""
+    """Index, frequency and weight arrays of the modes ``mode_couplings``
+    retains, for an int ``n_max``."""
     if not 0.0 < v_p < math.inf:
         raise ValueError(f"phase velocity must be positive and finite, got {v_p!r}")
-    if n_max < 2 * layout.design_index:
+    m = layout.design_index
+    if n_max < 2 * m:
         raise ValueError(
             f"n_max={n_max} too small; need at least twice the design index "
-            f"({layout.design_index}) to capture the coupled neighbourhood")
+            f"({m}) to capture the coupled neighbourhood")
     # np.arange's int64 indices end at 2**63 - 1; past that, numpy versions
     # differ (an empty float array or an error), so refuse first
-    if n_max >= np.iinfo(np.int64).max:
+    if n_max >= _INT64_MAX:
         raise ValueError(f"n_max={n_max} is beyond the int64 mode-index range")
     idx = np.arange(1, n_max + 1)
-    s = strain_overlaps(layout, idx, field_model)
+    s = _overlaps(layout.geometry, m, idx, field_model, _sine_table(m).take)
     raw = s * s
     total = raw.sum()
     if total <= 0.0:
         raise DegenerateCouplingError("no plate mode couples to this electrode configuration")
     eta = raw / total
     keep = eta >= PRUNE_REL * eta.max()
-    n = idx[keep]
-    return n, _mode_frequency(layout, v_p, n), eta[keep] / eta[keep].sum()
+    n, kept = idx[keep], eta[keep]
+    return n, _mode_frequency(layout, v_p, n), kept / kept.sum()
 
 
 def spectrum_to_mbvd(
@@ -387,6 +435,8 @@ def split_study(
     counts = [g.n_elements for g in geoms]
     if any(b <= a for a, b in zip(counts, counts[1:])):
         raise ValueError("element counts must be strictly ascending")
+    if n_max is not None:
+        n_max = _mode_count(n_max)
     records = []
     for geom in geoms:
         layout = build_layout(geom)

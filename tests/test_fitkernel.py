@@ -429,6 +429,20 @@ def test_select_branch_count_recovers_the_survey_under_noise(noise_db):
     assert recovered == RECOVERED[noise_db]
 
 
+def test_criterion_2_pipeline_recovers_c0_relative_to_the_truth():
+    # criterion 2's pipeline and noise (detect, initial_guess, fit; -80 dB,
+    # seed 100 + i), with c0 checked relative to the truth alone: the gate's
+    # pytest.approx adds an absolute 1e-12 F, more than any survey c0
+    for i, row in enumerate(SURVEY):
+        model = roundtrip_model(row.label)
+        grid = synthesis_grid(row.label)
+        tr = noisy_trace(model, grid, noise_db=-80.0, seed=100 + i)
+        res = fit(tr, initial_guess(tr, detect_resonances(tr)))
+        assert res.converged, row.label
+        c0, truth = metrics_from_model(res.model, tr.freqs).c0, metrics_from_model(model, grid).c0
+        assert abs(c0 - truth) <= 0.01 * truth, (row.label, c0, truth)
+
+
 @pytest.mark.parametrize("draw", [1, 2])
 def test_survey_b_at_minus_20_db_seeds_on_its_resonance(draw):
     # at -20 dB a noise peak by B's notch has a larger dB prominence than

@@ -24,8 +24,9 @@ from resokit.mbvd import (
     model_to_dict,
     synthesize_admittance,
 )
-from resokit.refdata import SURVEY, roundtrip_model, synthesis_grid
+from resokit.refdata import SURVEY, display_model, roundtrip_model, synthesis_grid
 
+import reference_mbvd
 from conftest import pair_model
 
 
@@ -278,6 +279,58 @@ def test_admittance_adds_branch_rows_one_at_a_time_in_fs_order(k, lossless_only)
     assert np.array_equal(adm.y.view(np.uint64), y.view(np.uint64))
     if lossless_only:  # the rows hold -0.0, so the sum's start at 0 shows in g's sign bits
         assert np.any(np.signbit(adm.yb.real))
+
+
+def same_bits(a: np.ndarray | None, b: np.ndarray | None) -> bool:
+    """Equal bit for bit, signed zeros and infinities included; a NaN only
+    has to sit where the other does (its payload is the platform's)."""
+    if a is None or b is None:
+        return a is b
+    a, b = (np.ascontiguousarray(v).view(float) for v in (a, b))
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and np.array_equal(a[~nan].view(np.uint64),
+                                                                b[~nan].view(np.uint64))
+
+
+# the in-band grid, the overflow and underflow grids of the CLI's synth
+# test, and grids reaching subnormal w c0 and w = inf
+REFERENCE_GRIDS = (np.linspace(0.5e9, 6e9, 2001), np.linspace(1e-300, 2e-300, 3),
+                   np.linspace(1e300, 1.7e308, 3),
+                   np.array([5e-324, 1e-310, 1e-200, 1.0, 1e200, 2.8e307, 2.9e307, 1.7e308]))
+
+
+def test_admittance_arrays_equals_the_complex_reference_bit_for_bit():
+    # each arm's impedance assembled from its parts equals the complex
+    # products 1/(r0 + 1/(j w c0)) and rm + 1j v of tests/reference_mbvd.py,
+    # over random 0-5-branch models with lossless branches, r0 and rs of
+    # 0.0, -0.0, 1e+-300 or a few ohms, and c0 from the survey's range to 1e+-300
+    rng = np.random.default_rng(28)
+    for trial in range(1200):
+        k = int(rng.integers(0, 6))
+        fs = np.sort(rng.uniform(1e9, 5e9, k))
+        c0 = 10.0 ** rng.uniform(-14, -12) if trial % 5 else 10.0 ** rng.uniform(-300, 300)
+        r0, rs = ((0.0, -0.0, 1e-300, 1e300, float(rng.uniform(0.0, 2.0)))[int(rng.integers(5))]
+                  for _ in range(2))
+        # as synthesize_admittance; a c0 far outside the survey's range
+        # also takes the branch elements out of it
+        with np.errstate(over="ignore", invalid="ignore"):
+            cm = c0 * rng.uniform(1e-3, 0.3, k)
+            lm = 1.0 / ((2 * math.pi * fs) ** 2 * cm)
+            rm = np.where(rng.random(k) < 0.3, 0.0, 2 * math.pi * fs * lm / rng.uniform(50, 3000, k))
+            args = (REFERENCE_GRIDS[trial % 4], c0, r0, rs, rm, lm, cm)
+            got, want = admittance_arrays(*args), reference_mbvd.admittance_arrays(*args)
+        assert all(same_bits(a, b) for a, b in zip(got, want)), (trial, args[1:])
+
+
+@pytest.mark.parametrize("grid", REFERENCE_GRIDS[1:3], ids=["bottom", "top"])
+def test_admittance_arrays_keeps_the_synth_overflow_grids_non_finite(grid):
+    model = display_model("L")
+    args = (grid, model.c0, model.r0, model.rs, *(np.array([getattr(b, name) for b in model.branches])
+                                                 for name in ("rm", "lm", "cm")))
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = admittance_arrays(*args), reference_mbvd.admittance_arrays(*args)
+    assert all(same_bits(a, b) for a, b in zip(got, want))
+    assert not np.isfinite(got.y).all()
 
 
 def test_synthesize_rejects_nonpositive_frequency():

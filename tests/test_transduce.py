@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -196,6 +197,48 @@ def test_overlaps_reject_bad_mode_index():
         strain_overlaps(lay, [0])
     with pytest.raises(ValueError):
         strain_overlaps(lay, [-2])
+
+
+@pytest.mark.parametrize("indices, named", [
+    ([1.5, 2.9], "1.5"),         # truncated to modes 1 and 2 by an int cast
+    ([4, 6.5], "6.5"),
+    ([math.nan], "nan"),         # an int cast fails without naming it
+    ([2**63], "9223372036854775808"),  # an int cast overflows
+    ([2**64], "18446744073709551616"),
+    ([4.0], "4.0"),              # a float, even a whole one
+], ids=["fractions", "one-fraction", "nan", "2**63", "2**64", "whole-float"])
+def test_overlaps_refuse_a_mode_index_that_is_not_an_int64_integer(indices, named):
+    lay = build_layout(dlvr(5))
+    with pytest.raises(ValueError, match=f"^mode index {named} is not an int64 integer$"):
+        strain_overlaps(lay, indices)
+
+
+def test_overlaps_take_numpy_integer_indices():
+    lay = build_layout(dlvr(5))
+    want = strain_overlaps(lay, [1, 4, 6, 2**62])
+    for dtype in (np.uint8, np.int32, np.int64, np.uint64):
+        np.testing.assert_array_equal(strain_overlaps(lay, np.array([1, 4, 6], dtype=dtype)), want[:3])
+    np.testing.assert_array_equal(strain_overlaps(lay, np.uint64(2**62)), want[3:])
+    np.testing.assert_array_equal(strain_overlaps(lay, [np.int16(6), np.int64(4)]), want[[2, 1]])
+
+
+@pytest.mark.parametrize("n_max", [10.5, 10.0, math.nan, np.float64(12.0), "10"])
+def test_mode_couplings_and_split_study_refuse_a_non_integer_n_max(n_max):
+    message = f"^n_max={re.escape(repr(n_max))} is not an integer$"
+    with pytest.raises(ValueError, match=message):
+        mode_couplings(build_layout(dlvr(5)), 3426.0, n_max)
+    with pytest.raises(ValueError, match=message):
+        split_study([dlvr(5), dlvr(10)], 3426.0, n_max=n_max)
+
+
+def test_mode_couplings_take_a_numpy_integer_n_max():
+    lay = build_layout(dlvr(5))
+    want = mode_couplings(lay, 3426.0, 12)
+    for n_max in (np.int64(12), np.uint16(12)):
+        spec = mode_couplings(lay, 3426.0, n_max)
+        assert spec == want
+        assert all(type(m.n) is int for m in spec.modes)
+    assert split_study([dlvr(5)], 3426.0, n_max=np.int32(12)) == split_study([dlvr(5)], 3426.0, n_max=12)
 
 
 # ---------------------------------------------------------------- spectrum

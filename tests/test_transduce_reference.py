@@ -184,3 +184,24 @@ def test_split_study_pair_is_the_spectrum_pair(topology, field, coverage):
             assert record.modes == spectrum.dominant_modes()
             assert all(type(m.n) is int and type(m.f_n) is float and type(m.eta) is float
                        for m in record.modes)
+
+
+def bits(a) -> np.ndarray:
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def test_sine_table_is_sin_steps_bit_for_bit():
+    # one period from a quarter wave, mirrored and negated: the same np.sin
+    # values as _sin_steps folds them, -0.0 at x = 2m included; np.sin sees
+    # the same angles at other positions of other arrays, so this also pins
+    # that its result does not depend on where an element sits
+    rng = np.random.default_rng(28)
+    for m in range(1, 1201):
+        period = 4 * m
+        table = transduce._sine_table(m)
+        assert table.shape == (period,)
+        assert np.array_equal(bits(table), bits(transduce._sin_steps(np.arange(period), m)))
+        assert bits(table[2 * m]) == bits(-0.0)
+        x = np.concatenate((rng.integers(0, 2**62, 16), 2**62 + rng.integers(-period, period, 16),
+                            [2**63 - 1]))
+        assert np.array_equal(bits(table[x % period]), bits(transduce._sin_steps(x, m)))
