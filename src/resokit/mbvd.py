@@ -8,9 +8,12 @@ series RLC branch per acoustic mode, all behind a lead resistance Rs:
     Y_branch_k = 1 / (rm_k + j w lm_k + 1/(j w cm_k))
 
 Closed-form relations tie the electrical elements to resonator metrics:
-series resonance fs = 1/(2 pi sqrt(lm cm)), parallel resonance
-fp = fs sqrt(1 + cm/c0_eff), coupling kt2 = (pi^2/8)(fp^2 - fs^2)/fp^2,
-and mechanical quality qm = 2 pi fs lm / rm.
+series resonance fs = 1/(2 pi sqrt(lm cm)), coupling
+kt2 = (pi^2/8)(fp^2 - fs^2)/fp^2 and mechanical quality qm = 2 pi fs lm / rm.
+The parallel resonance fp is the root of the lossless susceptance over w,
+c0 + sum_k cm_k / (1 - (f/fs_k)^2), above the dominant fs, which is
+fs sqrt(1 + cm/c0) for one branch.  Q_s and Q_p are (w/2)|d arg Y/dw| at fs
+and fp, from the exact derivative of Y.
 """
 
 from __future__ import annotations
@@ -153,7 +156,7 @@ def admittance_arrays(
 
     Branch quantities are (nbranch, nfreq) rows over contiguous frequency,
     added one at a time from 0 in the order of rm/lm/cm (the model's fs
-    order, as _model_y passes them), then the static arm: an order fixed
+    order, as _elements gives them), then the static arm: an order fixed
     for any branch count, where np.sum pairs four or more rows up.
 
     Each arm's impedance is built from its parts and inverted with one
@@ -187,11 +190,23 @@ def admittance_arrays(
     return Admittance(w, yst, yb, g, y)
 
 
-def _model_y(model: MbvdModel, freqs: np.ndarray) -> np.ndarray:
-    rm = np.array([b.rm for b in model.branches])
-    lm = np.array([b.lm for b in model.branches])
-    cm = np.array([b.cm for b in model.branches])
-    return admittance_arrays(freqs, model.c0, model.r0, model.rs, rm, lm, cm).y
+def _elements(model: MbvdModel) -> list[np.ndarray]:
+    """The branches' rm, lm and cm arrays, in the model's fs order."""
+    return [np.array([getattr(b, name) for b in model.branches]) for name in ("rm", "lm", "cm")]
+
+
+def _y_and_slope(model: MbvdModel, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The model's Y and dY/dw at freqs, from admittance_arrays' intermediates:
+    dyst/dw = yst^2/(j w^2 c0), dyb/dw = -yb^2 j(lm + 1/(w^2 cm)) and, behind
+    rs, dY/dw = (Y/G)^2 dG/dw."""
+    rm, lm, cm = _elements(model)
+    w, yst, yb, g, y = admittance_arrays(freqs, model.c0, model.r0, model.rs, rm, lm, cm)
+    w2 = w * w
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        dg = yst * yst / (1j * w2 * model.c0)
+        if yb is not None:
+            dg = dg - (yb * yb * (1j * (lm[:, None] + 1.0 / (w2 * cm[:, None])))).sum(axis=0)
+        return y, (y / g) ** 2 * dg if model.rs != 0.0 else dg
 
 
 def synthesize_admittance(model: MbvdModel, freqs: np.ndarray) -> ComplexTrace:
@@ -205,7 +220,7 @@ def synthesize_admittance(model: MbvdModel, freqs: np.ndarray) -> ComplexTrace:
     if freqs.size and freqs[0] <= 0:
         raise ValueError("frequencies must be positive")
     with np.errstate(over="ignore", invalid="ignore"):
-        y = _model_y(model, freqs)
+        y = admittance_arrays(freqs, model.c0, model.r0, model.rs, *_elements(model)).y
     finite = np.isfinite(y)
     if not finite.all():
         raise ValueError(f"the model's admittance leaves the float range at "
@@ -252,52 +267,47 @@ def kt2_from_frequencies(fs: float, fp: float) -> float:
     return KT2_PREFACTOR * (fp**2 - fs**2) / fp**2
 
 
-def _fp_closed(model: MbvdModel, k: int, fs_list: list[float]) -> float:
-    """Closed-form antiresonance of branch k against the stiffened static arm."""
-    fs_k = fs_list[k]
-    # Off-resonant branches above fs_k still look capacitive there and
-    # stiffen the static branch.
-    c0_eff = model.c0 + sum(b.cm for j, b in enumerate(model.branches) if fs_list[j] > fs_k)
-    return fs_k * math.sqrt(1.0 + model.branches[k].cm / c0_eff)
+def _fp_lossless(model: MbvdModel, fs: float, fs_next: float) -> float:
+    """Antiresonance of the branch at fs: the root of the lossless susceptance
+    over w, c0 + sum_j cm_j / (1 - (f/fs_j)^2), between fs and the next
+    branch's fs_next (math.inf for none).
 
-
-def _fp_search(model: MbvdModel, k: int, fs_list: list[float]) -> float | None:
-    """Numeric antiresonance of branch k: first upward zero of Im(Y) above fs_k.
-
-    Returns None when no crossing exists in the scan window (overdamped
-    branch).
+    The sum rises strictly there, from -inf to +inf (or towards c0 > 0 with
+    no branch above), so it has one root, bisected to adjacent floats.  One
+    branch keeps the closed form fs sqrt(1 + cm/c0).
     """
-    fs_k = fs_list[k]
-    fp_closed = _fp_closed(model, k, fs_list)
-    hi = fp_closed + 6.0 * (fp_closed - fs_k)
-    nxt = [f for f in fs_list if f > fs_k]
-    if nxt:
-        hi = min(hi, min(nxt) * (1.0 - 1e-3))
-    lo = fs_k * (1.0 + 1e-9)
-    if hi <= lo:
-        return None
-    grid = np.linspace(lo, hi, 4001)
-    vals = _model_y(model, grid).imag
-    sign = np.sign(vals)
-    idx = np.nonzero((sign[:-1] < 0) & (sign[1:] > 0))[0]
-    if idx.size == 0:
-        # Exact zeros on grid points count as crossings.
-        zero = np.nonzero(vals == 0.0)[0]
-        if zero.size:
-            return float(grid[zero[0]])
-        return None
-    a, b = grid[idx[0]], grid[idx[0] + 1]
-    # Each round shrinks the bracket 100-fold.  Im(Y) is smooth on the
-    # scale of the final bracket (below 1e-9 of the scan window), so the
-    # secant step there lands far inside 1e-12 relative of the root.
-    for _ in range(3):
-        grid = np.linspace(a, b, 101)
-        vals = _model_y(model, grid).imag
-        i = 1 + int(np.argmax((vals[:-1] < 0) & (vals[1:] >= 0)))
-        if vals[i] == 0.0:
-            return float(grid[i])
-        a, b, va, vb = grid[i - 1], grid[i], vals[i - 1], vals[i]
-    return float(a - va * (b - a) / (vb - va))
+    branches = model.branches
+    if len(branches) == 1:
+        return fs * math.sqrt(1.0 + branches[0].cm / model.c0)
+    # cm_j fs_j^2 / ((fs_j - f)(fs_j + f)): 1 - (f/fs_j)^2 can round to 0 off the pole
+    poles = [(b.cm * b.fs * b.fs, b.fs) for b in branches]
+    # at fs sqrt(2 + 2 sum cm / c0) the sum exceeds c0 - sum cm_j / ((f/fs)^2 - 1) > c0 / 2
+    lo, hi = fs, min(fs_next, fs * math.sqrt(2.0 + 2.0 * sum(b.cm for b in branches) / model.c0))
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if model.c0 + sum(a / ((f_j - mid) * (f_j + mid)) for a, f_j in poles) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def _lossy_zero(model: MbvdModel, fp: float, fs: float, fs_next: float) -> float | None:
+    """The upward zero of Im(Y) that Newton's method reaches from the lossless
+    antiresonance fp, or None for an overdamped branch: when an iterate
+    leaves (fs, fs_next) or Im(Y) does not rise through zero within
+    +-1e-12 relative of the last one."""
+    f = fp
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(50):
+            y, dy = _y_and_slope(model, np.array([f]))
+            step = float(y[0].imag / (TWO_PI * dy[0].imag))
+            f -= step
+            if not fs < f < fs_next:
+                return None
+            if abs(step) <= 1e-15 * f:
+                break
+    im_y = _y_and_slope(model, f * np.array([1.0 - 1e-12, 1.0 + 1e-12]))[0].imag
+    return f if im_y[0] < 0.0 < im_y[1] else None
 
 
 def q_from_phase_slope(trace: ComplexTrace, f0: float) -> float:
@@ -349,14 +359,15 @@ FS_EDGE_LINEWIDTHS = 3.0
 
 @dataclass(frozen=True)
 class ResonatorMetrics:
-    """Scalar figures of merit for one device.
+    """Scalar figures of merit for one device (see metrics_from_model).
 
-    fp-derived fields (fp, qp, kt2, fom) are None when the antiresonance
-    was absent or fell outside the analysis grid; flags records why, and
-    fs-near-edge marks a dominant fs within FS_EDGE_LINEWIDTHS linewidths
-    of a grid end.
-    qs/qp of +inf mark a lossless model (phase-slope Q above the 1e6
-    sentinel).  fom = qs * kt2 by construction.
+    fp-derived fields (fp, qp, kt2, fom) are None when the branch is
+    overdamped (fp-absent) or fp lies beyond the analysis span
+    (fp-unbracketed); fp-crosscheck marks a lossy zero of Im(Y) more than
+    FP_CROSSCHECK_RTOL off fp, and fs-near-edge a dominant fs within
+    FS_EDGE_LINEWIDTHS linewidths of a span end.
+    qs/qp of +inf mark a lossless pole or a Q above the 1e6 sentinel.
+    fom = qs * kt2 by construction.
     """
 
     fs: float
@@ -396,91 +407,70 @@ class ResonatorMetrics:
         }
 
 
-def _dense_local_grid(f0: float, q_guess: float, lo: float, hi: float) -> np.ndarray:
-    """Even-count grid straddling f0, sized to resolve a Q of q_guess.
-
-    Even count keeps the exact resonance point off the grid so lossless
-    models never evaluate at a pole.  The five-point phase slope reads
-    low by about (17/15)(2 q h / f0)^2 on an arctangent phase profile of
-    quality q sampled at spacing h, so the window is kept to f0/q total
-    half-width: 400 points then put the bias near 1e-4, below rendering
-    precision even for figure-of-merit integers.
-    """
-    q = min(max(q_guess, 20.0), Q_SENTINEL)
-    half = f0 * 1.0 / q
-    a = max(f0 - half, lo, f0 * 1e-6)
-    b = min(f0 + half, hi)
-    if not b > a:
-        a, b = lo, hi
-    return np.linspace(a, b, 400)
-
-
 def metrics_from_model(model: MbvdModel, grid: np.ndarray) -> ResonatorMetrics:
     """Report metrics of the dominant branch evaluated against a grid span.
 
-    Q_s and Q_p come from the phase slope of the model's own densely
-    resynthesized admittance / impedance around fs and fp, so they are
-    grid-noise free.  The passed grid fixes the admissible analysis span:
-    a dominant fs outside it is an EstimationError, and an fp beyond it
-    leaves the fp-derived fields None and sets a flag.
+    fp is the circuit's own lossless antiresonance above the dominant fs,
+    so kt2 comes from the device's own resonance pair for any branch count.
+    Q_s and Q_p are (w/2)|d arg Y/dw| at fs and fp, from the circuit's exact
+    derivative.  At a lossless pole two rules stand in for that slope: a
+    dominant branch with rm = 0 has Q_s = 2 pi fs lm / rs, its limit there
+    (+inf without rs), and a model with r0 = 0 and every rm = 0 has
+    Q_p = +inf.  Only the grid's ends are read: they must be finite,
+    positive and increasing (else a ValueError); a dominant fs outside
+    them is an EstimationError, and an fp beyond them leaves the
+    fp-derived fields None and sets a flag.
     """
     grid = np.asarray(grid, dtype=float).reshape(-1)
     if grid.size < 2:
         raise ValueError("grid must contain at least two frequencies")
+    f_lo, f_hi = float(grid[0]), float(grid[-1])
+    if not 0.0 < f_lo < f_hi < math.inf:
+        raise ValueError(f"analysis span [{f_lo:.6g}, {f_hi:.6g}] Hz is not a finite, "
+                         f"positive, increasing pair of frequencies")
     if not model.branches:
         raise ValueError("model has no motional branches")
-    f_lo, f_hi = float(grid[0]), float(grid[-1])
 
-    dom = model.dominant_index
-    fs_list = [b.fs for b in model.branches]
-    fs = fs_list[dom]
+    dom_branch = model.branches[model.dominant_index]
+    fs = dom_branch.fs
     if not f_lo <= fs <= f_hi:
         raise EstimationError(f"fitted dominant resonance {fs:.6g} Hz lies outside the "
                               f"measured span [{f_lo:.6g}, {f_hi:.6g}] Hz")
-    fp_num = _fp_search(model, dom, fs_list)
-    fp_closed = _fp_closed(model, dom, fs_list)
+    fs_next = min((b.fs for b in model.branches if b.fs > fs), default=math.inf)
+    fp = _fp_lossless(model, fs, fs_next)
+    fp_lossy = _lossy_zero(model, fp, fs, fs_next)
+
+    freqs = np.array([fs, fp])
+    y, dy = _y_and_slope(model, freqs)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        qs, qp = (math.pi * freqs * np.abs((dy / y).imag)).tolist()
+    if dom_branch.rm == 0:
+        qs = TWO_PI * fs * dom_branch.lm / model.rs if model.rs else math.inf
+    if model.r0 == 0 and all(b.rm == 0 for b in model.branches):
+        qp = math.inf
+    qs, qp = (math.inf if q > Q_SENTINEL else q for q in (qs, qp))
 
     flags: list[str] = []
-    dom_branch = model.branches[dom]
-    qm = dom_branch.qm
-    q_guess = qm if math.isfinite(qm) else Q_SENTINEL
-
-    g_s = _dense_local_grid(fs, q_guess, f_lo, f_hi)
-    y_s = _model_y(model, g_s)
-    qs = q_from_phase_slope(ComplexTrace(freqs=g_s, values=y_s), fs)
-    if qs > Q_SENTINEL:
-        qs = math.inf
-
     # distance < FS_EDGE_LINEWIDTHS * fs / qs, which also holds for qs = 0
     if min(fs - f_lo, f_hi - fs) * qs < FS_EDGE_LINEWIDTHS * fs:
         flags.append("fs-near-edge")
-    if fp_num is None:
+    if fp_lossy is None:
         flags.append("fp-absent")
-    elif fp_closed > f_hi:
+    elif fp > f_hi:
         flags.append("fp-unbracketed")
-    elif abs(fp_num - fp_closed) > FP_CROSSCHECK_RTOL * fp_closed:
-        # Lossy zero crossing drifts off the closed form at very low Q;
-        # the closed form stays the reported value.
+    elif abs(fp_lossy - fp) > FP_CROSSCHECK_RTOL * fp:
+        # the lossy zero drifts off the lossless root at very low Q; the
+        # lossless root stays the reported value
         flags.append("fp-crosscheck")
-    if fp_num is None or fp_closed > f_hi:
+    if fp_lossy is None or fp > f_hi:
         return ResonatorMetrics(
-            fs=fs, fp=None, qs=qs, qp=None, qm=qm, kt2=None, c0=model.c0,
+            fs=fs, fp=None, qs=qs, qp=None, qm=dom_branch.qm, kt2=None, c0=model.c0,
             fom=None, flags=tuple(flags),
         )
-    fp = fp_closed
-
     kt2 = kt2_from_frequencies(fs, fp)
-    g_p = _dense_local_grid(fp, q_guess, f_lo, f_hi)
-    y_p = _model_y(model, g_p)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z_p = 1.0 / y_p
-    qp = q_from_phase_slope(ComplexTrace(freqs=g_p, values=z_p), fp)
-    if qp > Q_SENTINEL:
-        qp = math.inf
-    fom = qs * kt2
     return ResonatorMetrics(
-        fs=fs, fp=fp, qs=qs, qp=qp, qm=qm, kt2=kt2, c0=model.c0,
-        fom=fom, flags=tuple(flags),
+        fs=fs, fp=fp, qs=qs, qp=qp, qm=dom_branch.qm, kt2=kt2, c0=model.c0,
+        fom=qs * kt2, flags=tuple(flags),
     )
 
 

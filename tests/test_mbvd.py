@@ -12,7 +12,8 @@ import pytest
 from resokit.errors import DegenerateCouplingError, EstimationError
 from resokit.mbvd import (
     KT2_PREFACTOR,
-    _fp_search,
+    _fp_lossless,
+    _lossy_zero,
     _median,
     admittance_arrays,
     MbvdModel,
@@ -22,12 +23,13 @@ from resokit.mbvd import (
     metrics_from_model,
     model_from_dict,
     model_to_dict,
+    q_from_phase_slope,
     synthesize_admittance,
 )
 from resokit.refdata import SURVEY, display_model, roundtrip_model, synthesis_grid
 
 import reference_mbvd
-from conftest import pair_model
+from conftest import PAIR_GRID, pair_model
 
 
 def single_branch_model(fs, qm, kt2, c0):
@@ -385,6 +387,49 @@ def test_metrics_lossless_reports_inf():
     assert d["q_m"] == "inf"
 
 
+def phase_difference_q(model, f, h=1e-7):
+    """(f/2)|d arg Y/df| from the central difference over f(1 -+ h)."""
+    y = synthesize_admittance(model, f * np.array([1.0 - h, 1.0 + h])).values
+    return abs(np.angle(y[1] / y[0])) / (4.0 * h)
+
+
+def lossless_branch(fs=1e9):
+    b = branch_from_metrics(fs, 100.0, 0.05, 100e-15)
+    return MotionalBranch(rm=0.0, lm=b.lm, cm=b.cm)
+
+
+@pytest.mark.parametrize("fs", [1e9, 1.02e9], ids=["near-pole", "on-pole"])
+@pytest.mark.parametrize("r0, rs", [(0.0, 0.0), (20.0, 0.0), (0.0, 20.0), (20.0, 20.0)])
+def test_metrics_lossless_rules(r0, rs, fs):
+    # a lossless branch is a pole of Y at fs: Q_s is inf without rs, and
+    # behind rs it is the phase slope's limit 2 pi fs lm / rs there; Q_p is
+    # inf only when nothing in the parallel section dissipates.  At 1.02 GHz
+    # lm w - 1/(cm w) is exactly 0 at the float fs, where the forward pass
+    # gives NaN.
+    b = lossless_branch(fs)
+    m = MbvdModel(c0=100e-15, r0=r0, rs=rs, branches=(b,))
+    met = metrics_from_model(m, np.linspace(0.9e9, 1.3e9, 1001))
+    if rs == 0.0:
+        assert math.isinf(met.qs)
+    else:
+        assert met.qs == pytest.approx(2 * math.pi * b.fs * b.lm / rs, rel=1e-12)
+        assert met.qs == pytest.approx(phase_difference_q(m, met.fs), rel=1e-6)
+    if r0 == 0.0:
+        assert math.isinf(met.qp)
+    else:
+        assert met.qp == pytest.approx(phase_difference_q(m, met.fp), rel=1e-6)
+
+
+def test_metrics_lossless_dominant_beside_a_lossy_branch():
+    # the lossy branch dissipates at fp, so Q_p is finite while Q_s stays inf
+    side = branch_from_metrics(1.2e9, 5.0, 0.02, 100e-15)
+    m = MbvdModel(c0=100e-15, r0=0.0, rs=0.0, branches=(lossless_branch(), side))
+    met = metrics_from_model(m, np.linspace(0.9e9, 1.5e9, 1001))
+    assert math.isinf(met.qs)
+    assert math.isfinite(met.qp)
+    assert met.qp == pytest.approx(phase_difference_q(m, met.fp), rel=1e-6)
+
+
 def test_metrics_overdamped_flags_fp_absent():
     # Q well below 1: no susceptance zero crossing above fs
     m = single_branch_model(1e9, 0.4, 0.10, 100e-15)
@@ -394,6 +439,50 @@ def test_metrics_overdamped_flags_fp_absent():
     assert met.kt2 is None
     assert met.fom is None
     assert met.fs is not None
+
+
+@pytest.mark.parametrize("side_fs", [0.8e9, 1.3e9], ids=["below", "above"])
+def test_metrics_two_branch_overdamped_flags_fp_absent(side_fs):
+    # the overdamped branch stays without a lossy zero beside a weak high-Q
+    # branch below or above it, which moves its lossless root
+    main = branch_from_metrics(1e9, 0.4, 0.10, 100e-15)
+    side = branch_from_metrics(side_fs, 500.0, 0.01, 100e-15)
+    m = MbvdModel(c0=100e-15, branches=tuple(sorted((main, side), key=lambda b: b.fs)))
+    met = metrics_from_model(m, np.linspace(0.7e9, 1.4e9, 1001))
+    assert "fp-absent" in met.flags
+    assert (met.fp, met.qp, met.kt2, met.fom) == (None, None, None, None)
+    assert met.fs == main.fs
+
+
+def box_model(rng, nbranch):
+    """A model over the paper's box, Q_m log-uniform in [0.3, 3000], with a
+    second branch below or above the first at 1/50-1/2 of its cm, and r0 and
+    rs each 0 or a few ohms."""
+    qm = lambda: 10.0 ** rng.uniform(math.log10(0.3), math.log10(3000.0))
+    fs, c0 = rng.uniform(2e9, 16e9), rng.uniform(10e-15, 200e-15)
+    branches = [branch_from_metrics(fs, qm(), rng.uniform(0.01, 0.33), c0)]
+    if nbranch == 2:
+        f2 = fs * rng.choice([rng.uniform(0.7, 0.95), rng.uniform(1.05, 1.4)])
+        cm2 = branches[0].cm / rng.uniform(2.0, 50.0)
+        lm2 = 1.0 / ((2 * math.pi * f2) ** 2 * cm2)
+        branches.append(MotionalBranch(rm=2 * math.pi * f2 * lm2 / qm(), lm=lm2, cm=cm2))
+    r0, rs = (rng.choice([0.0, rng.uniform(0.5, 5.0)]) for _ in range(2))
+    return MbvdModel(c0=c0, r0=float(r0), rs=float(rs),
+                     branches=tuple(sorted(branches, key=lambda b: b.fs)))
+
+
+def test_metrics_q_is_the_phase_slope_over_the_box():
+    # Q_s and Q_p against a central phase difference at +-1e-7 f, whose
+    # truncation error (2 Q h)^2 / 3 is 1.2e-7 at Q 3000; abs covers its
+    # rounding, a few ulp of phase over 4e-7, on Q_s far below 1
+    rng = np.random.default_rng(5)
+    for i in range(400):
+        m = box_model(rng, 1 + i % 2)
+        fs = m.branches[m.dominant_index].fs
+        met = metrics_from_model(m, np.array([0.5 * fs, 3.0 * fs]))
+        assert met.qs == pytest.approx(phase_difference_q(m, met.fs), rel=1e-6, abs=1e-8), i
+        if met.qp is not None:
+            assert met.qp == pytest.approx(phase_difference_q(m, met.fp), rel=1e-6), i
 
 
 def test_metrics_low_q_flags_crosscheck():
@@ -406,21 +495,22 @@ def test_metrics_low_q_flags_crosscheck():
     assert met.fp == pytest.approx(b.fs * math.sqrt(1.0 + b.cm / m.c0), rel=1e-12)
 
 
-def test_fp_search_brackets_root_to_1e12():
-    # Im(Y) changes sign within 1e-12 relative of the refined crossing,
-    # including the low-Q row J where it sits off the closed form.
+def test_lossy_zero_brackets_root_to_1e12():
+    # Newton from the lossless root lands where Im(Y) changes sign within
+    # 1e-12 relative, including the low-Q row J where it sits off that root
     for r in SURVEY:
         m = roundtrip_model(r.label)
-        fp = _fp_search(m, 0, [b.fs for b in m.branches])
-        im_y = synthesize_admittance(m, fp * np.array([1 - 1e-12, 1 + 1e-12])).values.imag
+        fs = m.branches[0].fs
+        zero = _lossy_zero(m, _fp_lossless(m, fs, math.inf), fs, math.inf)
+        im_y = synthesize_admittance(m, zero * np.array([1 - 1e-12, 1 + 1e-12])).values.imag
         assert im_y[0] < 0.0 < im_y[1], r.label
 
 
 @pytest.mark.parametrize("coupling", [5.0, 20.0, 100.0])
-def test_fp_search_stops_below_the_next_branch(coupling):
-    # criterion 3's pair: the window ends just below the 3.3 GHz branch, and
-    # the search lands on the lossless root of
-    # c0 + sum cm_j / (1 - (f / fs_j)^2) between the two branches
+def test_pair_fp_is_the_lossless_root(coupling):
+    # criterion 3's pair: fp is the root of the lossless susceptance
+    # c0 + sum cm_j / (1 - (f / fs_j)^2) between the two branches, and Q_p
+    # the phase slope of the circuit there
     m = pair_model(coupling)
     fs_list = [b.fs for b in m.branches]
 
@@ -432,9 +522,16 @@ def test_fp_search_stops_below_the_next_branch(coupling):
     for _ in range(100):
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if susceptance(mid) < 0.0 else (lo, mid)
-    fp = _fp_search(m, 0, fs_list)
-    assert fp == pytest.approx(lo, rel=1e-4)
-    assert fp < fs_list[1] * (1.0 - 1e-3)
+    met = metrics_from_model(m, PAIR_GRID)
+    assert met.fp == pytest.approx(lo, rel=1e-12)
+    assert met.kt2 == pytest.approx(kt2_from_frequencies(fs_list[0], lo), rel=1e-11)
+    assert met.flags == ()
+    # the five-point slope reads low by about (17/15)(2 Q h / f0)^2, 3e-5 here
+    dense = np.linspace(lo * (1 - 1e-3), lo * (1 + 1e-3), 400)
+    slope_q = q_from_phase_slope(synthesize_admittance(m, dense), lo)
+    assert met.qp == pytest.approx(slope_q, rel=1e-3)
+    # the lossy zero stays clear of the next branch
+    assert _lossy_zero(m, met.fp, fs_list[0], fs_list[1]) < fs_list[1] * (1.0 - 1e-3)
 
 
 def test_metrics_narrow_grid_flags_unbracketed():
@@ -482,6 +579,17 @@ def test_metrics_reject_fs_outside_the_grid(grid, span):
         metrics_from_model(m, grid)
     assert str(exc.value) == (
         f"fitted dominant resonance 1e+09 Hz lies outside the measured span {span} Hz")
+
+
+@pytest.mark.parametrize("ends", [(math.nan, 2e9), (2e9, 0.9e9), (0.0, 2e9), (-1e9, 2e9),
+                                  (1e9, math.inf), (1e9, 1e9)])
+def test_metrics_reject_a_malformed_span(ends):
+    # only the grid's ends are read, and they must bound a real span
+    m = single_branch_model(1e9, 500.0, 0.20, 100e-15)
+    with pytest.raises(ValueError, match=re.escape(
+            f"analysis span [{ends[0]:.6g}, {ends[1]:.6g}] Hz is not a finite, positive, "
+            f"increasing pair of frequencies")):
+        metrics_from_model(m, np.array([ends[0], 1e9, ends[1]]))
 
 
 def test_metrics_empty_model_rejected():
