@@ -159,7 +159,6 @@ def _candidates_doc(candidates) -> list[dict]:
         "fp_est_hz": c.fp_est,
         "prominence_db": c.prominence_db,
         "significance": c.significance if c.significance < np.inf else "inf",
-        "span": list(c.span),
     } for c in candidates]
 
 

@@ -41,17 +41,17 @@ class EstimationError(ToolkitError):
 
 
 class InductiveBackgroundError(EstimationError):
-    """The static capacitance fitted to the off-resonance susceptance came
-    out non-positive.
+    """The static capacitance of the seed's whole-trace solve came out
+    non-positive.
 
-    That value (F), the slope of the static susceptance, is attached so
-    callers can report how inductive the background looked.
+    That value (F), the slope of the static susceptance, is attached as
+    ``slope`` so callers can report how inductive the background looked.
     """
 
     def __init__(self, slope: float):
         self.slope = slope
         super().__init__(
-            f"off-resonance susceptance slope is not capacitive (slope {slope:.6g} F)"
+            f"static capacitance of the seed is not positive ({slope:.6g} F)"
         )
 
 

@@ -1,11 +1,11 @@
 """Direct estimators that turn a measured admittance trace into fit seeds.
 
 No iteration here: resonance candidates come from prominence-based peak
-picking on |Y| in dB, scored by their height over the trace's noise, the
-static capacitance from a linear fit of the off-resonance susceptance with
-the seeded resonances as fixed poles, and the motional elements from the
-candidates' fs/fp pairs and peak heights.  Output quality only needs to
-land inside the fit engine's basin of attraction.
+picking on |Y| in dB, scored by their height over the trace's noise, and
+the seed's static and motional capacitances from one linear least-squares
+solve over the whole trace, with the seeded resonances as fixed lossy
+poles.  Output quality only needs to land inside the fit engine's basin
+of attraction.
 """
 
 from __future__ import annotations
@@ -16,29 +16,25 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EstimationError, InductiveBackgroundError
+from .errors import InductiveBackgroundError
 from .mbvd import TWO_PI, MbvdModel, MotionalBranch, _median
 from .netparams import ComplexTrace
 
-# Half-prominence widths are inflated by this factor to form exclusion
-# spans; resonance susceptance tails decay slowly (~1/detuning).
-_SPAN_WIDEN = 8.0
+# Range of the seeded branch quality factors.
+_Q_MIN, _Q_MAX = 5.0, 1e5
 
 
 @dataclass(frozen=True)
 class ResonanceCandidate:
-    """One detected resonance: estimates plus the grid span it occupies.
-
-    significance is the height over the noise (see detect_resonances); span
-    is an inclusive (lo, hi) pair of grid indices covering the feature, used
-    to mask resonant points out of baseline estimates.
+    """One detected resonance: the peak's frequency fs_est, the following
+    notch's fp_est (None without one), the peak's dB prominence, and its
+    significance, the height over the noise (see detect_resonances).
     """
 
     fs_est: float
     fp_est: float | None
     prominence_db: float
     significance: float
-    span: tuple[int, int]
 
     def __post_init__(self):
         if not self.fs_est > 0:
@@ -47,9 +43,6 @@ class ResonanceCandidate:
             raise ValueError("fp_est must exceed fs_est when present")
         if not self.significance >= 0:
             raise ValueError("significance must be >= 0")
-        lo, hi = self.span
-        if lo > hi or lo < 0:
-            raise ValueError(f"bad span {self.span!r}")
 
 
 def _higher_peak_starts(peaks: list[int], heights: list[float]) -> list[int]:
@@ -71,9 +64,7 @@ def _prominent_peaks(x: np.ndarray, min_prominence: float):
     counts once at its midpoint, the first and last samples are never
     peaks, and a peak's prominence is its height above the higher of the
     two minima between it and the nearest strictly higher sample (or the
-    array end) on either side.  left_ips/right_ips are the linearly
-    interpolated crossings of half the prominence below the peak.
-    Returns (peaks, prominences, left_ips, right_ips).
+    array end) on either side.  Returns (peaks, prominences).
     """
     n = x.size
     step = np.diff(x)
@@ -83,7 +74,7 @@ def _prominent_peaks(x: np.ndarray, min_prominence: float):
     # plateau from nz[k] + 1 to nz[k + 1], kept at its midpoint
     peaks = (nz[top] + 1 + nz[top + 1]) // 2
     if peaks.size == 0:
-        return peaks, np.empty(0), np.empty(0), np.empty(0)
+        return peaks, np.empty(0)
     heights = x[peaks]
     left_start = np.array(_higher_peak_starts(peaks.tolist(), heights.tolist()))
     mirrored = _higher_peak_starts((n - 1 - peaks[::-1]).tolist(), heights[::-1].tolist())
@@ -96,24 +87,7 @@ def _prominent_peaks(x: np.ndarray, min_prominence: float):
     prominences = heights - np.maximum(left_min, right_min)
 
     keep = prominences >= min_prominence
-    peaks, prominences = peaks[keep], prominences[keep]
-    left_ips = np.empty(peaks.size)
-    right_ips = np.empty(peaks.size)
-    xs = x.tolist()
-    for k, p in enumerate(peaks.tolist()):
-        # A peak stands strictly above its neighbours, so its prominence is
-        # positive and both segment minima lie below the half height: each
-        # walk stops inside the peak's segment.
-        h = xs[p] - prominences[k] * 0.5
-        i = p
-        while xs[i] > h:
-            i -= 1
-        left_ips[k] = i + (h - xs[i]) / (xs[i + 1] - xs[i]) if xs[i] < h else i
-        i = p
-        while xs[i] > h:
-            i += 1
-        right_ips[k] = i - (h - xs[i]) / (xs[i - 1] - xs[i]) if xs[i] < h else i
-    return peaks, prominences, left_ips, right_ips
+    return peaks[keep], prominences[keep]
 
 
 def _noise_sigma(trace: ComplexTrace) -> float:
@@ -141,24 +115,17 @@ def detect_resonances(trace: ComplexTrace, threshold_db: float = 3.0) -> list[Re
     mag = np.abs(trace.values)
     mag_db = 20.0 * np.log10(np.maximum(mag, 1e-300))
 
-    peaks, prominences, left_ips, right_ips = _prominent_peaks(mag_db, threshold_db)
+    peaks, prominences = _prominent_peaks(mag_db, threshold_db)
     if peaks.size == 0:
         return []
-    mins, _, _, m_right = _prominent_peaks(-mag_db, threshold_db)
+    mins, _ = _prominent_peaks(-mag_db, threshold_db)
+    following = np.searchsorted(mins, peaks).tolist()
     sigma = _noise_sigma(trace)
 
-    n = trace.npoints
     out: list[ResonanceCandidate] = []
     for i, p in enumerate(peaks):
-        lo = int(math.floor(p - _SPAN_WIDEN * max(p - left_ips[i], 1.0)))
-        hi = int(math.ceil(p + _SPAN_WIDEN * max(right_ips[i] - p, 1.0)))
-        fp_est = None
-        following = np.flatnonzero(mins > p)
-        if following.size:
-            j = int(following[0])
-            m_idx = int(mins[j])
-            fp_est = float(trace.freqs[m_idx])
-            hi = max(hi, int(math.ceil(m_idx + _SPAN_WIDEN * max(m_right[j] - m_idx, 1.0))))
+        j = following[i]
+        fp_est = float(trace.freqs[mins[j]]) if j < mins.size else None
         height = float(mag[p]) * (1.0 - 10.0 ** (-float(prominences[i]) / 20.0))
         out.append(
             ResonanceCandidate(
@@ -166,62 +133,29 @@ def detect_resonances(trace: ComplexTrace, threshold_db: float = 3.0) -> list[Re
                 fp_est=fp_est,
                 prominence_db=float(prominences[i]),
                 significance=height / sigma if sigma > 0 else math.inf,
-                span=(max(lo, 0), min(hi, n - 1)),
             )
         )
     return out
 
 
-def _c0_from_offresonance(
-    trace: ComplexTrace,
-    spans: Sequence[tuple[int, int]],
-    fs_hints: Sequence[float],
-) -> float:
-    """Static capacitance from the susceptance outside the given spans.
+def _half_width_q(trace: ComplexTrace, fs: float) -> float:
+    """Quality factor of a series branch at fs: fs over the full width of
+    Re(Y) at half its value there, clipped to [5, 1e5].
 
-    With the series resonances fixed at fs_hints, the shoulder shape is
-    known up to scale and Im(Y)/w = c0 + sum_k cm_k/(1 - (f/fs_k)^2) is
-    linear in (c0, cm_1, ..., cm_K): the residue step of vector fitting
-    (Gustavsen & Semlyen 1999).  It separates the static term from the
-    motional tails, which reach far beyond any finite span, so the points
-    need to avoid the hinted poles, not every shoulder.
-
-    spans are inclusive index pairs kept out of the fit; at least 10% of
-    the grid must survive them, enough of it must lie clear of the hints,
-    and the result must be capacitive.
+    A series RLC branch's conductance is a Lorentzian of width fs/Q, and c0
+    adds nothing to Re(Y).  Each side ends at the nearest sample at or below
+    the half value; a side with none (a resonance at the grid edge) mirrors
+    the other, and with neither the width is the whole grid.
     """
-    n = trace.npoints
-    mask = np.ones(n, dtype=bool)
-    for lo, hi in spans:
-        mask[max(lo, 0) : min(hi, n - 1) + 1] = False
-    kept = int(mask.sum())
-    if kept < max(2, math.ceil(0.10 * n)):
-        raise EstimationError(
-            f"only {kept}/{n} points left off-resonance; need at least 10%"
-        )
-    f = trace.freqs[mask]
-    # Points essentially on top of a hinted resonance would need the loss
-    # term; drop them instead.
-    clear = np.ones(f.size, dtype=bool)
-    for fs in fs_hints:
-        clear &= np.abs(1.0 - (f / fs) ** 2) > 1e-3
-    need = max(4, 2 + len(fs_hints))
-    if clear.sum() < need:
-        at = ", ".join(f"{fs:.6g}" for fs in fs_hints)
-        raise EstimationError(
-            f"only {int(clear.sum())} off-resonance points lie clear of the seeded "
-            f"resonances at {at} Hz; the background fit needs {need}"
-        )
-    f = f[clear]
-    cols = [np.ones(f.size)]
-    for fs in fs_hints:
-        cols.append(1.0 / (1.0 - (f / fs) ** 2))
-    b = trace.values.imag[mask][clear]
-    coef, *_ = np.linalg.lstsq(np.column_stack(cols), b / (TWO_PI * f), rcond=None)
-    c0 = float(coef[0])
-    if not c0 > 0:
-        raise InductiveBackgroundError(c0)
-    return c0
+    f, g = trace.freqs, trace.values.real
+    i = int(np.argmin(np.abs(f - fs)))
+    if not g[i] > 0:
+        return _Q_MIN
+    below = f[g <= 0.5 * g[i]] - f[i]
+    left, right = below[below < 0], below[below > 0]
+    sides = ([-left[-1]] if left.size else []) + ([right[0]] if right.size else [])
+    width = 2.0 * sum(sides) / len(sides) if sides else f[-1] - f[0]
+    return min(max(fs / width, _Q_MIN), _Q_MAX)
 
 
 def initial_guess(
@@ -230,32 +164,35 @@ def initial_guess(
 ) -> MbvdModel:
     """Assemble a seed MBVD model with one branch per candidate.
 
-    c0 comes from the off-resonance susceptance with the candidates' spans
-    left out and their fs_est as fixed poles (candidates not passed do not
-    constrain it), cm from the fs/fp pair when the notch was seen (falling
-    back to cm = 0.05 c0), lm from fs and cm, and rm from |Y| at the peak
-    after removing the static susceptance.  Loss elements r0 and rs seed
-    at zero.
+    With each branch's fs_k at its candidate's fs_est and Q_k from
+    _half_width_q, the lossy-pole admittance
+
+        Y/(jw) = c0 + sum_k cm_k / (1 - x_k^2 + j x_k/Q_k),  x_k = f/fs_k,
+
+    is linear in (c0, cm_1, ..., cm_K): the residue step of vector fitting
+    (Gustavsen & Semlyen 1999), solved by least squares over every point of
+    the trace.  Candidates not passed do not constrain it.  lm follows from
+    fs_k and cm_k, rm = 2 pi fs_k lm / Q_k; a cm_k <= 0 falls back to
+    0.05 c0.  Loss elements r0 and rs seed at zero.
     """
     if not candidates:
         raise ValueError("need at least one resonance candidate")
-    c0 = _c0_from_offresonance(trace, [c.span for c in candidates],
-                               [c.fs_est for c in candidates])
+    fs = np.sort([c.fs_est for c in candidates])
+    q = np.array([_half_width_q(trace, fs_k) for fs_k in fs.tolist()])
+    f = trace.freqs
+    x = f[:, None] / fs
+    a = np.column_stack([np.ones(f.size), 1.0 / (1.0 - x * x + 1j * x / q)])
+    b = trace.values / (1j * TWO_PI * f)
+    coef, *_ = np.linalg.lstsq(np.concatenate([a.real, a.imag]),
+                               np.concatenate([b.real, b.imag]), rcond=None)
+    c0 = float(coef[0])
+    if not c0 > 0:
+        raise InductiveBackgroundError(c0)
 
     branches = []
-    for cand in sorted(candidates, key=lambda c: c.fs_est):
-        fs_e = cand.fs_est
-        ratio = 0.0
-        if cand.fp_est is not None:
-            ratio = (cand.fp_est / fs_e) ** 2 - 1.0  # equals cm/c0
-        if not 1e-6 < ratio < 10.0:
-            ratio = 0.05
-        cm = ratio * c0
-        lm = 1.0 / ((TWO_PI * fs_e) ** 2 * cm)
-        i_pk = int(np.argmin(np.abs(trace.freqs - fs_e)))
-        y_motional = trace.values[i_pk] - 1j * TWO_PI * trace.freqs[i_pk] * c0
-        rm = 1.0 / max(abs(y_motional), 1e-12)
-        branches.append(MotionalBranch(rm=rm, lm=lm, cm=cm))
-
-    branches.sort(key=lambda b: b.fs)
+    for fs_k, q_k, cm in zip(fs.tolist(), q.tolist(), coef[1:].tolist()):
+        if not cm > 0:
+            cm = 0.05 * c0
+        lm = 1.0 / ((TWO_PI * fs_k) ** 2 * cm)
+        branches.append(MotionalBranch(rm=TWO_PI * fs_k * lm / q_k, lm=lm, cm=cm))
     return MbvdModel(c0=c0, r0=0.0, rs=0.0, branches=tuple(branches))

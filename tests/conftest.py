@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from resokit import ComplexTrace
-from resokit.mbvd import MbvdModel, MotionalBranch, branch_from_metrics, synthesize_admittance
+from resokit.mbvd import (
+    MbvdModel,
+    MotionalBranch,
+    branch_from_metrics,
+    metrics_from_model,
+    synthesize_admittance,
+)
 from resokit.netparams import (
     device_admittance,
     parse_touchstone,
@@ -33,6 +39,14 @@ def pair_model(coupling=5.0):
 PAIR_GRID = np.linspace(2.5e9, 4.2e9, 3001)
 
 
+def zoom_grid(model):
+    """0.97 fs to 1.03 fp of a one-branch model in 801 points, about as a
+    measurement zoomed on its resonance is taken."""
+    b = model.branches[0]
+    fp = b.fs * math.sqrt(1.0 + b.cm / model.c0)
+    return np.linspace(0.97 * b.fs, 1.03 * fp, 801)
+
+
 def noisy_trace(model, grid, noise_db=None, seed=0):
     """Synthesize Y(f) and optionally add complex white noise.
 
@@ -45,6 +59,20 @@ def noisy_trace(model, grid, noise_db=None, seed=0):
     scale = np.median(np.abs(trace.values)) * 10.0 ** (noise_db / 20.0)
     noise = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
     return ComplexTrace(freqs=trace.freqs, values=trace.values + scale * noise / np.sqrt(2.0))
+
+
+def criterion_2_recovered(fitted, truth, grid):
+    """Whether the fitted model's metrics on grid match the true model's
+    within criterion 2's tolerances (fs 1e-4, kt2 0.02, qm 0.05, c0 0.01),
+    relative only: pytest.approx's absolute 1e-12 would pass any c0.  A kt2
+    matches only if both are reported or neither is."""
+    met, want = metrics_from_model(fitted, grid), metrics_from_model(truth, grid)
+    if (met.kt2 is None) != (want.kt2 is None):
+        return False
+    return (abs(met.fs - want.fs) <= 1e-4 * want.fs
+            and (want.kt2 is None or abs(met.kt2 - want.kt2) <= 0.02 * want.kt2)
+            and abs(met.qm - want.qm) <= 0.05 * want.qm
+            and abs(met.c0 - want.c0) <= 0.01 * want.c0)
 
 
 def golden_text(model, grid, fmt="RI", unit="GHz", noise_db=None, seed=0):

@@ -4,6 +4,8 @@ Runs, through ``cli.run`` in a temporary directory:
 
 - ``fit`` of each of the 22 survey devices and ``batch`` over them, at
   -80, -40 and -20 dB (noise seed 100 + survey index, as criterion 2)
+- ``fit`` of each survey device on its zoom grid (``conftest.zoom_grid``,
+  0.97 fs to 1.03 fp in 801 points) at -80 dB, with the same seeds
 - ``synth --fmt DB`` then ``fit`` for the four round-trip families (A, E, L, P)
 - ``fit`` and ``fit --branches 2`` of criterion 3's pair (-80 dB, seed 11)
 - ``modes`` for lvr and dlvr at N = 5, 8, 20 and 40, each with the default
@@ -32,7 +34,7 @@ from resokit import cli
 from resokit.mbvd import model_to_dict
 from resokit.refdata import SURVEY, roundtrip_model, synthesis_grid
 
-from conftest import PAIR_GRID, golden_text, pair_model
+from conftest import PAIR_GRID, golden_text, pair_model, zoom_grid
 
 NOISE_DB = (-80.0, -40.0, -20.0)
 ROUNDTRIP_LABELS = ("A", "E", "L", "P")
@@ -59,6 +61,13 @@ def commands(inp: Path, out: Path) -> list[list[str]]:
                                         noise_db=noise_db, seed=100 + i))
             cmds.append(["fit", str(path), "--emit-candidates", "--outdir", str(out / "fit" / tag)])
         cmds.append(["batch", str(data), "--outdir", str(out / "batch" / tag)])
+    data = inp / "survey" / "zoom"
+    data.mkdir()
+    for i, row in enumerate(SURVEY):
+        model = roundtrip_model(row.label)
+        path = data / f"{row.label}.s2p"
+        path.write_text(golden_text(model, zoom_grid(model), noise_db=-80.0, seed=100 + i))
+        cmds.append(["fit", str(path), "--emit-candidates", "--outdir", str(out / "fit" / "zoom")])
     for label in ROUNDTRIP_LABELS:
         model = inp / "models" / f"{label}.json"
         model.parent.mkdir(exist_ok=True)

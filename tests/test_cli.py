@@ -65,7 +65,7 @@ def test_fit_outputs_and_metrics(tmp_path):
 
     cands = json.loads((outdir / "rowL_candidates.json").read_text())
     assert len(cands) == 1
-    assert set(cands[0]) == {"fs_est_hz", "fp_est_hz", "prominence_db", "significance", "span"}
+    assert set(cands[0]) == {"fs_est_hz", "fp_est_hz", "prominence_db", "significance"}
     assert cands[0]["fs_est_hz"] == pytest.approx(truth.fs, rel=2e-3)
     assert cands[0]["significance"] > 1e4
 
@@ -244,16 +244,22 @@ def test_fit_outputs_in_manifest_order(tmp_path):
     ]
 
 
-def test_fit_off_span_resonance_is_an_input_error(tmp_path, capsys):
-    # survey row V on a grid ending 0.05% above f_s, at -20 dB: no candidate
-    # clears the noise, and with --branches 1 the fitted dominant branch
-    # lands below the grid, so no metrics can be reported
+def _row_v_at_the_grid_edge(d, seed):
+    """Survey row V on a grid ending 0.05% above f_s, at -20 dB: the
+    resonance makes no peak, and no candidate clears the noise."""
     model = roundtrip_model("V")
     fs = model.branches[model.dominant_index].fs
-    d = tmp_path / "meas"
     d.mkdir()
     (d / "v.s2p").write_text(golden_text(model, np.linspace(0.9 * fs, 1.0005 * fs, 2001),
-                                         noise_db=-20.0, seed=1048))
+                                         noise_db=-20.0, seed=seed))
+
+
+def test_fit_off_span_resonance_is_an_input_error(tmp_path, capsys):
+    # with --branches 1 the seed is the strongest noise peak; on this noise
+    # draw the fit moves that branch below the grid, so no metrics can be
+    # reported
+    d = tmp_path / "meas"
+    _row_v_at_the_grid_edge(d, 1052)
     outdir = tmp_path / "o"
     assert cli.run(["fit", str(d / "v.s2p"), "--emit-candidates", "--outdir", str(outdir)]) == 2
     assert capsys.readouterr().err == "error: no resonance candidate clears the noise\n"
@@ -269,6 +275,18 @@ def test_fit_off_span_resonance_is_an_input_error(tmp_path, capsys):
     assert cli.run(["batch", str(d), "--branches", "1", "--outdir", str(outdir)]) == 1
     failures = json.loads((outdir / "batch_batch.json").read_text())["failures"]
     assert [(f["file"], f["error"]) for f in failures] == [("v.s2p", err[len("error: "):-1])]
+
+
+def test_fit_forced_onto_a_noise_peak_may_not_converge(tmp_path, capsys):
+    # on this noise draw the --branches 1 fit from the strongest noise peak
+    # runs out of iterations inside the grid: exit 3, outputs written
+    d = tmp_path / "meas"
+    _row_v_at_the_grid_edge(d, 1048)
+    outdir = tmp_path / "o"
+    assert cli.run(["fit", str(d / "v.s2p"), "--branches", "1", "--outdir", str(outdir)]) == 3
+    assert capsys.readouterr().err == ""
+    fit_doc = json.loads((outdir / "v_metrics.json").read_text())["fit"]
+    assert (fit_doc["converged"], fit_doc["iterations"]) == (False, 200)
 
 
 @pytest.mark.parametrize("label", ["B", "F", "H", "N"])

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from resokit import ComplexTrace
-from resokit.errors import EstimationError, InductiveBackgroundError, PhaseUnwrapError
+from resokit.errors import InductiveBackgroundError, PhaseUnwrapError
 from resokit.extract import (
-    _c0_from_offresonance,
+    ResonanceCandidate,
     _noise_sigma,
     _prominent_peaks,
     detect_resonances,
@@ -30,7 +30,7 @@ from resokit.refdata import SURVEY, roundtrip_model, row, synthesis_grid
 
 from conftest import noisy_trace, survey_trace
 
-# Written by tests/data/make_detect_resonances.py with the SciPy detector.
+# Written by tests/data/make_detect_resonances.py.
 FROZEN_DETECTIONS = Path(__file__).parent / "data" / "detect_resonances.json"
 
 
@@ -78,16 +78,6 @@ def test_detect_two_branches_in_frequency_order():
     assert cands[1].fs_est == pytest.approx(3.3e9, rel=1e-3)
 
 
-def test_detect_span_brackets_peak():
-    m = roundtrip_model("A")
-    grid = synthesis_grid("A")
-    tr = synthesize_admittance(m, grid)
-    cand = detect_resonances(tr)[0]
-    lo, hi = cand.span
-    assert 0 <= lo < hi < grid.size
-    assert grid[lo] < cand.fs_est < grid[hi]
-
-
 def test_detect_survives_noise():
     m = roundtrip_model("A")
     tr = noisy_trace(m, synthesis_grid("A"), noise_db=-80.0, seed=1)
@@ -114,8 +104,8 @@ def test_detect_matches_frozen_survey_candidates(noise_db):
         got = detect_resonances(survey_trace(r.label, i, noise_db))
         want = frozen[r.label]
         assert len(got) == len(want), r.label
-        for c, (fs, fp, prom, span) in zip(got, want):
-            assert (c.fs_est, c.fp_est, c.span) == (fs, fp, tuple(span)), r.label
+        for c, (fs, fp, prom) in zip(got, want):
+            assert (c.fs_est, c.fp_est) == (fs, fp), r.label
             assert c.prominence_db == pytest.approx(prom, rel=1e-12, abs=0.0), r.label
 
 
@@ -171,12 +161,9 @@ def test_prominent_peaks_match_scipy_oracle(x, threshold):
     signal = pytest.importorskip("scipy.signal")
     for arr in (np.asarray(x, dtype=float), -np.asarray(x, dtype=float)):
         want, props = signal.find_peaks(arr, prominence=threshold)
-        _, _, want_left, want_right = signal.peak_widths(arr, want, rel_height=0.5)
-        peaks, prominences, left_ips, right_ips = _prominent_peaks(arr, threshold)
+        peaks, prominences = _prominent_peaks(arr, threshold)
         np.testing.assert_array_equal(peaks, want)
         np.testing.assert_array_equal(prominences, props["prominences"])
-        np.testing.assert_allclose(left_ips, want_left, rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(right_ips, want_right, rtol=1e-12, atol=0.0)
 
 
 def test_detect_requires_enough_points():
@@ -189,11 +176,11 @@ def test_detect_requires_enough_points():
 # ------------------------------------------------------ background estimate
 
 def test_c0_hinted_high_coupling():
-    # kt2 32.7% bends Im(Y)/w everywhere; the hinted joint fit stays exact
+    # kt2 32.7% bends Im(Y)/w everywhere; the solve with the pole fixed at
+    # the candidate stays exact
     m = roundtrip_model("P")
     tr = synthesize_admittance(m, synthesis_grid("P"))
-    cands = detect_resonances(tr)
-    c0 = _c0_from_offresonance(tr, [c.span for c in cands], [c.fs_est for c in cands])
+    c0 = initial_guess(tr, detect_resonances(tr)).c0
     assert c0 == pytest.approx(row("P").c0, rel=1e-3)
 
 
@@ -202,41 +189,24 @@ def test_c0_hinted_short_span():
     m = roundtrip_model("L")
     fs = row("L").fs
     tr = synthesize_admittance(m, np.linspace(0.91 * fs, 1.35 * fs, 1201))
-    cands = detect_resonances(tr)
-    c0 = _c0_from_offresonance(tr, [c.span for c in cands], [c.fs_est for c in cands])
+    c0 = initial_guess(tr, detect_resonances(tr)).c0
     assert c0 == pytest.approx(row("L").c0, rel=5e-3)
 
 
 def test_c0_noise_robust():
     m = roundtrip_model("I")
     tr = noisy_trace(m, synthesis_grid("I"), noise_db=-100.0, seed=5)
-    cands = detect_resonances(tr)
-    c0 = _c0_from_offresonance(tr, [c.span for c in cands], [c.fs_est for c in cands])
+    c0 = initial_guess(tr, detect_resonances(tr)).c0
     assert c0 == pytest.approx(row("I").c0, rel=5e-3)
-
-
-def test_c0_all_excluded_raises():
-    f = np.linspace(1e9, 2e9, 101)
-    tr = ComplexTrace(freqs=f, values=1j * 2 * np.pi * f * 1e-13)
-    with pytest.raises(EstimationError):
-        _c0_from_offresonance(tr, [(0, 100)], [1.5e9])
-
-
-def test_c0_too_few_points_clear_of_the_hints_raises():
-    # three points survive the span, fewer than the hinted fit needs
-    f = np.linspace(1e9, 2e9, 20)
-    tr = ComplexTrace(freqs=f, values=1j * 2 * np.pi * f * 1e-13)
-    with pytest.raises(EstimationError, match=r"only 3 off-resonance points lie clear of the "
-                                              r"seeded resonances at 1\.5e\+09 Hz; .* needs 4"):
-        _c0_from_offresonance(tr, [(3, 19)], [1.5e9])
 
 
 def test_c0_hinted_inductive_background_raises():
     # susceptance falling with frequency has no capacitive static term
     f = np.linspace(1e9, 2e9, 101)
     tr = ComplexTrace(freqs=f, values=-1j * 2 * np.pi * f * 1e-13)
+    cand = ResonanceCandidate(fs_est=1.5e9, fp_est=None, prominence_db=3.0, significance=10.0)
     with pytest.raises(InductiveBackgroundError) as exc:
-        _c0_from_offresonance(tr, [(40, 60)], [1.5e9])
+        initial_guess(tr, [cand])
     assert exc.value.slope == pytest.approx(-1e-13, rel=1e-9)
 
 
@@ -319,15 +289,46 @@ def test_initial_guess_two_branches_sorted():
     assert seed.branches[1].fs == pytest.approx(3.3e9, rel=1e-3)
 
 
-def test_initial_guess_cm_fallback_without_notch():
-    # a candidate with no antiresonance estimate seeds cm at 0.05 c0
+def test_initial_guess_does_not_read_the_notch():
+    # cm comes from the solve, so a candidate with no antiresonance
+    # estimate seeds the same model
     m = roundtrip_model("A")
     tr = synthesize_admittance(m, synthesis_grid("A"))
     cand = detect_resonances(tr)[0]
-    blind = type(cand)(fs_est=cand.fs_est, fp_est=None, prominence_db=cand.prominence_db,
-                       significance=cand.significance, span=cand.span)
-    seed = initial_guess(tr, [blind])
-    assert seed.branches[0].cm == pytest.approx(0.05 * seed.c0, rel=1e-9)
+    blind = ResonanceCandidate(fs_est=cand.fs_est, fp_est=None, prominence_db=cand.prominence_db,
+                               significance=cand.significance)
+    assert cand.fp_est is not None
+    assert initial_guess(tr, [blind]) == initial_guess(tr, [cand])
+
+
+def test_initial_guess_cm_fallback_for_a_non_positive_solve():
+    # a motional branch subtracted from the static one: Re(Y) is negative at
+    # fs, so Q takes its floor of 5, and the solved cm is negative, so it
+    # falls back to 0.05 c0
+    m = roundtrip_model("A")
+    grid = synthesis_grid("A")
+    y = synthesize_admittance(m, grid).values
+    tr = ComplexTrace(freqs=grid, values=2j * np.pi * grid * 2 * m.c0 - y)
+    cand = ResonanceCandidate(fs_est=row("A").fs, fp_est=None, prominence_db=3.0,
+                              significance=10.0)
+    seed = initial_guess(tr, [cand])
+    b = seed.branches[0]
+    assert seed.c0 == pytest.approx(m.c0, rel=0.05)
+    assert b.cm == 0.05 * seed.c0
+    assert b.fs == pytest.approx(row("A").fs, rel=1e-12)
+    assert b.qm == pytest.approx(5.0, rel=1e-12)
+
+
+def test_initial_guess_q_from_the_conductance_half_width():
+    # a bare branch's conductance is a Lorentzian of width fs/Q; with the
+    # resonance on the first sample the seen side is mirrored
+    b = branch_from_metrics(1e9, 200.0, 0.05, 100e-15)
+    m = MbvdModel(c0=100e-15, r0=0.0, rs=0.0, branches=(b,))
+    cand = ResonanceCandidate(fs_est=1e9, fp_est=None, prominence_db=3.0, significance=10.0)
+    for grid in (np.linspace(0.99e9, 1.01e9, 4001), np.linspace(1e9, 1.01e9, 2001)):
+        seed = initial_guess(synthesize_admittance(m, grid), [cand])
+        assert seed.branches[0].qm == pytest.approx(200.0, rel=2e-3)
+        assert seed.c0 == pytest.approx(100e-15, rel=1e-6)
 
 
 def test_initial_guess_requires_candidates():
