@@ -156,7 +156,6 @@ def _load_device_trace(path: Path, shunt: bool) -> ComplexTrace:
 def _candidates_doc(candidates) -> list[dict]:
     return [{
         "fs_est_hz": c.fs_est,
-        "fp_est_hz": c.fp_est,
         "prominence_db": c.prominence_db,
         "significance": c.significance if c.significance < np.inf else "inf",
     } for c in candidates]

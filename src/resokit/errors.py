@@ -55,10 +55,6 @@ class InductiveBackgroundError(EstimationError):
         )
 
 
-class PhaseUnwrapError(ToolkitError):
-    """Adjacent phase samples jump by more than pi; grid too coarse to unwrap."""
-
-
 class DegenerateCouplingError(ToolkitError):
     """Requested coupling maps to a motional capacitance below the physical floor."""
 

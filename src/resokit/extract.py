@@ -26,21 +26,18 @@ _Q_MIN, _Q_MAX = 5.0, 1e5
 
 @dataclass(frozen=True)
 class ResonanceCandidate:
-    """One detected resonance: the peak's frequency fs_est, the following
-    notch's fp_est (None without one), the peak's dB prominence, and its
-    significance, the height over the noise (see detect_resonances).
+    """One detected resonance: the peak's frequency fs_est, its dB
+    prominence, and its significance, the height over the noise (see
+    detect_resonances).
     """
 
     fs_est: float
-    fp_est: float | None
     prominence_db: float
     significance: float
 
     def __post_init__(self):
         if not self.fs_est > 0:
             raise ValueError("fs_est must be positive")
-        if self.fp_est is not None and not self.fp_est > self.fs_est:
-            raise ValueError("fp_est must exceed fs_est when present")
         if not self.significance >= 0:
             raise ValueError("significance must be >= 0")
 
@@ -101,12 +98,11 @@ def detect_resonances(trace: ComplexTrace, threshold_db: float = 3.0) -> list[Re
     """Find resonance candidates as prominent maxima of |Y|.
 
     Each local maximum of 20 log10 |Y| with prominence >= threshold_db
-    becomes a candidate; the nearest following prominent minimum (the
-    antiresonance notch) supplies fp_est when present.  Candidates are
-    returned sorted by frequency.  A featureless trace yields [].  The
-    significance is the linear rise above the prominence's base, |Y| at the
-    peak times 1 - 10^(-prominence_db / 20), over _noise_sigma (inf when that
-    is 0): in dB a weak peak rising from a deep notch would outrank strong ones.
+    becomes a candidate.  Candidates are returned sorted by frequency.  A
+    featureless trace yields [].  The significance is the linear rise above
+    the prominence's base, |Y| at the peak times 1 - 10^(-prominence_db / 20),
+    over _noise_sigma (inf when that is 0): in dB a weak peak rising from a
+    deep notch would outrank strong ones.
     """
     if trace.npoints < 16:
         raise ValueError(f"need at least 16 points, got {trace.npoints}")
@@ -118,19 +114,14 @@ def detect_resonances(trace: ComplexTrace, threshold_db: float = 3.0) -> list[Re
     peaks, prominences = _prominent_peaks(mag_db, threshold_db)
     if peaks.size == 0:
         return []
-    mins, _ = _prominent_peaks(-mag_db, threshold_db)
-    following = np.searchsorted(mins, peaks).tolist()
     sigma = _noise_sigma(trace)
 
     out: list[ResonanceCandidate] = []
     for i, p in enumerate(peaks):
-        j = following[i]
-        fp_est = float(trace.freqs[mins[j]]) if j < mins.size else None
         height = float(mag[p]) * (1.0 - 10.0 ** (-float(prominences[i]) / 20.0))
         out.append(
             ResonanceCandidate(
                 fs_est=float(trace.freqs[p]),
-                fp_est=fp_est,
                 prominence_db=float(prominences[i]),
                 significance=height / sigma if sigma > 0 else math.inf,
             )

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateCouplingError, EstimationError, PhaseUnwrapError
+from .errors import DegenerateCouplingError, EstimationError
 from .netparams import ComplexTrace
 
 TWO_PI = 2.0 * math.pi
@@ -37,9 +37,6 @@ CM_FLOOR = 1e-21
 
 # Phase-slope quality factors above this are reported as +inf (lossless).
 Q_SENTINEL = 1e6
-
-# Phase-slope precondition: at least 5 points within +-f0/(2*Q_FLOOR).
-Q_FLOOR = 10.0
 
 
 def _median(a: np.ndarray) -> float:
@@ -165,7 +162,8 @@ def admittance_arrays(
     0.0 times the reactance (0.0 w x, 0.0 v), so a non-finite intermediate
     (w, x or v out of the float range) stays non-finite in the arm, as it
     did in the complex products 1/(r0 + 1/(jw c0)) and rm + 1j v, whose
-    values these equal bit for bit.
+    values these equal bit for bit.  A branch with rm = 0 whose reactance
+    rounds to 0 is a short, so y is 1/rs there (not finite without rs).
     """
     w = TWO_PI * np.asarray(freqs, dtype=float)
     yb = None
@@ -182,6 +180,10 @@ def admittance_arrays(
             zb.real = rm[:, None] + 0.0 * v
             zb.imag = v
             yb = 1.0 / zb
+            if not all(rm.tolist()):
+                # 1/(0 + 0j) is inf + nan j: a lossless branch at its float fs
+                # is a short, a real inf that leaves y = 1/rs
+                yb[zb == 0.0] = math.inf
             total = 0.0
             for row in yb:
                 total = total + row
@@ -267,22 +269,21 @@ def kt2_from_frequencies(fs: float, fp: float) -> float:
     return KT2_PREFACTOR * (fp**2 - fs**2) / fp**2
 
 
-def _fp_lossless(model: MbvdModel, fs: float, fs_next: float) -> float:
+def _fp_lossless(model: MbvdModel, fs: float, hi: float) -> float:
     """Antiresonance of the branch at fs: the root of the lossless susceptance
-    over w, c0 + sum_j cm_j / (1 - (f/fs_j)^2), between fs and the next
-    branch's fs_next (math.inf for none).
+    over w, c0 + sum_j cm_j / (1 - (f/fs_j)^2), between fs and hi (see
+    metrics_from_model).
 
-    The sum rises strictly there, from -inf to +inf (or towards c0 > 0 with
-    no branch above), so it has one root, bisected to adjacent floats.  One
-    branch keeps the closed form fs sqrt(1 + cm/c0).
+    The sum rises strictly there, from -inf to above c0 / 2, so it has one
+    root, bisected to adjacent floats.  One branch keeps the closed form
+    fs sqrt(1 + cm/c0).
     """
     branches = model.branches
     if len(branches) == 1:
         return fs * math.sqrt(1.0 + branches[0].cm / model.c0)
     # cm_j fs_j^2 / ((fs_j - f)(fs_j + f)): 1 - (f/fs_j)^2 can round to 0 off the pole
     poles = [(b.cm * b.fs * b.fs, b.fs) for b in branches]
-    # at fs sqrt(2 + 2 sum cm / c0) the sum exceeds c0 - sum cm_j / ((f/fs)^2 - 1) > c0 / 2
-    lo, hi = fs, min(fs_next, fs * math.sqrt(2.0 + 2.0 * sum(b.cm for b in branches) / model.c0))
+    lo = fs
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         if model.c0 + sum(a / ((f_j - mid) * (f_j + mid)) for a, f_j in poles) < 0.0:
             lo = mid
@@ -291,59 +292,26 @@ def _fp_lossless(model: MbvdModel, fs: float, fs_next: float) -> float:
     return hi
 
 
-def _lossy_zero(model: MbvdModel, fp: float, fs: float, fs_next: float) -> float | None:
+def _lossy_zero(model: MbvdModel, fp: float, fs: float, hi: float) -> float | None:
     """The upward zero of Im(Y) that Newton's method reaches from the lossless
     antiresonance fp, or None for an overdamped branch: when an iterate
-    leaves (fs, fs_next) or Im(Y) does not rise through zero within
-    +-1e-12 relative of the last one."""
+    leaves (fs, hi) (see metrics_from_model), lands where Im(Y) does not rise
+    (Newton then cycles round a minimum of Im(Y) that stays above zero), or
+    Im(Y) does not rise through zero within +-1e-12 relative of the last one."""
     f = fp
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(50):
             y, dy = _y_and_slope(model, np.array([f]))
+            if not dy[0].imag > 0.0:
+                return None
             step = float(y[0].imag / (TWO_PI * dy[0].imag))
             f -= step
-            if not fs < f < fs_next:
+            if not fs < f < hi:
                 return None
             if abs(step) <= 1e-15 * f:
                 break
     im_y = _y_and_slope(model, f * np.array([1.0 - 1e-12, 1.0 + 1e-12]))[0].imag
     return f if im_y[0] < 0.0 < im_y[1] else None
-
-
-def q_from_phase_slope(trace: ComplexTrace, f0: float) -> float:
-    """Quality factor Q = (f0/2) |d phi / d f| at f0.
-
-    phi is the unwrapped phase of the trace (nearest-multiple-of-2pi
-    continuation from the lowest frequency); the derivative comes from a
-    least-squares line through the 5 samples centered on f0.  Adjacent
-    raw-phase jumps above pi inside that window are unrecoverable and
-    raise PhaseUnwrapError.
-    """
-    n = trace.npoints
-    if n < 5:
-        raise ValueError("need at least 5 points")
-    f = trace.freqs
-    if not (f[0] <= f0 <= f[-1]):
-        raise ValueError(f"f0 {f0:.6g} Hz outside grid [{f[0]:.6g}, {f[-1]:.6g}]")
-    half = f0 / (2.0 * Q_FLOOR)
-    in_window = int(np.count_nonzero(np.abs(f - f0) <= half))
-    if in_window < 5:
-        raise ValueError(
-            f"only {in_window} points within +-f0/{2 * Q_FLOOR:.0f} of f0; densify the grid"
-        )
-    i0 = int(np.argmin(np.abs(f - f0)))
-    lo = min(max(i0 - 2, 0), n - 5)
-    sel = slice(lo, lo + 5)
-
-    raw = np.angle(trace.values)
-    jumps = np.abs(np.diff(raw[sel]))
-    if np.any(jumps > math.pi):
-        raise PhaseUnwrapError(
-            f"raw phase jumps by {jumps.max():.3f} rad between adjacent points"
-        )
-    phi = np.unwrap(raw)[sel]
-    slope = np.polyfit(f[sel] - f0, phi, 1)[0]
-    return float(f0 / 2.0 * abs(slope))
 
 
 FP_CROSSCHECK_RTOL = 1e-3
@@ -437,8 +405,12 @@ def metrics_from_model(model: MbvdModel, grid: np.ndarray) -> ResonatorMetrics:
         raise EstimationError(f"fitted dominant resonance {fs:.6g} Hz lies outside the "
                               f"measured span [{f_lo:.6g}, {f_hi:.6g}] Hz")
     fs_next = min((b.fs for b in model.branches if b.fs > fs), default=math.inf)
-    fp = _fp_lossless(model, fs, fs_next)
-    fp_lossy = _lossy_zero(model, fp, fs, fs_next)
+    # fp lies below the next fs and below fs sqrt(2 + 2 sum cm / c0), where the
+    # lossless sum exceeds c0 - sum cm_j / ((f/fs)^2 - 1) > c0 / 2; the Newton
+    # search for the lossy zero is kept to the same interval
+    hi = min(fs_next, fs * math.sqrt(2.0 + 2.0 * sum(b.cm for b in model.branches) / model.c0))
+    fp = _fp_lossless(model, fs, hi)
+    fp_lossy = _lossy_zero(model, fp, fs, hi)
 
     freqs = np.array([fs, fp])
     y, dy = _y_and_slope(model, freqs)

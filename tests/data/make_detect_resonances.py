@@ -31,7 +31,7 @@ def main() -> None:
         for i, row in enumerate(SURVEY):
             cands = detect_resonances(survey_trace(row.label, i, noise_db))
             entry = {"noise_db": noise_db, "label": row.label,
-                     "candidates": [[c.fs_est, c.fp_est, c.prominence_db] for c in cands]}
+                     "candidates": [[c.fs_est, c.prominence_db] for c in cands]}
             lines.append(json.dumps(entry))
     (HERE / "detect_resonances.json").write_text("[\n" + ",\n".join(lines) + "\n]\n")
 

@@ -65,7 +65,7 @@ def test_fit_outputs_and_metrics(tmp_path):
 
     cands = json.loads((outdir / "rowL_candidates.json").read_text())
     assert len(cands) == 1
-    assert set(cands[0]) == {"fs_est_hz", "fp_est_hz", "prominence_db", "significance"}
+    assert set(cands[0]) == {"fs_est_hz", "prominence_db", "significance"}
     assert cands[0]["fs_est_hz"] == pytest.approx(truth.fs, rel=2e-3)
     assert cands[0]["significance"] > 1e4
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from resokit import ComplexTrace
-from resokit.errors import InductiveBackgroundError, PhaseUnwrapError
+from resokit.errors import InductiveBackgroundError
 from resokit.extract import (
     ResonanceCandidate,
     _noise_sigma,
@@ -23,7 +23,6 @@ from resokit.mbvd import (
     MbvdModel,
     MotionalBranch,
     branch_from_metrics,
-    q_from_phase_slope,
     synthesize_admittance,
 )
 from resokit.refdata import SURVEY, roundtrip_model, row, synthesis_grid
@@ -58,14 +57,6 @@ def test_detect_single_resonance_within_grid_step():
     step = grid[1] - grid[0]
     assert abs(cands[0].fs_est - row("A").fs) <= step
     assert cands[0].prominence_db > 3.0
-
-
-def test_detect_reports_antiresonance_estimate():
-    m = roundtrip_model("A")
-    cands = detect_resonances(synthesize_admittance(m, synthesis_grid("A")))
-    fp_true = 3.241480e9
-    assert cands[0].fp_est is not None
-    assert cands[0].fp_est == pytest.approx(fp_true, rel=2e-3)
 
 
 def test_detect_two_branches_in_frequency_order():
@@ -104,8 +95,8 @@ def test_detect_matches_frozen_survey_candidates(noise_db):
         got = detect_resonances(survey_trace(r.label, i, noise_db))
         want = frozen[r.label]
         assert len(got) == len(want), r.label
-        for c, (fs, fp, prom) in zip(got, want):
-            assert (c.fs_est, c.fp_est) == (fs, fp), r.label
+        for c, (fs, prom) in zip(got, want):
+            assert c.fs_est == fs, r.label
             assert c.prominence_db == pytest.approx(prom, rel=1e-12, abs=0.0), r.label
 
 
@@ -204,61 +195,10 @@ def test_c0_hinted_inductive_background_raises():
     # susceptance falling with frequency has no capacitive static term
     f = np.linspace(1e9, 2e9, 101)
     tr = ComplexTrace(freqs=f, values=-1j * 2 * np.pi * f * 1e-13)
-    cand = ResonanceCandidate(fs_est=1.5e9, fp_est=None, prominence_db=3.0, significance=10.0)
+    cand = ResonanceCandidate(fs_est=1.5e9, prominence_db=3.0, significance=10.0)
     with pytest.raises(InductiveBackgroundError) as exc:
         initial_guess(tr, [cand])
     assert exc.value.slope == pytest.approx(-1e-13, rel=1e-9)
-
-
-# ------------------------------------------------------------- phase slope
-
-def test_q_phase_slope_bare_branch():
-    # with a vanishing shunt capacitance the loaded Q equals the branch Q
-    b = branch_from_metrics(1e9, 200.0, 0.05, 100e-15)
-    m = MbvdModel(c0=1e-19, r0=0.0, rs=0.0, branches=(b,))
-    g = np.linspace(0.995e9, 1.005e9, 2001)
-    q = q_from_phase_slope(synthesize_admittance(m, g), 1e9)
-    assert q == pytest.approx(200.0, rel=1e-3)
-
-
-def test_q_phase_slope_constant_phase_is_zero():
-    g = np.linspace(0.9e9, 1.1e9, 2001)
-    tr = ComplexTrace(freqs=g, values=np.full(g.size, 3.0 + 4.0j))
-    assert q_from_phase_slope(tr, 1e9) == pytest.approx(0.0, abs=1e-6)
-
-
-def test_q_phase_slope_scales_with_q():
-    for q_true in (50.0, 500.0, 5000.0):
-        b = branch_from_metrics(1e9, q_true, 0.05, 100e-15)
-        m = MbvdModel(c0=1e-19, r0=0.0, rs=0.0, branches=(b,))
-        half = 1e9 / q_true
-        g = np.linspace(1e9 - half, 1e9 + half, 2001)
-        q = q_from_phase_slope(synthesize_admittance(m, g), 1e9)
-        assert q == pytest.approx(q_true, rel=2e-3)
-
-
-def test_q_phase_slope_requires_f0_in_grid():
-    g = np.linspace(1e9, 2e9, 101)
-    tr = ComplexTrace(freqs=g, values=1j * g)
-    with pytest.raises(ValueError):
-        q_from_phase_slope(tr, 3e9)
-
-
-def test_q_phase_slope_requires_dense_window():
-    # 11 points over a huge span cannot resolve the slope near f0
-    g = np.linspace(0.5e9, 5e9, 11)
-    tr = ComplexTrace(freqs=g, values=1j * g)
-    with pytest.raises(ValueError, match="densify"):
-        q_from_phase_slope(tr, 1e9)
-
-
-def test_q_phase_slope_unwrap_failure():
-    # alternating +-3 rad: every adjacent raw jump is 6 rad > pi
-    g = np.linspace(0.99e9, 1.01e9, 64)
-    phase = 3.0 * (-1.0) ** np.arange(g.size)
-    tr = ComplexTrace(freqs=g, values=np.exp(1j * phase))
-    with pytest.raises(PhaseUnwrapError):
-        q_from_phase_slope(tr, 1e9)
 
 
 # ----------------------------------------------------------------- seeding
@@ -289,18 +229,6 @@ def test_initial_guess_two_branches_sorted():
     assert seed.branches[1].fs == pytest.approx(3.3e9, rel=1e-3)
 
 
-def test_initial_guess_does_not_read_the_notch():
-    # cm comes from the solve, so a candidate with no antiresonance
-    # estimate seeds the same model
-    m = roundtrip_model("A")
-    tr = synthesize_admittance(m, synthesis_grid("A"))
-    cand = detect_resonances(tr)[0]
-    blind = ResonanceCandidate(fs_est=cand.fs_est, fp_est=None, prominence_db=cand.prominence_db,
-                               significance=cand.significance)
-    assert cand.fp_est is not None
-    assert initial_guess(tr, [blind]) == initial_guess(tr, [cand])
-
-
 def test_initial_guess_cm_fallback_for_a_non_positive_solve():
     # a motional branch subtracted from the static one: Re(Y) is negative at
     # fs, so Q takes its floor of 5, and the solved cm is negative, so it
@@ -309,8 +237,7 @@ def test_initial_guess_cm_fallback_for_a_non_positive_solve():
     grid = synthesis_grid("A")
     y = synthesize_admittance(m, grid).values
     tr = ComplexTrace(freqs=grid, values=2j * np.pi * grid * 2 * m.c0 - y)
-    cand = ResonanceCandidate(fs_est=row("A").fs, fp_est=None, prominence_db=3.0,
-                              significance=10.0)
+    cand = ResonanceCandidate(fs_est=row("A").fs, prominence_db=3.0, significance=10.0)
     seed = initial_guess(tr, [cand])
     b = seed.branches[0]
     assert seed.c0 == pytest.approx(m.c0, rel=0.05)
@@ -324,7 +251,7 @@ def test_initial_guess_q_from_the_conductance_half_width():
     # resonance on the first sample the seen side is mirrored
     b = branch_from_metrics(1e9, 200.0, 0.05, 100e-15)
     m = MbvdModel(c0=100e-15, r0=0.0, rs=0.0, branches=(b,))
-    cand = ResonanceCandidate(fs_est=1e9, fp_est=None, prominence_db=3.0, significance=10.0)
+    cand = ResonanceCandidate(fs_est=1e9, prominence_db=3.0, significance=10.0)
     for grid in (np.linspace(0.99e9, 1.01e9, 4001), np.linspace(1e9, 1.01e9, 2001)):
         seed = initial_guess(synthesize_admittance(m, grid), [cand])
         assert seed.branches[0].qm == pytest.approx(200.0, rel=2e-3)

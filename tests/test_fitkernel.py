@@ -314,7 +314,7 @@ def test_select_branch_count_ignores_spurious_candidate():
     real = detect_resonances(tr)
     assert len(real) == 1
     # a noise-sized ghost: 3 sigma high, under the 7 sigma admission level
-    ghost = type(real[0])(fs_est=3.5e9, fp_est=None, prominence_db=1.0, significance=3.0)
+    ghost = type(real[0])(fs_est=3.5e9, prominence_db=1.0, significance=3.0)
     res = select_branch_count(tr, [real[0], ghost])
     assert len(res.model.branches) == 1
 
@@ -396,7 +396,7 @@ def test_seed_ignores_candidates_it_does_not_seed():
     m = one_branch()
     tr = noisy_trace(m, np.linspace(1.7e9, 3.9e9, 1201), noise_db=-80.0, seed=12)
     real = detect_resonances(tr)[0]
-    weak = type(real)(fs_est=3.5e9, fp_est=None, prominence_db=1.0, significance=1.0)
+    weak = type(real)(fs_est=3.5e9, prominence_db=1.0, significance=1.0)
     assert seed_from_strongest(tr, [real, weak], 1) == initial_guess(tr, [real])
 
 

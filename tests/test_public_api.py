@@ -26,7 +26,6 @@ PUBLIC_NAMES = [
     "ModeSpectrum",
     "MotionalBranch",
     "NetworkRecord",
-    "PhaseUnwrapError",
     "PlanEntry",
     "ProcessRules",
     "ResonanceCandidate",
@@ -53,7 +52,6 @@ PUBLIC_NAMES = [
     "parse_touchstone",
     "plan_bank",
     "predict_fs",
-    "q_from_phase_slope",
     "render_table",
     "residuals",
     "s_to_y",
@@ -70,7 +68,8 @@ PUBLIC_NAMES = [
 
 # deleted, or moved into tests/ as oracles
 REMOVED = ["Kt2Convention", "resonance_frequencies", "fit_multistart", "strain_overlaps_numeric",
-           "default_bounds", "c0_from_offresonance"]
+           "default_bounds", "c0_from_offresonance", "q_from_phase_slope", "PhaseUnwrapError",
+           "Q_FLOOR"]
 
 # every value a library caller can set by leaving out an argument: the
 # defaulted parameters of public functions and methods, as module.f(param),
@@ -129,12 +128,12 @@ def test_public_names_are_unique_and_resolve():
 
 
 def test_removed_names_are_gone():
-    from resokit import extract, fitkernel, mbvd, transduce
+    from resokit import errors, extract, fitkernel, mbvd, transduce
 
     for name in REMOVED:
         assert name not in resokit.__all__
         assert not hasattr(resokit, name), name
-        for module in (extract, mbvd, fitkernel, transduce):
+        for module in (errors, extract, mbvd, fitkernel, transduce):
             assert not hasattr(module, name), (module.__name__, name)
 
 
