@@ -59,6 +59,18 @@ def test_detect_single_resonance_within_grid_step():
     assert cands[0].prominence_db > 3.0
 
 
+def test_detect_finds_no_candidate_at_a_notch_alone():
+    # candidates are maxima of |Y|: on a grid that starts above fs, |Y| falls
+    # to the antiresonance notch and rises past it, and that is no candidate
+    m = roundtrip_model("A")
+    b = m.branches[0]
+    fp = b.fs * math.sqrt(1.0 + b.cm / m.c0)
+    grid = np.linspace(0.5 * (b.fs + fp), 1.5 * fp, 801)
+    tr = synthesize_admittance(m, grid)
+    assert grid[0] < fp < grid[-1]
+    assert detect_resonances(tr) == []
+
+
 def test_detect_two_branches_in_frequency_order():
     m = two_branch_model()
     grid = np.linspace(2.5e9, 4.2e9, 3001)

@@ -383,6 +383,17 @@ def test_metrics_qs_below_qm_from_static_loading():
     assert met.qs == pytest.approx(1750.0, rel=0.01)
 
 
+@pytest.mark.parametrize("qm", [50.0, 500.0, 5000.0])
+def test_metrics_qs_of_a_bare_branch_is_its_q(qm):
+    # with a vanishing shunt capacitance Y at fs is the branch's 1/rm and
+    # dY/dw is -2j lm Y^2, so the phase-slope Q_s is the branch Q, w lm / rm
+    b = branch_from_metrics(1e9, qm, 0.05, 100e-15)
+    m = MbvdModel(c0=1e-19, r0=0.0, rs=0.0, branches=(b,))
+    met = metrics_from_model(m, np.array([0.5e9, 3e9]))
+    assert met.qs == pytest.approx(qm, rel=1e-6)
+    assert met.qs == pytest.approx(phase_difference_q(m, met.fs), rel=1e-6)
+
+
 def test_metrics_lossless_reports_inf():
     b = branch_from_metrics(1e9, 100.0, 0.05, 100e-15)
     m = MbvdModel(c0=100e-15, r0=0.0, rs=0.0,
